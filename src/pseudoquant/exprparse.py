@@ -247,7 +247,7 @@ def standard_problem() -> ProblemFile:
 
 
 def load_problem(source) -> ProblemFile:
-    """Build a ProblemFile from a dict, JSON text, or a path to a JSON file."""
+    """Build a ProblemFile from a dict, JSON object text, or a path to a JSON file."""
     if isinstance(source, dict):
         data = source
     else:
@@ -255,7 +255,12 @@ def load_problem(source) -> ProblemFile:
             is_file = Path(str(source)).exists()
         except OSError:
             is_file = False
-        text = Path(str(source)).read_text() if is_file else str(source)
+        if is_file:
+            text = Path(str(source)).read_text()
+        elif isinstance(source, str) and source.lstrip().startswith("{"):
+            text = source
+        else:
+            raise FileNotFoundError(f"no such file: {source}")
         data = json.loads(text)
     chart = _chart_from_dict(data.get("chart", {"pairs": [["p1", "q1"]]}))
     theta = parse_one_form(data.get("theta", "standard"), chart)

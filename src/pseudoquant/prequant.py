@@ -16,6 +16,7 @@ which serves as an exact oracle for the structural route.
 
 from __future__ import annotations
 
+from itertools import product
 from math import comb
 from typing import Mapping
 
@@ -81,9 +82,9 @@ class FormalOperator:
         clean: dict[tuple[int, ...], Poly] = {}
         for idx, coeff in (terms or {}).items():
             idx = tuple(idx)
-            if len(idx) != 2 * chart.n or any(k < 0 for k in idx):
+            if len(idx) != 2 * chart.n or min(idx) < 0:
                 raise ChartError(f"bad derivative multi-index {idx}")
-            if coeff.chart != chart:
+            if coeff.chart is not chart and coeff.chart != chart:
                 raise ChartError("operator coefficient on the wrong chart")
             if not coeff.is_zero():
                 clean[idx] = coeff
@@ -202,9 +203,12 @@ class FormalOperator:
                         continue
                     factor = 1
                     for ai, ki in zip(a, k):
-                        factor *= comb(ai, ki)
+                        if ki:
+                            factor *= comb(ai, ki)
                     idx = tuple(ai - ki + bi for ai, ki, bi in zip(a, k, b))
-                    piece = (c * dk).scale(factor)
+                    piece = c * dk
+                    if factor != 1:
+                        piece = piece.scale(factor)
                     prev = result.get(idx)
                     result[idx] = piece if prev is None else prev + piece
         return FormalOperator(chart, result)
@@ -224,7 +228,7 @@ class FormalOperator:
                 if k
             )
             cs = str(c)
-            if len(c.terms) > 1:
+            if len(c.nums) > 1:
                 cs = f"({cs})"
             parts.append(f"{cs}*{dd}" if dd else cs)
         out = parts[0]
@@ -237,12 +241,7 @@ class FormalOperator:
 
 def _sub_multi_indices(a: tuple[int, ...]):
     """All multi-indices k with 0 <= k <= a componentwise."""
-    if not a:
-        yield ()
-        return
-    for head in range(a[0] + 1):
-        for rest in _sub_multi_indices(a[1:]):
-            yield (head,) + rest
+    return product(*(range(ai + 1) for ai in a))
 
 
 # -- quantisation ------------------------------------------------------------

@@ -4,6 +4,14 @@ Polynomials over the Gaussian rationals in the chart coordinates and the
 formal symbol ``hbar``, plus one-forms, two-forms, vector fields, Poisson
 brackets, the exterior derivative and pullbacks along polynomial maps.
 
+Coefficient representation (as in FLINT's ``fmpq_poly``): a Poly stores
+Gaussian-integer numerators ``(re, im)`` over one positive denominator
+shared by all its terms, normalised so that the gcd of every numerator part
+and the denominator is 1.  Arithmetic works on plain ints and normalises
+once per Poly operation.  ``Scalar`` (one Gaussian rational as two
+``Fraction``s) appears only at the boundary: the ``Poly`` constructor,
+``constant_value``, printing and the read-only ``Poly.terms`` view.
+
 Sign conventions, fixed once for the whole package:
 
     omega = sum_i d(alpha_i) ^ d(beta_i)
@@ -20,6 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
+from operator import add as _add
 from typing import Iterable, Mapping, Union
 
 RationalLike = Union[int, Fraction]
@@ -35,8 +46,8 @@ class Scalar:
     __slots__ = ("re", "im")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -110,6 +121,18 @@ I = Scalar(0, 1)
 MINUS_I = Scalar(0, -1)
 
 
+def _gaussian(c: Scalar | RationalLike) -> tuple[int, int, int]:
+    """``(re, im, den)`` with ``c == (re + i*im) / den`` and ``den > 0``."""
+    if isinstance(c, int):
+        return c, 0, 1
+    if isinstance(c, Fraction):
+        return c.numerator, 0, c.denominator
+    c = Scalar.coerce(c)
+    rd, id_ = c.re.denominator, c.im.denominator
+    den = lcm(rd, id_)
+    return c.re.numerator * (den // rd), c.im.numerator * (den // id_), den
+
+
 def _frac_str(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
@@ -155,12 +178,12 @@ class ChartSpec:
     def n(self) -> int:
         return len(self.pairs)
 
-    @property
+    @cached_property
     def coords(self) -> tuple[str, ...]:
         """All 2n coordinate names, alphas first."""
         return tuple(p[0] for p in self.pairs) + tuple(p[1] for p in self.pairs)
 
-    @property
+    @cached_property
     def variables(self) -> tuple[str, ...]:
         return ("hbar",) + self.coords
 
@@ -189,26 +212,39 @@ def standard_chart(n: int = 1, style: str = "pq") -> ChartSpec:
 class Poly:
     """Exact multivariate polynomial over the Gaussian rationals.
 
-    Terms map an exponent tuple over ``chart.variables`` to a nonzero
-    Scalar.  Polys over the same chart compare equal iff the term maps are
-    equal.
+    ``nums`` maps an exponent tuple over ``chart.variables`` to a nonzero
+    Gaussian-integer numerator ``(re, im)``; every coefficient shares the
+    positive denominator ``den``.  The pair is kept in the normal form
+    ``gcd(every re, every im, den) == 1`` (``den == 1`` for the zero Poly),
+    so Polys over the same chart compare equal iff ``nums`` and ``den`` are
+    equal.  ``terms`` is a read-only ``{exponent: Scalar}`` view.
     """
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "nums", "den")
 
-    def __init__(self, chart: ChartSpec, terms: Mapping[tuple[int, ...], Scalar] | None = None):
-        object.__setattr__(self, "chart", chart)
+    def __init__(
+        self,
+        chart: ChartSpec,
+        terms: Mapping[tuple[int, ...], Scalar | RationalLike] | None = None,
+    ):
         nv = len(chart.variables)
-        clean: dict[tuple[int, ...], Scalar] = {}
+        parts = {}
+        den = 1
         for exp, c in (terms or {}).items():
-            c = Scalar.coerce(c)
-            if not c:
+            re, im, d = _gaussian(c)
+            if not (re or im):
                 continue
             exp = tuple(exp)
             if len(exp) != nv or any(e < 0 for e in exp):
                 raise ChartError(f"bad exponent tuple {exp} for chart with {nv} variables")
-            clean[exp] = c
-        object.__setattr__(self, "terms", clean)
+            parts[exp] = (re, im, d)
+            den = lcm(den, d)
+        nums, den = _reduce(
+            {e: (re * (den // d), im * (den // d)) for e, (re, im, d) in parts.items()}, den
+        )
+        _set_chart(self, chart)
+        _set_nums(self, nums)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -217,20 +253,20 @@ class Poly:
 
     @staticmethod
     def zero(chart: ChartSpec) -> "Poly":
-        return Poly(chart)
+        return _make(chart, {}, 1)
 
     @staticmethod
     def const(chart: ChartSpec, c: Scalar | RationalLike) -> "Poly":
-        nv = len(chart.variables)
-        return Poly(chart, {(0,) * nv: Scalar.coerce(c)})
+        re, im, d = _gaussian(c)
+        if not (re or im):
+            return _make(chart, {}, 1)
+        return _make(chart, {(0,) * len(chart.variables): (re, im)}, d)
 
     @staticmethod
     def var(chart: ChartSpec, name: str) -> "Poly":
-        nv = len(chart.variables)
-        i = chart.var_index(name)
-        exp = [0] * nv
-        exp[i] = 1
-        return Poly(chart, {tuple(exp): ONE})
+        exp = [0] * len(chart.variables)
+        exp[chart.var_index(name)] = 1
+        return _make(chart, {tuple(exp): (1, 0)}, 1)
 
     @staticmethod
     def hbar(chart: ChartSpec) -> "Poly":
@@ -238,30 +274,39 @@ class Poly:
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[tuple[int, ...], Scalar]:
+        """The coefficients as Scalars, built on each access."""
+        den = self.den
+        return {
+            e: Scalar(Fraction(re, den), Fraction(im, den)) for e, (re, im) in self.nums.items()
+        }
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return all(not any(e) for e in self.nums)
 
     def constant_value(self) -> Scalar:
-        if not self.terms:
+        if not self.nums:
             return ZERO
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()))
+        ((re, im),) = self.nums.values()
+        return Scalar(Fraction(re, self.den), Fraction(im, self.den))
 
     def degree(self) -> int:
-        if not self.terms:
+        if not self.nums:
             return 0
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.nums)
 
     def depends_on(self, name: str) -> bool:
         i = self.chart.var_index(name)
-        return any(e[i] for e in self.terms)
+        return any(e[i] for e in self.nums)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -269,16 +314,20 @@ class Poly:
                 other = Poly.const(self.chart, other)
             else:
                 return NotImplemented
-        return self.chart == other.chart and self.terms == other.terms
+        return (
+            self.den == other.den
+            and self.nums == other.nums
+            and (self.chart is other.chart or self.chart == other.chart)
+        )
 
     def __hash__(self):
-        return hash((self.chart, frozenset(self.terms.items())))
+        return hash((self.chart, self.den, frozenset(self.nums.items())))
 
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
-            if other.chart != self.chart:
+            if other.chart is not self.chart and other.chart != self.chart:
                 raise ChartError("chart mismatch in Poly arithmetic")
             return other
         if isinstance(other, (int, Fraction, Scalar)):
@@ -286,20 +335,34 @@ class Poly:
         raise TypeError(f"cannot combine Poly with {type(other).__name__}")
 
     def __add__(self, other):
-        other = self._coerce(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, ZERO) + c
-            if s:
-                terms[e] = s
+        if type(other) is not Poly or other.chart is not self.chart:
+            other = self._coerce(other)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            den, nums, m2 = d1, dict(self.nums), 1
+        else:
+            den = lcm(d1, d2)
+            m1, m2 = den // d1, den // d2
+            nums = {e: (re * m1, im * m1) for e, (re, im) in self.nums.items()}
+        for e, (re, im) in other.nums.items():
+            if m2 != 1:
+                re, im = re * m2, im * m2
+            old = nums.get(e)
+            if old is None:
+                nums[e] = (re, im)
             else:
-                terms.pop(e, None)
-        return Poly(self.chart, terms)
+                re += old[0]
+                im += old[1]
+                if re or im:
+                    nums[e] = (re, im)
+                else:
+                    del nums[e]
+        return _normal(self.chart, nums, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.chart, {e: -c for e, c in self.terms.items()})
+        return _make(self.chart, {e: (-re, -im) for e, (re, im) in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -308,63 +371,62 @@ class Poly:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        terms: dict[tuple[int, ...], Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, ZERO) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return Poly(self.chart, terms)
+        if type(other) is not Poly or other.chart is not self.chart:
+            other = self._coerce(other)
+        return _normal(self.chart, _mul_nums(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        """Left-to-right binary powering: bit_length(k) + popcount(k) - 2 products."""
         if k < 0:
             raise ValueError("negative powers are not polynomial")
-        out = Poly.const(self.chart, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
+        if k == 0:
+            return Poly.const(self.chart, 1)
+        out = self
+        for bit in bin(k)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def scale(self, c: Scalar | RationalLike) -> "Poly":
-        c = Scalar.coerce(c)
-        return Poly(self.chart, {e: c * v for e, v in self.terms.items()})
+        cr, ci, d = _gaussian(c)
+        if ci:
+            nums = {e: (re * cr - im * ci, re * ci + im * cr) for e, (re, im) in self.nums.items()}
+        elif cr:
+            nums = {e: (re * cr, im * cr) for e, (re, im) in self.nums.items()}
+        else:
+            nums = {}
+        return _normal(self.chart, nums, self.den * d)
 
     def div_exact_hbar(self) -> "Poly":
         """Exact division by hbar; raises if any term lacks an hbar factor."""
-        terms = {}
-        for e, c in self.terms.items():
+        nums = {}
+        for e, c in self.nums.items():
             if e[0] < 1:
                 raise ValueError("polynomial is not divisible by hbar")
-            terms[(e[0] - 1,) + e[1:]] = c
-        return Poly(self.chart, terms)
+            nums[(e[0] - 1,) + e[1:]] = c
+        return _make(self.chart, nums, self.den)
 
     # -- calculus ----------------------------------------------------------
 
     def partial(self, name: str) -> "Poly":
         """Exact partial derivative with respect to a coordinate or hbar."""
         i = self.chart.var_index(name)
-        terms = {}
-        for e, c in self.terms.items():
+        nums = {}
+        for e, (re, im) in self.nums.items():
             k = e[i]
-            if k == 0:
-                continue
-            e2 = e[:i] + (k - 1,) + e[i + 1 :]
-            terms[e2] = terms.get(e2, ZERO) + c * k
-        return Poly(self.chart, terms)
+            if k:
+                nums[e[:i] + (k - 1,) + e[i + 1 :]] = (re * k, im * k)
+        return _normal(self.chart, nums, self.den)
 
     def substitute(self, new_chart: ChartSpec, mapping: Mapping[str, "Poly"]) -> "Poly":
         """Substitute every chart coordinate by a Poly over ``new_chart``.
 
-        ``hbar`` maps to the new chart's hbar automatically.
+        ``hbar`` maps to the new chart's hbar automatically.  Each term's
+        image is accumulated as integer numerators over its own denominator;
+        the sum is brought to one denominator and normalised once.
         """
         images = [Poly.hbar(new_chart)]
         for name in self.chart.coords:
@@ -374,21 +436,38 @@ class Poly:
             if img.chart != new_chart:
                 raise ChartError("substitution image lives on the wrong chart")
             images.append(img)
-        out = Poly.zero(new_chart)
-        for e, c in self.terms.items():
-            term = Poly.const(new_chart, c)
-            for img, k in zip(images, e):
+        powers = [[img] for img in images]  # powers[i][k - 1] == images[i] ** k
+        const = (0,) * len(new_chart.variables)
+        pieces = []
+        for e, c in self.nums.items():
+            nums, den = {const: c}, 1
+            for pw, k in zip(powers, e):
                 if k:
-                    term = term * img**k
-            out = out + term
-        return out
+                    while len(pw) < k:
+                        pw.append(pw[-1] * pw[0])
+                    nums = _mul_nums(nums, pw[k - 1].nums)
+                    den *= pw[k - 1].den
+            pieces.append((nums, den))
+        den = lcm(*(d for _, d in pieces))
+        out: dict[tuple[int, ...], tuple[int, int]] = {}
+        for nums, d in pieces:
+            m = den // d
+            for e, (re, im) in nums.items():
+                old = out.get(e)
+                if old is None:
+                    out[e] = (re * m, im * m)
+                else:
+                    out[e] = (old[0] + re * m, old[1] + im * m)
+        out = {e: v for e, v in out.items() if v[0] or v[1]}
+        return _normal(new_chart, out, den * self.den)
 
     def evaluate(self, values: Mapping[str, complex], hbar: complex = 1.0) -> complex:
         """Float shadow: evaluate at complex coordinate values."""
         vals = [complex(hbar)] + [complex(values[name]) for name in self.chart.coords]
+        den = self.den
         total = 0j
-        for e, c in self.terms.items():
-            t = c.to_complex()
+        for e, (re, im) in self.nums.items():
+            t = complex(re / den, im / den)
             for v, k in zip(vals, e):
                 if k:
                     t *= v**k
@@ -401,7 +480,7 @@ class Poly:
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def __str__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         names = self.chart.variables
         parts = []
@@ -431,6 +510,55 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+_new = object.__new__
+_set_chart = Poly.chart.__set__
+_set_nums = Poly.nums.__set__
+_set_den = Poly.den.__set__
+
+
+def _reduce(nums: dict, den: int) -> tuple[dict, int]:
+    """Divide ``nums`` and ``den`` by their common gcd."""
+    g = den
+    for re, im in nums.values():
+        g = gcd(g, re, im)
+        if g == 1:
+            return nums, den
+    return {e: (re // g, im // g) for e, (re, im) in nums.items()}, den // g
+
+
+def _make(chart: ChartSpec, nums: dict, den: int) -> Poly:
+    """A Poly from data already in normal form with no zero numerators."""
+    p = _new(Poly)
+    _set_chart(p, chart)
+    _set_nums(p, nums)
+    _set_den(p, den)
+    return p
+
+
+def _normal(chart: ChartSpec, nums: dict, den: int) -> Poly:
+    """A Poly from nonzero numerators over a positive ``den``, normalised."""
+    if den != 1:
+        nums, den = _reduce(nums, den)
+    return _make(chart, nums, den)
+
+
+def _mul_nums(n1: dict, n2: dict) -> dict:
+    """Product of two numerator maps, with cancelled terms dropped."""
+    acc: dict[tuple[int, ...], tuple[int, int]] = {}
+    get = acc.get
+    for e1, (a, b) in n1.items():
+        for e2, (c, d) in n2.items():
+            e = tuple(map(_add, e1, e2))
+            old = get(e)
+            if old is None:
+                acc[e] = (a * c - b * d, a * d + b * c)
+            else:
+                acc[e] = (old[0] + a * c - b * d, old[1] + a * d + b * c)
+    if len(acc) == len(n1) * len(n2):  # no exponent was hit twice, so nothing cancelled
+        return acc
+    return {e: v for e, v in acc.items() if v[0] or v[1]}
 
 
 # -- covector/vector index helpers ------------------------------------------

@@ -53,6 +53,12 @@ class TestErrors:
         assert run(["commutator", "--a", "p1 $", "--b", "q1"]) == EXIT_INPUT
         assert "column" in capsys.readouterr().err
 
+    def test_missing_problem_file(self, capsys, tmp_path):
+        missing = tmp_path / "nosuch.json"
+        code = run(["commutator", "--problem", str(missing), "--a", "p1", "--b", "q1"])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.strip() == f"error: no such file: {missing}"
+
     def test_missing_required_argument(self, capsys):
         assert run(["commutator", "--a", "p1"]) == EXIT_INPUT
         capsys.readouterr()

@@ -69,6 +69,25 @@ class TestPoly:
         with pytest.raises(ValueError):
             alpha**-1
 
+    def test_pow_uses_minimal_multiplications(self, ab1, monkeypatch):
+        p = Poly.var(ab1, "a1") + Poly.var(ab1, "b1").scale(Scalar(Fraction(1, 2), 1)) + 1
+        calls = []
+        mul = Poly.__mul__
+
+        def counting_mul(self, other):
+            calls.append(None)
+            return mul(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counting_mul)
+        for k in range(10):
+            calls.clear()
+            got = p**k
+            assert len(calls) == (k.bit_length() + bin(k).count("1") - 2 if k else 0)
+            want = Poly.const(ab1, 1)
+            for _ in range(k):
+                want = want * p
+            assert got == want
+
     def test_substitute_and_evaluate(self, pq1, ab1):
         p = Poly.var(pq1, "p1")
         q = Poly.var(pq1, "q1")
@@ -231,6 +250,11 @@ class TestChartValidation:
     def test_chart_mismatch(self, pq1, ab1):
         with pytest.raises(ChartError):
             poisson(Poly.var(pq1, "p1"), Poly.var(ab1, "a1"))
+
+    def test_coordinate_names_built_once(self, pq2):
+        assert pq2.coords is pq2.coords
+        assert pq2.variables is pq2.variables
+        assert pq2.variables == ("hbar",) + pq2.coords
 
     def test_standard_chart_styles(self):
         assert standard_chart(2).coords == ("p1", "p2", "q1", "q2")
