@@ -21,9 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-from scipy import integrate
-
 
 class SingularSampleError(ValueError):
     """A sample point hits the coefficient singularity 1 + 2*beta^n <= 0."""
@@ -179,6 +176,8 @@ def oscillatory_moment(j: int, k: int, a: float) -> complex:
 
 def _regulated_half_line(j: int, k: int, a: float, eps: float) -> complex:
     """(1/k) * integral_0^inf u^(c-1) e^(-eps*u^(2/k)) e^(i*a*u) du, c = (2j+1)/k."""
+    from scipy import integrate  # only the quadrature oracle needs scipy
+
     c = (2 * j + 1) / k
     p = 2.0 / k
 
@@ -193,6 +192,8 @@ def _regulated_half_line(j: int, k: int, a: float, eps: float) -> complex:
 
 
 def _regulated_half_line_pieces(j, k, a, eps, c, damp) -> complex:
+    from scipy import integrate
+
     out = []
     for trig, weight in ((math.cos, "cos"), (math.sin, "sin")):
         # [0, 1]: algebraic endpoint weight u^(c-1) handled by QAWS.
@@ -210,7 +211,7 @@ def _regulated_half_line_pieces(j, k, a, eps, c, damp) -> complex:
         far, _ = integrate.quad(
             lambda u: u ** (c - 1.0) * damp(u),
             1.0,
-            np.inf,
+            math.inf,
             weight=weight,
             wvar=a,
             epsabs=1e-12,

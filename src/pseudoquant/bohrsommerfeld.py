@@ -67,6 +67,20 @@ def standard_dim(E: int) -> int:
     return 2 * E - 1
 
 
+def folded_count(E: int) -> int:
+    """Number of admissible folded axis values for level E: exactly E^2 - 1.
+
+    The values are l^2 = E^2 - 2k for integers k >= 1 with l^2 >= 0.  Each
+    2k < E^2 gives the pair +-l.  For odd E, E^2 is odd, so 2k runs over
+    2, 4, ..., E^2 - 1: (E^2 - 1)/2 pairs and no l = 0, total E^2 - 1.  For
+    even E, 2k runs over 2, 4, ..., E^2 - 2: E^2/2 - 1 pairs, plus l = 0 from
+    2k = E^2, total E^2 - 2 + 1 = E^2 - 1.  ``folded_points`` enumerates the
+    same values one by one.
+    """
+    SphereSpec(E)
+    return E * E - 1
+
+
 def folded_points(E: int) -> tuple[FoldedPoint, ...]:
     """All admissible axis values for level E, sorted ascending."""
     SphereSpec(E)
@@ -95,6 +109,7 @@ __all__ = [
     "SphereSpec",
     "analyse",
     "analyse_range",
+    "folded_count",
     "folded_points",
     "standard_dim",
 ]

@@ -6,6 +6,9 @@ bs-count, verify-paper.  Exit codes: 0 success, 1 input error,
 
 All numeric parameters are echoed into CSV headers (comment lines starting
 with '#') so outputs are reproducible byte for byte.
+
+The exact subcommands load neither numpy nor scipy: each numeric module is
+imported inside the subcommand that uses it.
 """
 
 from __future__ import annotations
@@ -15,9 +18,6 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import bks, bohrsommerfeld, dynamics, verify
 from .exprparse import ExprSyntaxError, ProblemFile, load_problem, parse_poly, standard_problem
 from .polarisation import CASE_TAGS, classify_monomials, preserves
 from .prequant import FormalOperator, commutator, pullback_quantise, quantise
@@ -75,20 +75,23 @@ def _load(args) -> ProblemFile:
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_commutator(args) -> int:
+def _quantise_all(args, *exprs: str) -> list[FormalOperator]:
+    """Parse observables on the problem's observable chart and quantise them.
+
+    With a ``pullback`` block the observables live on its target chart and are
+    quantised through the pulled-back connection.
+    """
     problem = _load(args)
-    if problem.pullback is not None:
-        chart = problem.pullback.map.target
-        A = parse_poly(args.a, chart)
-        B = parse_poly(args.b, chart)
-        op = commutator(
-            pullback_quantise(A, problem.pullback),
-            pullback_quantise(B, problem.pullback),
-        )
-    else:
-        A = parse_poly(args.a, problem.chart)
-        B = parse_poly(args.b, problem.chart)
-        op = commutator(quantise(A, problem.connection), quantise(B, problem.connection))
+    setup = problem.pullback
+    chart = problem.chart if setup is None else setup.map.target
+    polys = [parse_poly(e, chart) for e in exprs]
+    if setup is None:
+        return [quantise(A, problem.connection) for A in polys]
+    return [pullback_quantise(A, setup) for A in polys]
+
+
+def cmd_commutator(args) -> int:
+    op = commutator(*_quantise_all(args, args.a, args.b))
     if args.formal:
         op = _formal_divide(op)
     if args.json:
@@ -99,9 +102,7 @@ def cmd_commutator(args) -> int:
 
 
 def cmd_quantise(args) -> int:
-    problem = _load(args)
-    A = parse_poly(args.observable, problem.chart)
-    op = quantise(A, problem.connection)
+    (op,) = _quantise_all(args, args.observable)
     if args.json:
         print(json.dumps(_operator_json(op), sort_keys=True))
     else:
@@ -110,8 +111,9 @@ def cmd_quantise(args) -> int:
 
 
 def cmd_preserve(args) -> int:
-    problem = _load(args)
     if args.grid:
+        if args.problem:
+            raise CliError("--grid uses the built-in a1/b1 chart and cannot take --problem")
         try:
             m_max, n_max = (int(x) for x in args.grid.split(","))
         except ValueError:
@@ -129,6 +131,7 @@ def cmd_preserve(args) -> int:
         return EXIT_OK
     if not args.observable:
         raise CliError("preserve needs --observable or --grid")
+    problem = _load(args)
     A = parse_poly(args.observable, problem.chart)
     rep = preserves(A, problem.connection, problem.polarisation)
     payload = {
@@ -166,6 +169,8 @@ def _parse_range(spec: str) -> list[float]:
 
 
 def cmd_bks(args) -> int:
+    from . import bks
+
     if args.mode == "classify":
         lam = Fraction(args.lam)
         d = bks.DeformationSpec("momentum", args.n, lam, args.hbar)
@@ -221,6 +226,10 @@ def _parse_init(spec: str) -> dict:
 
 
 def cmd_evolve(args) -> int:
+    import numpy as np
+
+    from . import dynamics
+
     gparts = args.grid.split(":")
     if len(gparts) != 3:
         raise CliError("--grid expects 'qmin:qmax:nodes'")
@@ -265,6 +274,8 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_bs_count(args) -> int:
+    from . import bohrsommerfeld
+
     spec = args.E
     if ".." in spec:
         lo, hi = (int(x) for x in spec.split(".."))
@@ -272,20 +283,22 @@ def cmd_bs_count(args) -> int:
         lo = hi = int(spec)
     if lo < 1 or hi < lo:
         raise CliError("--E expects 'lo..hi' with 1 <= lo <= hi")
+    levels = range(lo, hi + 1)
     lines = [f"# E={spec}", "E,standard_dim,folded_dim"]
-    point_lines = ["E,l"]
-    for E in range(lo, hi + 1):
-        rep = bohrsommerfeld.analyse(E)
-        lines.append(f"{E},{rep.standard_dim},{rep.folded_count}")
-        for pt in rep.folded_points:
-            point_lines.append(f"{E},{_fmt(pt.value)}")
+    for E in levels:
+        lines.append(f"{E},{bohrsommerfeld.standard_dim(E)},{bohrsommerfeld.folded_count(E)}")
     _emit(lines, args.csv)
     if args.points:
+        point_lines = ["E,l"]
+        for E in levels:
+            point_lines.extend(f"{E},{_fmt(pt.value)}" for pt in bohrsommerfeld.folded_points(E))
         _emit(point_lines, args.points)
     return EXIT_OK
 
 
 def cmd_verify_paper(args) -> int:
+    from . import verify
+
     results = verify.run_all(seed=args.seed)
     for r in results:
         print(r.line())

@@ -19,9 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import bks, bohrsommerfeld, dynamics
+from . import bks, bohrsommerfeld
 from .polarisation import (
     Polarisation,
     classify_monomials,
@@ -493,6 +491,10 @@ def check_prefactor() -> CheckResult:
 
 
 def check_dynamics() -> CheckResult:
+    import numpy as np  # numpy and scipy load only for this check
+
+    from . import dynamics
+
     hbar, sigma, p0, q0 = 1.0, 1.2, 0.6, 0.0
     grid = dynamics.Grid1D(-24.0, 24.0, 1024)
     cfg = dynamics.EvolutionConfig(0, hbar, 2e-3, steps=250)

@@ -5,6 +5,7 @@ from pseudoquant.bohrsommerfeld import (
     SphereSpec,
     analyse,
     analyse_range,
+    folded_count,
     folded_points,
     standard_dim,
 )
@@ -66,6 +67,15 @@ class TestFoldedPoints:
     def test_monotone_growth(self):
         counts = [rep.folded_count for rep in analyse_range(50)]
         assert all(b > a for a, b in zip(counts, counts[1:]))
+
+    def test_closed_form_matches_enumeration(self):
+        # folded_points stays the oracle for the closed form E^2 - 1
+        for E in range(1, 81):
+            assert folded_count(E) == len(folded_points(E)), E
+
+    def test_closed_form_validation(self):
+        with pytest.raises(ValueError):
+            folded_count(0)
 
     def test_point_validation(self):
         with pytest.raises(ValueError):

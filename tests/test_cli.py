@@ -1,10 +1,32 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pseudoquant
+from pseudoquant.bohrsommerfeld import folded_points
 from pseudoquant.cli import EXIT_INPUT, EXIT_OK, run
+
+
+@pytest.fixture
+def cylinder(tmp_path):
+    """Path of the README's cylinder problem file (a pullback block)."""
+    prob = {
+        "chart": {"pairs": [["l", "phi_l"]]},
+        "pullback": {
+            "target": {"pairs": [["z", "phi_z"]]},
+            "theta": "standard",
+            "map": {"z": "2*l", "phi_z": "phi_l"},
+        },
+    }
+    path = tmp_path / "cylinder.json"
+    path.write_text(json.dumps(prob))
+    return str(path)
 
 
 def out_of(capsys):
@@ -26,20 +48,8 @@ class TestCommutator:
         assert data["text"] == "-i*hbar"
         assert data["order"] == 0
 
-    def test_pullback_problem(self, capsys, tmp_path):
-        prob = {
-            "chart": {"pairs": [["l", "phi_l"]]},
-            "pullback": {
-                "target": {"pairs": [["z", "phi_z"]]},
-                "theta": "standard",
-                "map": {"z": "2*l", "phi_z": "phi_l"},
-            },
-        }
-        path = tmp_path / "cylinder.json"
-        path.write_text(json.dumps(prob))
-        code = run(
-            ["commutator", "--problem", str(path), "--a", "z", "--b", "phi_z", "--formal"]
-        )
+    def test_pullback_problem(self, capsys, cylinder):
+        code = run(["commutator", "--problem", cylinder, "--a", "z", "--b", "phi_z", "--formal"])
         assert code == EXIT_OK
         assert out_of(capsys) == "0"  # lambda = 1/2: the commutator vanishes
 
@@ -72,6 +82,19 @@ class TestQuantiseAndPreserve:
     def test_quantise_momentum(self, capsys):
         assert run(["quantise", "--observable", "p1"]) == EXIT_OK
         assert "-i*hbar" in out_of(capsys)
+
+    def test_quantise_pullback_problem(self, capsys, cylinder):
+        # z is read on the pullback's target chart and quantised as 2*l on the source
+        assert run(["quantise", "--problem", cylinder, "--observable", "z"]) == EXIT_OK
+        assert out_of(capsys) == "-2*l - 2*i*hbar*d/dphi_l"
+
+    def test_preserve_grid_rejects_problem(self, capsys, cylinder):
+        # the grid is built on the fixed a1/b1 chart, so a problem file cannot apply
+        assert run(["preserve", "--problem", cylinder, "--grid", "2,2"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --grid")
+        assert "--problem" in captured.err
 
     def test_preserve_single(self, capsys):
         assert run(["preserve", "--observable", "p1^2"]) == EXIT_OK
@@ -196,6 +219,44 @@ class TestBsCount:
     def test_bad_range(self, capsys):
         assert run(["bs-count", "--E", "5..2"]) == EXIT_INPUT
         capsys.readouterr()
+
+    def test_closed_form_rows(self, capsys):
+        assert run(["bs-count", "--E", "1..300"]) == EXIT_OK
+        rows = [l for l in out_of(capsys).splitlines() if not l.startswith("#")][1:]
+        assert rows == [f"{E},{2 * E - 1},{E * E - 1}" for E in range(1, 301)]
+
+    def test_points_file_lists_enumeration(self, capsys, tmp_path):
+        pts = tmp_path / "points.csv"
+        assert run(["bs-count", "--E", "1..6", "--points", str(pts)]) == EXIT_OK
+        capsys.readouterr()
+        want = ["E,l"] + [
+            f"{E},{format(p.value, '.17g')}" for E in range(1, 7) for p in folded_points(E)
+        ]
+        assert pts.read_text() == "\n".join(want) + "\n"
+
+
+class TestImports:
+    """The exact subcommands must not pay for loading numpy or scipy."""
+
+    HEAVY = "[m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')]"
+
+    def _heavy_modules(self, code):
+        src = str(Path(pseudoquant.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys\n{code}\nprint({self.HEAVY})"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        return proc.stdout.strip().splitlines()[-1]
+
+    def test_import_loads_no_numpy_or_scipy(self):
+        code = "import pseudoquant.cli, pseudoquant.verify, pseudoquant.bks"
+        assert self._heavy_modules(code) == "[]"
+
+    def test_commutator_loads_no_numpy_or_scipy(self):
+        code = "from pseudoquant import cli\ncli.run(['commutator', '--a', 'p1', '--b', 'q1'])"
+        assert self._heavy_modules(code) == "[]"
 
 
 class TestVerifyExitCodes:
