@@ -31,8 +31,8 @@ class DeformationSpec:
     """Monomial deformation of the connection scaling.
 
     kind 'momentum' means f = (lam/2) * alpha^n, 'position' means
-    f = beta^n, 'none' disables the deformation.  hbar is a positive float
-    for the numeric parts; classification itself never touches it.
+    f = beta^n.  hbar is a positive float for the numeric parts;
+    classification itself never touches it.
     """
 
     kind: str
@@ -41,13 +41,12 @@ class DeformationSpec:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("momentum", "position", "none"):
-            raise ValueError("kind must be 'momentum', 'position' or 'none'")
-        if self.kind != "none":
-            if self.n < 1:
-                raise ValueError("deformation order n must be >= 1")
-            if self.lam == 0:
-                raise ValueError("deformation magnitude must be nonzero")
+        if self.kind not in ("momentum", "position"):
+            raise ValueError("kind must be 'momentum' or 'position'")
+        if self.n < 1:
+            raise ValueError("deformation order n must be >= 1")
+        if self.lam == 0:
+            raise ValueError("deformation magnitude must be nonzero")
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
 
@@ -69,10 +68,6 @@ class BKSTermReport:
     j_critical: Fraction
     classification: str
     mu_moment: complex | None = None
-
-    @property
-    def exponents_agree(self) -> bool:
-        return self.exponent == self.alt_exponent
 
 
 @dataclass(frozen=True)
@@ -341,13 +336,11 @@ def position_pairing(
     return PairingResult(converges, effective_coefficient, norm, details)
 
 
-def standard_schrodinger_check(V, hbar: float = 1.0) -> PairingResult:
+def standard_schrodinger_check(hbar: float = 1.0) -> PairingResult:
     """Undeformed pairing: recover the free kinetic weight and unit potential.
 
-    ``V`` may be a symcore Poly in the position coordinate or any callable;
-    only its role as a multiplication term matters here.  Returns the
-    normalized kinetic coefficient (-hbar^2/2), the unit potential weight,
-    the vanishing odd moment and the tau powers of the discarded orders.
+    Returns the normalized kinetic coefficient (-hbar^2/2) and the unit
+    potential weight.
     """
     norm = schrodinger_prefactor(hbar)
     a0 = 1.0 / (2.0 * hbar)
@@ -358,18 +351,7 @@ def standard_schrodinger_check(V, hbar: float = 1.0) -> PairingResult:
     lambda0_weight = math.sqrt(math.pi / a0) * cmath.exp(1j * math.pi / 4)
     potential_unit = 1j * hbar * (-1.0) * (-1j / hbar) * lambda0_weight / (-norm)
 
-    # lambda = 1: odd mu moment, identically zero by symmetry.
-    odd_moment = 0.0
-
-    higher = {lam: Fraction(lam, 2) for lam in range(3, 9)}
-    details = {
-        "kinetic": kinetic,
-        "potential_unit": potential_unit,
-        "odd_moment": odd_moment,
-        "higher_order_tau_powers": higher,
-        "prefactor": norm,
-        "V": V,
-    }
+    details = {"kinetic": kinetic, "potential_unit": potential_unit, "prefactor": norm}
     return PairingResult(True, lambda beta: kinetic, norm, details)
 
 

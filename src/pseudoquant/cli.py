@@ -114,16 +114,21 @@ def cmd_preserve(args) -> int:
     if args.grid:
         if args.problem:
             raise CliError("--grid uses the built-in a1/b1 chart and cannot take --problem")
+        if args.observable:
+            raise CliError("--grid tabulates monomials and cannot take --observable")
         try:
             m_max, n_max = (int(x) for x in args.grid.split(","))
+            if m_max < 0 or n_max < 0:
+                raise ValueError
         except ValueError:
-            raise CliError("--grid expects 'm,n' with integers")
+            raise CliError("--grid expects 'm,n' with non-negative integers") from None
         deformation = None
         chart = ChartSpec((("a1", "b1"),))
         if args.deformation:
             deformation = parse_poly(args.deformation, chart)
-        table = classify_monomials(m_max, n_max, deformation, args.case, chart)
-        lines = [f"# case={args.case} deformation={args.deformation or '0'}"]
+        case = args.case or "standard"
+        table = classify_monomials(m_max, n_max, deformation, case, chart)
+        lines = [f"# case={case} deformation={args.deformation or '0'}"]
         lines.append("m,n,preserves,residual_count")
         for (m, n), rep in sorted(table.items()):
             lines.append(f"{m},{n},{str(rep.preserves).lower()},{len(rep.residuals)}")
@@ -131,6 +136,9 @@ def cmd_preserve(args) -> int:
         return EXIT_OK
     if not args.observable:
         raise CliError("preserve needs --observable or --grid")
+    for flag in ("csv", "case", "deformation"):
+        if getattr(args, flag) is not None:
+            raise CliError(f"--{flag} applies only to --grid")
     problem = _load(args)
     A = parse_poly(args.observable, problem.chart)
     rep = preserves(A, problem.connection, problem.polarisation)
@@ -277,12 +285,12 @@ def cmd_bs_count(args) -> int:
     from . import bohrsommerfeld
 
     spec = args.E
-    if ".." in spec:
-        lo, hi = (int(x) for x in spec.split(".."))
-    else:
-        lo = hi = int(spec)
-    if lo < 1 or hi < lo:
-        raise CliError("--E expects 'lo..hi' with 1 <= lo <= hi")
+    try:
+        lo, hi = (int(x) for x in (spec.split("..") if ".." in spec else (spec, spec)))
+        if lo < 1 or hi < lo:
+            raise ValueError
+    except ValueError:
+        raise CliError("--E expects a level or 'lo..hi' with integers 1 <= lo <= hi") from None
     levels = range(lo, hi + 1)
     lines = [f"# E={spec}", "E,standard_dim,folded_dim"]
     for E in levels:
@@ -320,30 +328,27 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="pseudoquant", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, problem=True):
-        if problem:
-            p.add_argument("--problem", help="JSON problem file")
-        p.add_argument("--json", action="store_true", help="JSON output")
-        p.add_argument("--csv", help="write CSV output to this path")
-
     p = sub.add_parser("commutator", help="commutator of two quantised observables")
-    common(p)
+    p.add_argument("--problem", help="JSON problem file")
+    p.add_argument("--json", action="store_true", help="JSON output")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--formal", action="store_true", help="divide out the -i*hbar factor")
     p.set_defaults(func=cmd_commutator)
 
     p = sub.add_parser("quantise", help="quantise one observable")
-    common(p)
+    p.add_argument("--problem", help="JSON problem file")
+    p.add_argument("--json", action="store_true", help="JSON output")
     p.add_argument("--observable", required=True)
     p.set_defaults(func=cmd_quantise)
 
     p = sub.add_parser("preserve", help="flat-section preservation verdicts")
-    common(p)
-    p.add_argument("--observable")
-    p.add_argument("--grid", help="'m,n' monomial grid bounds")
-    p.add_argument("--case", choices=CASE_TAGS, default="standard")
-    p.add_argument("--deformation", help="scaling deformation expression (a1/b1 chart)")
+    p.add_argument("--problem", help="JSON problem file (--observable only)")
+    p.add_argument("--observable", help="one observable: JSON verdict and residuals")
+    p.add_argument("--grid", help="'m,n' monomial grid bounds: CSV table")
+    p.add_argument("--case", choices=CASE_TAGS, help="connection case (--grid only; default standard)")
+    p.add_argument("--deformation", help="scaling deformation expression (--grid only; a1/b1 chart)")
+    p.add_argument("--csv", help="write the grid CSV to this path (--grid only)")
     p.set_defaults(func=cmd_preserve)
 
     p = sub.add_parser("bks", help="pairing classification and evaluation")

@@ -11,7 +11,6 @@ integral of w |psi|^2 is conserved to roundoff by the trapezoidal step.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -55,7 +54,6 @@ class EvolutionConfig:
     hbar: float
     dt: float
     steps: int = 1
-    boundary: str = "dirichlet-zero"
 
     def __post_init__(self):
         if self.n < 0:
@@ -64,8 +62,6 @@ class EvolutionConfig:
             raise ValueError("hbar and dt must be positive")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.boundary != "dirichlet-zero":
-            raise ValueError("only the pinned-endpoint boundary is implemented")
 
 
 @dataclass
@@ -165,11 +161,6 @@ class Propagator:
         rhs = self._multiply_banded(self.B, state.psi)
         psi_new = solve_banded((1, 1), self.A, rhs)
         return WaveState(state.grid, psi_new, state.t + self.cfg.dt)
-
-
-def step(state: WaveState, cfg: EvolutionConfig) -> WaveState:
-    """Single trapezoidal step (convenience wrapper; prefer Propagator for loops)."""
-    return Propagator(state.grid, cfg).step(state)
 
 
 def evolve(
@@ -290,7 +281,6 @@ __all__ = [
     "gaussian_state",
     "kinetic_profile",
     "l2_norm",
-    "step",
     "suggested_domain",
     "variance_q",
     "weighted_norm",

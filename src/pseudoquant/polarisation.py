@@ -14,20 +14,19 @@ vanishes identically as a polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .symcore import (
+    MINUS_I,
     ChartError,
     ChartSpec,
     OneForm,
     Poly,
-    TwoForm,
+    contract,
     exterior_d,
     hamiltonian_vf,
     poisson,
     standard_potential,
-    standard_symplectic,
 )
 from .prequant import ConnectionData, FormalOperator, quantise
 
@@ -35,34 +34,26 @@ from .prequant import ConnectionData, FormalOperator, quantise
 class Polarisation:
     """The vertical polarisation spanned by X_{beta_i} = -d/dalpha_i.
 
-    ``flat_coords`` lists the beta coordinate names the sections may depend
-    on.  Construction verifies the adapted-gauge condition
-    Theta(X_{beta_i}) = 0 by exact contraction when a connection is given.
+    Flat sections are functions of the beta coordinates.  Construction
+    verifies the adapted-gauge condition Theta(X_{beta_i}) = 0 by exact
+    contraction when a connection is given.
     """
 
-    __slots__ = ("chart", "flat_coords", "adapted")
+    __slots__ = ("chart",)
 
     def __init__(self, chart: ChartSpec, connection: ConnectionData | None = None):
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "flat_coords", tuple(p[1] for p in chart.pairs))
-        adapted = True
         if connection is not None:
             if connection.chart != chart:
                 raise ChartError("connection lives on a different chart")
-            adapted = is_adapted(connection.theta)
-            if not adapted:
+            if not is_adapted(connection.theta):
                 raise ChartError(
                     "connection is not adapted: the potential must have no "
                     "d(alpha) components so that flat sections are F(beta)"
                 )
-        object.__setattr__(self, "adapted", adapted)
+        object.__setattr__(self, "chart", chart)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polarisation is immutable")
-
-    def beta_vf(self, i: int):
-        """X_{beta_i} = -d/dalpha_i for the i-th pair."""
-        return hamiltonian_vf(Poly.var(self.chart, self.chart.pairs[i][1]))
 
 
 def is_adapted(theta: OneForm) -> bool:
@@ -133,8 +124,6 @@ def flat_action(op: FormalOperator, P: Polarisation) -> FlatSectionAction:
     """
     if op.chart != P.chart:
         raise ChartError("operator and polarisation live on different charts")
-    if not P.adapted:
-        raise ChartError("flat_action requires an adapted gauge")
     n = op.chart.n
     coeffs: dict[tuple[int, ...], Poly] = {}
     for idx, c in op.terms.items():
@@ -151,16 +140,12 @@ class PreservationReport:
     """Outcome of the direct-quantisability test for one observable."""
 
     observable: Poly
-    verdict: bool                      # True: preserves the flat sections
+    preserves: bool                    # True: preserves the flat sections
     residuals: tuple[tuple[int, tuple[int, ...], Poly], ...]  # (flat index, k, c_k)
     case: str = "standard"
 
-    @property
-    def preserves(self) -> bool:
-        return self.verdict
-
     def __str__(self):
-        tag = "preserves" if self.verdict else "fails"
+        tag = "preserves" if self.preserves else "fails"
         return f"{self.observable}: {tag} ({len(self.residuals)} residual terms)"
 
 
@@ -183,23 +168,17 @@ def cohomologous_residual_operator(
     """
     chart = c.chart
     dgamma = exterior_d(gamma)
-    if dgamma != _two_form_sub(c.base_omega, c.omega_curv):
+    if dgamma != c.base_omega - c.omega_curv:
         raise ChartError("gamma is not a primitive of omega - Omega")
     beta_i = Poly.var(chart, chart.pairs[i][1])
     g = poisson(A, beta_i)
     Xg = hamiltonian_vf(g)
-    from .symcore import Scalar, contract  # local to avoid import cycle noise
-
-    minus_ihbar = Poly.hbar(chart).scale(Scalar(0, -1))
+    minus_ihbar = Poly.hbar(chart).scale(MINUS_I)
     nabla = FormalOperator.from_vector_field(Xg).scale(minus_ihbar) + FormalOperator.from_poly(
         -contract(c.theta, Xg)
     )
     dg_pair = dgamma.pair(hamiltonian_vf(A), hamiltonian_vf(beta_i))
     return nabla + FormalOperator.from_poly(dg_pair)
-
-
-def _two_form_sub(a: TwoForm, b: TwoForm) -> TwoForm:
-    return a - b
 
 
 def preserves(A: Poly, c: ConnectionData, P: Polarisation | None = None) -> PreservationReport:
@@ -261,7 +240,7 @@ def classify_monomials(
         for n in range(n_max + 1):
             A = Poly.var(chart, alpha) ** m * Poly.var(chart, beta) ** n
             rep = preserves(A, conn, P)
-            table[(m, n)] = PreservationReport(rep.observable, rep.verdict, rep.residuals, case)
+            table[(m, n)] = PreservationReport(rep.observable, rep.preserves, rep.residuals, case)
     return table
 
 

@@ -21,13 +21,13 @@ from math import comb
 from typing import Mapping
 
 from .symcore import (
+    MINUS_I,
     ChartError,
     ChartSpec,
     OneForm,
     Poly,
     Scalar,
     SmoothMap,
-    TwoForm,
     VectorField,
     contract,
     exterior_d,
@@ -37,8 +37,6 @@ from .symcore import (
     standard_potential,
     standard_symplectic,
 )
-
-MINUS_I = Scalar(0, -1)
 
 
 class ConnectionData:

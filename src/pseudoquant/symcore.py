@@ -102,12 +102,6 @@ class Scalar:
             (self.im * other.re - self.re * other.im) / d,
         )
 
-    def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
-
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
-
     def __repr__(self):
         return f"Scalar({self.re!r}, {self.im!r})"
 
@@ -165,7 +159,6 @@ class ChartSpec:
     """
 
     pairs: tuple[tuple[str, str], ...]
-    orientation: str = "alpha-beta"
 
     def __post_init__(self):
         if len(self.pairs) < 1:
@@ -197,10 +190,6 @@ class ChartSpec:
         if name == "hbar":
             return 0
         return 1 + self.coord_index(name)
-
-    def is_alpha(self, idx: int) -> bool:
-        """True when coordinate index idx (0-based over coords) is a momentum."""
-        return idx < self.n
 
 
 def standard_chart(n: int = 1, style: str = "pq") -> ChartSpec:
@@ -817,18 +806,11 @@ class SmoothMap:
     def identity(chart: ChartSpec) -> "SmoothMap":
         return SmoothMap(chart, chart, [Poly.var(chart, c) for c in chart.coords])
 
-    def coordinate_image(self, target_name: str) -> Poly:
-        return self.comps[self.target.coord_index(target_name)]
-
     def mapping(self) -> dict[str, Poly]:
         return dict(zip(self.target.coords, self.comps))
 
 
 # -- operations --------------------------------------------------------------
-
-
-def partial(p: Poly, coord: str) -> Poly:
-    return p.partial(coord)
 
 
 def hamiltonian_vf(A: Poly) -> VectorField:

@@ -9,11 +9,15 @@ and reports one line per check.  Statuses:
   stated value disagrees with the exact computation; both values are
   printed, neither is altered.
 - ``fail``: anything else.
+
+Each check declares its id and anchor once, through ``_check``; its body
+returns ``(status, details)``.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -41,6 +45,7 @@ from .prequant import (
     theorem_commutator,
 )
 from .symcore import (
+    MINUS_I,
     ChartSpec,
     OneForm,
     Poly,
@@ -68,23 +73,40 @@ class CheckResult:
         return f"[{self.status:>20}] {self.check_id}: {self.anchor} -- {self.details}"
 
 
-def _mult_value(op: FormalOperator) -> Poly | None:
-    return op.is_multiplication_by()
+def _check(check_id: str, anchor: str):
+    """Turn a body returning ``(status, details)`` into a check returning a CheckResult."""
+
+    def decorate(body):
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> CheckResult:
+            return CheckResult(check_id, anchor, *body(*args, **kwargs))
+
+        return check
+
+    return decorate
 
 
 def _minus_ihbar(chart: ChartSpec, factor: Poly | int = 1) -> Poly:
-    p = Poly.hbar(chart).scale(Scalar(0, -1))
+    p = Poly.hbar(chart).scale(MINUS_I)
     return p * factor if isinstance(factor, Poly) else p.scale(factor)
 
 
-def _random_poly(chart: ChartSpec, rng: random.Random, max_degree: int = 3, terms: int = 4) -> Poly:
+def _canonical_pair(conn: ConnectionData, i: int, j: int) -> FormalOperator:
+    """[op(p_i), op(q_j)] under ``conn``."""
+    chart = conn.chart
+    return commutator(
+        quantise(Poly.var(chart, f"p{i}"), conn), quantise(Poly.var(chart, f"q{j}"), conn)
+    )
+
+
+def random_poly(chart: ChartSpec, rng: random.Random, max_degree: int = 3, terms: int = 4) -> Poly:
+    """Random exact polynomial in the chart coordinates (no stray hbar powers)."""
     nv = len(chart.variables)
     out = Poly.zero(chart)
     for _ in range(rng.randint(1, terms)):
         exp = [0] * nv
-        budget = rng.randint(0, max_degree)
-        for _ in range(budget):
-            exp[rng.randrange(1, nv)] += 1  # coordinates only, no stray hbar powers
+        for _ in range(rng.randint(0, max_degree)):
+            exp[rng.randrange(1, nv)] += 1
         coeff = Scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
                        Fraction(rng.randint(-2, 2), 1))
         out = out + Poly(chart, {tuple(exp): coeff})
@@ -94,31 +116,18 @@ def _random_poly(chart: ChartSpec, rng: random.Random, max_degree: int = 3, term
 # -- individual checks ---------------------------------------------------------
 
 
-def check_canonical() -> CheckResult:
+@_check("canonical-commutators", "standard connection reproduces the canonical relations")
+def check_canonical():
     for n in (1, 2, 3):
         chart = standard_chart(n)
         conn = ConnectionData.standard(chart)
-        for i in range(n):
-            for j in range(n):
-                pi = Poly.var(chart, f"p{i + 1}")
-                qj = Poly.var(chart, f"q{j + 1}")
-                got = commutator(quantise(pi, conn), quantise(qj, conn))
-                want = FormalOperator.from_poly(
-                    _minus_ihbar(chart) if i == j else Poly.zero(chart)
-                )
-                if got != want:
-                    return CheckResult(
-                        "canonical-commutators",
-                        "standard connection reproduces the canonical relations",
-                        FAIL,
-                        f"[p{i+1},q{j+1}] on the {n}-dof chart gave {got}",
-                    )
-    return CheckResult(
-        "canonical-commutators",
-        "standard connection reproduces the canonical relations",
-        PASS,
-        "[p_i, q_j] = -i*hbar*delta_ij exactly for n = 1..3",
-    )
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                got = _canonical_pair(conn, i, j)
+                want = _minus_ihbar(chart) if i == j else Poly.zero(chart)
+                if got != FormalOperator.from_poly(want):
+                    return FAIL, f"[p{i},q{j}] on the {n}-dof chart gave {got}"
+    return PASS, "[p_i, q_j] = -i*hbar*delta_ij exactly for n = 1..3"
 
 
 def folded_connection(chart: ChartSpec) -> ConnectionData:
@@ -129,43 +138,20 @@ def folded_connection(chart: ChartSpec) -> ConnectionData:
     return ConnectionData(OneForm.from_dict(chart, entries))
 
 
-def check_folded() -> CheckResult:
+@_check("folded-commutator", "folded potential gives a momentum-dependent canonical commutator")
+def check_folded():
     chart = standard_chart(3)
     conn = folded_connection(chart)
-    p1, q1 = Poly.var(chart, "p1"), Poly.var(chart, "q1")
-    got = commutator(quantise(p1, conn), quantise(q1, conn))
-    want = FormalOperator.from_poly(_minus_ihbar(chart, Poly.const(chart, 2) - p1))
-    if got != want:
-        return CheckResult(
-            "folded-commutator",
-            "folded potential gives a momentum-dependent canonical commutator",
-            FAIL,
-            f"got {got}",
-        )
     for i in range(1, 4):
         for j in range(1, 4):
             if (i, j) == (1, 1):
-                continue
-            got = commutator(
-                quantise(Poly.var(chart, f"p{i}"), conn),
-                quantise(Poly.var(chart, f"q{j}"), conn),
-            )
-            want = FormalOperator.from_poly(
-                _minus_ihbar(chart) if i == j else Poly.zero(chart)
-            )
-            if got != want:
-                return CheckResult(
-                    "folded-commutator",
-                    "folded potential gives a momentum-dependent canonical commutator",
-                    FAIL,
-                    f"[p{i},q{j}] gave {got}",
-                )
-    return CheckResult(
-        "folded-commutator",
-        "folded potential gives a momentum-dependent canonical commutator",
-        PASS,
-        "[p1,q1] = -i*hbar*(2 - p1); all other pairs canonical",
-    )
+                want = _minus_ihbar(chart, Poly.const(chart, 2) - Poly.var(chart, "p1"))
+            else:
+                want = _minus_ihbar(chart) if i == j else Poly.zero(chart)
+            got = _canonical_pair(conn, i, j)
+            if got != FormalOperator.from_poly(want):
+                return FAIL, f"[p{i},q{j}] gave {got}"
+    return PASS, "[p1,q1] = -i*hbar*(2 - p1); all other pairs canonical"
 
 
 def cylinder_setup(lam: Fraction | Scalar) -> PullbackSetup:
@@ -177,7 +163,8 @@ def cylinder_setup(lam: Fraction | Scalar) -> PullbackSetup:
     return PullbackSetup(m, ConnectionData.standard(tgt))
 
 
-def check_cylinder_rational() -> CheckResult:
+@_check("cylinder-family", "squeezed-cylinder pullback commutator over rational squeeze factors")
+def check_cylinder_rational():
     lines = []
     for lam in (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)):
         s = cylinder_setup(lam)
@@ -188,36 +175,20 @@ def check_cylinder_rational() -> CheckResult:
         coeff = Scalar(Fraction(2 * lam - 1, 1) / (lam * lam))
         want = FormalOperator.from_poly(_minus_ihbar(s.map.source).scale(coeff))
         if got != want or structural != want:
-            return CheckResult(
-                "cylinder-family",
-                "squeezed-cylinder pullback commutator over rational squeeze factors",
-                FAIL,
-                f"lambda = {lam}: closed-form {got}, structural {structural}",
-            )
+            return FAIL, f"lambda = {lam}: closed-form {got}, structural {structural}"
         lines.append(f"lambda={lam}: -i*hbar*({coeff})")
-    return CheckResult(
-        "cylinder-family",
-        "squeezed-cylinder pullback commutator over rational squeeze factors",
-        PASS,
-        "; ".join(lines) + " (0 at 1/2, -i*hbar at 1)",
-    )
+    return PASS, "; ".join(lines) + " (0 at 1/2, -i*hbar at 1)"
 
 
-def check_cylinder_irrational() -> CheckResult:
-    lam = Scalar(Fraction(math.sqrt(2) - 1))
-    s = cylinder_setup(lam)
+@_check("cylinder-sign-reversal", "commutator sign reverses at the irrational critical squeeze factor")
+def check_cylinder_irrational():
+    s = cylinder_setup(Scalar(Fraction(math.sqrt(2) - 1)))
     tgt = s.map.target
     got = theorem_commutator(Poly.var(tgt, "z"), Poly.var(tgt, "phi_z"), s)
-    poly = _mult_value(got)
-    val = poly.evaluate({"l": 0.0, "phi_l": 0.0}, hbar=1.0)
+    val = got.is_multiplication_by().evaluate({"l": 0.7, "phi_l": 0.1}, hbar=1.0)
     err = abs(val - 1j)
-    status = PASS if err < 1e-12 else FAIL
-    return CheckResult(
-        "cylinder-sign-reversal",
-        "commutator sign reverses at the irrational critical squeeze factor",
-        status,
-        f"value {val:.15g}, distance from +i*hbar (hbar=1): {err:.2e}",
-    )
+    return (PASS if err < 1e-12 else FAIL,
+            f"value {val:.15g}, distance from +i*hbar (hbar=1): {err:.2e}")
 
 
 def example_connections() -> dict[str, ConnectionData]:
@@ -236,221 +207,122 @@ def example_connections() -> dict[str, ConnectionData]:
     }
 
 
-def check_structural_vs_closed_form(
-    pairs_per_connection: int = 200, seed: int = 20260823
-) -> CheckResult:
+@_check("commutator-oracle", "structural commutator equals the closed-form expression")
+def check_structural_vs_closed_form(pairs_per_connection: int = 200, seed: int = 20260823):
     rng = random.Random(seed)
-    total = 0
-    for name, conn in example_connections().items():
-        chart = conn.chart
+    connections = example_connections()
+    for name, conn in connections.items():
         for _ in range(pairs_per_connection):
-            A = _random_poly(chart, rng)
-            B = _random_poly(chart, rng)
-            lhs = commutator(quantise(A, conn), quantise(B, conn))
-            rhs = commutator_rhs(A, B, conn)
-            if lhs != rhs:
-                return CheckResult(
-                    "commutator-oracle",
-                    "structural commutator equals the closed-form expression",
-                    FAIL,
-                    f"mismatch on connection {name}: A={A}, B={B}",
-                )
-            total += 1
-    return CheckResult(
-        "commutator-oracle",
-        "structural commutator equals the closed-form expression",
-        PASS,
-        f"{total} random pairs across {len(example_connections())} connections, exact equality",
-    )
+            A = random_poly(conn.chart, rng)
+            B = random_poly(conn.chart, rng)
+            if commutator(quantise(A, conn), quantise(B, conn)) != commutator_rhs(A, B, conn):
+                return FAIL, f"mismatch on connection {name}: A={A}, B={B}"
+    total = pairs_per_connection * len(connections)
+    return PASS, f"{total} random pairs across {len(connections)} connections, exact equality"
 
 
-def check_gauge_shift() -> CheckResult:
+@_check("gauge-shift", "adding an exact form to the potential is a phase conjugation")
+def check_gauge_shift():
     rng = random.Random(777)
     chart = standard_chart(2)
     theta = standard_potential(chart)
     for _ in range(25):
-        g = _random_poly(chart, rng)
-        A = _random_poly(chart, rng)
+        g = random_poly(chart, rng)
+        A = random_poly(chart, rng)
         shifted = ConnectionData(theta + exterior_d(g))
-        base = ConnectionData(theta)
-        if phase_conjugate(quantise(A, shifted), g) != quantise(A, base):
-            return CheckResult(
-                "gauge-shift",
-                "adding an exact form to the potential is a phase conjugation",
-                FAIL,
-                f"g={g}, A={A}",
-            )
-    return CheckResult(
-        "gauge-shift",
-        "adding an exact form to the potential is a phase conjugation",
-        PASS,
-        "25 random (A, g) pairs conjugate back exactly; curvature unchanged",
-    )
+        if phase_conjugate(quantise(A, shifted), g) != quantise(A, ConnectionData(theta)):
+            return FAIL, f"g={g}, A={A}"
+    return PASS, "25 random (A, g) pairs conjugate back exactly; curvature unchanged"
 
 
-def check_preservation_standard() -> CheckResult:
-    table = classify_monomials(3, 3, case="standard")
-    for (m, n), rep in table.items():
-        expected = m <= 1
-        if rep.preserves != expected:
-            return CheckResult(
-                "preservation-standard",
-                "standard connection preserves exactly the momentum-linear monomials",
-                FAIL,
-                f"alpha^{m} beta^{n}: got {rep.preserves}, expected {expected}",
-            )
-        A = rep.observable
-        second = A.partial("a1").partial("a1")
-        if rep.preserves != second.is_zero():
-            return CheckResult(
-                "preservation-standard",
-                "standard connection preserves exactly the momentum-linear monomials",
-                FAIL,
-                f"verdict disagrees with the second-derivative criterion at ({m},{n})",
-            )
-    return CheckResult(
-        "preservation-standard",
-        "standard connection preserves exactly the momentum-linear monomials",
-        PASS,
-        "4x4 monomial grid: preserves iff m <= 1, matching d^2A/dalpha^2 = 0",
-    )
+@_check("preservation-standard", "standard connection preserves exactly the momentum-linear monomials")
+def check_preservation_standard():
+    for (m, n), rep in classify_monomials(3, 3, case="standard").items():
+        if rep.preserves != (m <= 1):
+            return FAIL, f"alpha^{m} beta^{n}: got {rep.preserves}, expected {m <= 1}"
+        if rep.preserves != rep.observable.partial("a1").partial("a1").is_zero():
+            return FAIL, f"verdict disagrees with the second-derivative criterion at ({m},{n})"
+    return PASS, "4x4 monomial grid: preserves iff m <= 1, matching d^2A/dalpha^2 = 0"
 
 
-def check_preservation_basics() -> CheckResult:
+@_check("preservation-basics", "constants and position functions always preserve")
+def check_preservation_basics():
     ab1 = ChartSpec((("a1", "b1"),))
-    f_beta = Poly.var(ab1, "b1") ** 2
     conns = {
         "standard": ConnectionData.standard(ab1),
-        "beta-scaled": scaled_connection(ab1, f_beta),
+        "beta-scaled": scaled_connection(ab1, Poly.var(ab1, "b1") ** 2),
         "mixed-scaled": scaled_connection(ab1, Poly.var(ab1, "a1") * Poly.var(ab1, "b1")),
     }
     for name, conn in conns.items():
         for A in (Poly.const(ab1, 7), Poly.var(ab1, "b1"), Poly.var(ab1, "b1") ** 3):
             rep = preserves(A, conn)
             if not rep.preserves:
-                return CheckResult(
-                    "preservation-basics",
-                    "constants and position functions always preserve",
-                    FAIL,
-                    f"{A} failed under {name}: residuals {rep.residuals}",
-                )
-    return CheckResult(
-        "preservation-basics",
-        "constants and position functions always preserve",
-        PASS,
-        "constants and beta powers preserve under standard and scaled connections",
-    )
+                return FAIL, f"{A} failed under {name}: residuals {rep.residuals}"
+    return PASS, "constants and beta powers preserve under standard and scaled connections"
 
 
-def check_general_scaled_failure() -> CheckResult:
+@_check("general-scaled-failure", "nonzero scaling deformations break preservation of the momentum")
+def check_general_scaled_failure():
     ab1 = ChartSpec((("a1", "b1"),))
     alpha = Poly.var(ab1, "a1")
     beta = Poly.var(ab1, "b1")
     deformations = [beta, alpha, alpha * beta, beta**2, alpha**2]
     for f in deformations:
-        rep = preserves(alpha, scaled_connection(ab1, f))
-        if rep.preserves:
-            return CheckResult(
-                "general-scaled-failure",
-                "nonzero scaling deformations break preservation of the momentum",
-                FAIL,
-                f"f = {f} unexpectedly preserves",
-            )
-    rep0 = preserves(alpha, scaled_connection(ab1, Poly.zero(ab1)))
-    if not rep0.preserves:
-        return CheckResult(
-            "general-scaled-failure",
-            "nonzero scaling deformations break preservation of the momentum",
-            FAIL,
-            "f = 0 should preserve",
-        )
-    return CheckResult(
-        "general-scaled-failure",
-        "nonzero scaling deformations break preservation of the momentum",
-        PASS,
-        f"{len(deformations)} nonzero deformations fail, f = 0 preserves",
-    )
+        if preserves(alpha, scaled_connection(ab1, f)).preserves:
+            return FAIL, f"f = {f} unexpectedly preserves"
+    if not preserves(alpha, scaled_connection(ab1, Poly.zero(ab1))).preserves:
+        return FAIL, "f = 0 should preserve"
+    return PASS, f"{len(deformations)} nonzero deformations fail, f = 0 preserves"
 
 
-def check_cohomologous() -> CheckResult:
+@_check("cohomologous-residual", "simplified residual with a curvature primitive matches the direct one")
+def check_cohomologous():
     ab1 = ChartSpec((("a1", "b1"),))
-    for f in (Poly.var(ab1, "b1"), Poly.var(ab1, "b1") ** 2):
+    a1, b1 = Poly.var(ab1, "a1"), Poly.var(ab1, "b1")
+    for f in (b1, b1**2):
         conn = scaled_connection(ab1, f)
         gamma = standard_potential(ab1).scale(-f)
         P = Polarisation(ab1, conn)
-        for A in (Poly.var(ab1, "a1"), Poly.var(ab1, "a1") ** 2, Poly.var(ab1, "a1") * Poly.var(ab1, "b1")):
+        for A in (a1, a1**2, a1 * b1):
             direct = residual_operator(A, conn, P, 0)
             simplified = cohomologous_residual_operator(A, conn, P, gamma, 0)
             if flat_action(direct, P) != flat_action(simplified, P):
-                return CheckResult(
-                    "cohomologous-residual",
-                    "simplified residual with a curvature primitive matches the direct one",
-                    FAIL,
-                    f"A = {A}, f = {f}",
-                )
-    return CheckResult(
-        "cohomologous-residual",
-        "simplified residual with a curvature primitive matches the direct one",
-        PASS,
-        "direct and primitive-based flat-section residuals agree exactly",
-    )
+                return FAIL, f"A = {A}, f = {f}"
+    return PASS, "direct and primitive-based flat-section residuals agree exactly"
 
 
-def check_divergence() -> CheckResult:
+@_check("leading-term-divergence", "momentum deformations always produce a divergent leading term")
+def check_divergence():
     for n in range(1, 51):
         rep = bks.classify_term(n, 0, 0)
         if rep.classification != bks.DIVERGES:
-            return CheckResult(
-                "leading-term-divergence",
-                "momentum deformations always produce a divergent leading term",
-                FAIL,
-                f"n = {n}: exponent {rep.exponent}",
-            )
-    return CheckResult(
-        "leading-term-divergence",
-        "momentum deformations always produce a divergent leading term",
-        PASS,
-        "exponent(n, 0, 0) < 0 for all n = 1..50 (exact rationals)",
-    )
+            return FAIL, f"n = {n}: exponent {rep.exponent}"
+    return PASS, "exponent(n, 0, 0) < 0 for all n = 1..50 (exact rationals)"
 
 
-def check_exponent_identity() -> CheckResult:
+@_check("critical-exponent-identity", "the critical series index zeroes the tau exponent")
+def check_exponent_identity():
     for n in range(1, 21):
         for m in range(6):
-            jc = bks.critical_j(n, m)
-            if bks.exponent(n, m, 0) + Fraction(jc * n, n + 2) != 0:
-                return CheckResult(
-                    "critical-exponent-identity",
-                    "the critical series index zeroes the tau exponent",
-                    FAIL,
-                    f"n={n}, m={m}",
-                )
-    return CheckResult(
-        "critical-exponent-identity",
-        "the critical series index zeroes the tau exponent",
-        PASS,
-        "e(n, m, j') = 0 exactly for n <= 20, m <= 5",
-    )
+            if bks.exponent(n, m, 0) + Fraction(bks.critical_j(n, m) * n, n + 2) != 0:
+                return FAIL, f"n={n}, m={m}"
+    return PASS, "e(n, m, j') = 0 exactly for n <= 20, m <= 5"
 
 
-def check_oscillatory_oracle() -> CheckResult:
-    worst = 0.0
+@_check("oscillatory-oracle", "closed-form oscillatory moments match regulated quadrature")
+def check_oscillatory_oracle():
     cases = [(0, 2, 1.0), (1, 2, 1.0), (0, 4, 1.0), (2, 3, 0.5), (1, 5, 2.0)]
+    worst = 0.0
     for j, k, a in cases:
         analytic = bks.oscillatory_moment(j, k, a)
         quad = bks.oscillatory_moment_quadrature(j, k, a)
-        rel = abs(analytic - quad) / abs(analytic)
-        worst = max(worst, rel)
-    status = PASS if worst < 1e-8 else FAIL
-    return CheckResult(
-        "oscillatory-oracle",
-        "closed-form oscillatory moments match regulated quadrature",
-        status,
-        f"worst relative deviation {worst:.2e} over {len(cases)} (j,k,a) cases",
-    )
+        worst = max(worst, abs(analytic - quad) / abs(analytic))
+    return (PASS if worst < 1e-8 else FAIL,
+            f"worst relative deviation {worst:.2e} over {len(cases)} (j,k,a) cases")
 
 
-def check_position_pairing() -> CheckResult:
+@_check("position-pairing-law", "position deformation yields the inverse-three-halves kinetic profile")
+def check_position_pairing():
     hbar = 1.0
     betas = [0.25 * t for t in range(9)]
     result = bks.position_pairing(2, betas, hbar)
@@ -459,38 +331,26 @@ def check_position_pairing() -> CheckResult:
     for b in betas:
         scaled = result.effective_coefficient(b) * (1.0 + 2.0 * b**2) ** 1.5
         worst = max(worst, abs(scaled - ref) / abs(ref))
-    status = PASS if worst < 1e-6 and result.converges else FAIL
-    return CheckResult(
-        "position-pairing-law",
-        "position deformation yields the inverse-three-halves kinetic profile",
-        status,
-        f"coefficient(beta)*(1+2*beta^2)^(3/2) constant within {worst:.2e}",
-    )
+    return (PASS if worst < 1e-6 and result.converges else FAIL,
+            f"coefficient(beta)*(1+2*beta^2)^(3/2) constant within {worst:.2e}")
 
 
-def check_prefactor() -> CheckResult:
+@_check("undeformed-recovery", "undeformed pairing reproduces the free evolution coefficients")
+def check_prefactor():
     hbar = 1.0
-    res = bks.standard_schrodinger_check(None, hbar)
-    kin = res.details["kinetic"]
-    pot = res.details["potential_unit"]
-    pref = res.normalization
+    res = bks.standard_schrodinger_check(hbar)
     want_pref = math.sqrt(2 * math.pi * hbar) * cmath.exp(1j * math.pi / 4)
-    errs = [
-        abs(kin - (-(hbar**2) / 2)) / (hbar**2 / 2),
-        abs(pot - 1.0),
-        abs(pref - want_pref) / abs(want_pref),
-        abs(res.details["odd_moment"]),
-    ]
-    status = PASS if max(errs) < 1e-8 else FAIL
-    return CheckResult(
-        "undeformed-recovery",
-        "undeformed pairing reproduces the free evolution coefficients",
-        status,
-        f"kinetic -hbar^2/2, unit potential, prefactor: worst error {max(errs):.2e}",
+    worst = max(
+        abs(res.details["kinetic"] - (-(hbar**2) / 2)) / (hbar**2 / 2),
+        abs(res.details["potential_unit"] - 1.0),
+        abs(res.normalization - want_pref) / abs(want_pref),
     )
+    return (PASS if worst < 1e-8 else FAIL,
+            f"kinetic -hbar^2/2, unit potential, prefactor: worst error {worst:.2e}")
 
 
-def check_dynamics() -> CheckResult:
+@_check("deformed-evolution", "free regression and weighted-norm conservation of the deformed flow")
+def check_dynamics():
     import numpy as np  # numpy and scipy load only for this check
 
     from . import dynamics
@@ -502,9 +362,8 @@ def check_dynamics() -> CheckResult:
     final = dynamics.evolve(state, cfg)
     t = cfg.dt * cfg.steps
     exact = dynamics.free_gaussian_exact(grid, q0, p0, sigma, hbar, t)
-    width_err = abs(dynamics.width_q(final) - dynamics.free_gaussian_width(sigma, hbar, t)) / (
-        dynamics.free_gaussian_width(sigma, hbar, t)
-    )
+    width = dynamics.free_gaussian_width(sigma, hbar, t)
+    width_err = abs(dynamics.width_q(final) - width) / width
     point_err = float(np.max(np.abs(final.psi - exact.psi)))
 
     grid2 = dynamics.Grid1D(-12.0, 12.0, 768)
@@ -516,24 +375,16 @@ def check_dynamics() -> CheckResult:
     w_drift = abs(dynamics.weighted_norm(final2, 2) - w0) / w0
     l_drift = abs(dynamics.l2_norm(final2) - l0) / l0
     ok = width_err < 1e-3 and point_err < 1e-3 and w_drift < 1e-8 and l_drift > 1e-7
-    return CheckResult(
-        "deformed-evolution",
-        "free regression and weighted-norm conservation of the deformed flow",
-        PASS if ok else FAIL,
-        f"free width err {width_err:.2e}, pointwise {point_err:.2e}; "
-        f"weighted drift {w_drift:.2e}, plain L2 drift {l_drift:.2e}",
-    )
+    return (PASS if ok else FAIL,
+            f"free width err {width_err:.2e}, pointwise {point_err:.2e}; "
+            f"weighted drift {w_drift:.2e}, plain L2 drift {l_drift:.2e}")
 
 
-def check_lattice_counts() -> CheckResult:
+@_check("lattice-counts", "integral-point counts for the standard and folded sphere charts")
+def check_lattice_counts():
     for E in range(1, 11):
         if bohrsommerfeld.standard_dim(E) != 2 * E - 1:
-            return CheckResult(
-                "lattice-counts",
-                "integral-point counts for the standard and folded sphere charts",
-                FAIL,
-                f"standard dim wrong at E = {E}",
-            )
+            return FAIL, f"standard dim wrong at E = {E}"
     for E in range(1, 51):
         got = sorted(round(p.value, 9) for p in bohrsommerfeld.folded_points(E))
         brute = sorted(
@@ -543,88 +394,63 @@ def check_lattice_counts() -> CheckResult:
             if E * E - 2 * k >= 0
         )
         if got != brute:
-            return CheckResult(
-                "lattice-counts",
-                "integral-point counts for the standard and folded sphere charts",
-                FAIL,
-                f"folded mismatch at E = {E}",
-            )
-    return CheckResult(
-        "lattice-counts",
-        "integral-point counts for the standard and folded sphere charts",
-        PASS,
-        "standard dims E <= 10 and folded enumeration vs brute force E <= 50",
-    )
+            return FAIL, f"folded mismatch at E = {E}"
+    return PASS, "standard dims E <= 10 and folded enumeration vs brute force E <= 50"
 
 
 # -- documented discrepancies --------------------------------------------------
 
 
-def flag_position_coupling() -> CheckResult:
+@_check("coupled-positions-commutator",
+        "position-coupling potential: stated coupled commutator vs exact computation")
+def flag_position_coupling():
     chart = standard_chart(2)
     theta = standard_potential(chart)
     conn_q = ConnectionData(theta + OneForm.from_dict(chart, {"dq2": Poly.var(chart, "q1")}))
     conn_p = ConnectionData(theta + OneForm.from_dict(chart, {"dp2": Poly.var(chart, "p1")}))
     q1, q2 = Poly.var(chart, "q1"), Poly.var(chart, "q2")
-    got_q = _mult_value(commutator(quantise(q1, conn_q), quantise(q2, conn_q)))
-    got_p = _mult_value(commutator(quantise(q1, conn_p), quantise(q2, conn_p)))
-    ihbar = Poly.hbar(chart).scale(Scalar(0, 1))
-    expected_discrepancy = got_q == Poly.zero(chart) and got_p == ihbar
-    return CheckResult(
-        "coupled-positions-commutator",
-        "position-coupling potential: stated coupled commutator vs exact computation",
-        FLAG if expected_discrepancy else FAIL,
-        f"stated value: i*hbar; computed with the position coupling: {got_q}; "
-        f"computed with the momentum coupling instead: {got_p}",
-    )
+    got_q = commutator(quantise(q1, conn_q), quantise(q2, conn_q)).is_multiplication_by()
+    got_p = commutator(quantise(q1, conn_p), quantise(q2, conn_p)).is_multiplication_by()
+    expected = got_q == Poly.zero(chart) and got_p == Poly.hbar(chart).scale(Scalar(0, 1))
+    return (FLAG if expected else FAIL,
+            f"stated value: i*hbar; computed with the position coupling: {got_q}; "
+            f"computed with the momentum coupling instead: {got_p}")
 
 
-def flag_paired_shift_example() -> CheckResult:
+@_check("paired-shift-example",
+        "paired-shift potential: stated curvature and formal commutator vs exact computation")
+def flag_paired_shift_example():
     chart = standard_chart(1)
     p, q = Poly.var(chart, "p1"), Poly.var(chart, "q1")
     f, g = p, q  # concrete witnesses with {f, g} = 1
     half = Poly.const(chart, Fraction(1, 2))
-    theta = OneForm.from_dict(
-        chart, {"dq1": half * p - f, "dp1": -(half * q - g)}
-    )
-    conn = ConnectionData(theta)
+    conn = ConnectionData(OneForm.from_dict(chart, {"dq1": half * p - f, "dp1": -(half * q - g)}))
     omega_coeff = conn.omega_curv.component(0, 1)          # coefficient of dp1^dq1
     stated_omega = poisson(f, g)                           # claimed coefficient {f,g}
-    com = _mult_value(commutator(quantise(p, conn), quantise(q, conn)))
+    com = commutator(quantise(p, conn), quantise(q, conn)).is_multiplication_by()
     formal = com.div_exact_hbar().scale(Scalar(0, 1))      # divide by -i*hbar
     stated_formal = Poly.const(chart, 2) - poisson(f, g)
     expected = (
         omega_coeff == Poly.const(chart, 1) - f.partial("p1") - g.partial("q1")
         and formal == Poly.const(chart, 1) + f.partial("p1") + g.partial("q1")
     )
-    return CheckResult(
-        "paired-shift-example",
-        "paired-shift potential: stated curvature and formal commutator vs exact computation",
-        FLAG if expected else FAIL,
-        f"with f = p1, g = q1: computed curvature coefficient {omega_coeff} "
-        f"(stated: {stated_omega}); computed formal commutator {formal} "
-        f"(stated: {stated_formal})",
-    )
+    return (FLAG if expected else FAIL,
+            f"with f = p1, g = q1: computed curvature coefficient {omega_coeff} "
+            f"(stated: {stated_omega}); computed formal commutator {formal} "
+            f"(stated: {stated_formal})")
 
 
-def flag_exponent_cross_check() -> CheckResult:
-    diffs = []
-    for n in (1, 2, 3):
-        e1 = bks.exponent(n, 0, 0)
-        e2 = bks.alt_exponent(n, 0, 0)
-        diffs.append(f"n={n}: primary {e1}, independent {e2}")
+@_check("exponent-cross-check", "stated tau exponent vs independent substitution-based derivation")
+def flag_exponent_cross_check():
+    diffs = [f"n={n}: primary {bks.exponent(n, 0, 0)}, independent {bks.alt_exponent(n, 0, 0)}"
+             for n in (1, 2, 3)]
     agree_at_2 = bks.exponent(2, 0, 0) == bks.alt_exponent(2, 0, 0)
     differs_elsewhere = bks.exponent(1, 0, 0) != bks.alt_exponent(1, 0, 0)
     verdict_stable = all(
         (bks.exponent(n, 0, 0) < 0) and (bks.alt_exponent(n, 0, 0) < 0) for n in range(1, 51)
     )
-    ok = agree_at_2 and differs_elsewhere and verdict_stable
-    return CheckResult(
-        "exponent-cross-check",
-        "stated tau exponent vs independent substitution-based derivation",
-        FLAG if ok else FAIL,
-        "; ".join(diffs) + "; formulas agree only at n = 2, divergence verdict holds for both",
-    )
+    return (FLAG if agree_at_2 and differs_elsewhere and verdict_stable else FAIL,
+            "; ".join(diffs) + "; formulas agree only at n = 2, divergence verdict holds for both")
 
 
 ALL_CHECKS = [
@@ -661,4 +487,4 @@ def run_all(seed: int | None = None) -> list[CheckResult]:
     return results
 
 
-__all__ = ["CheckResult", "FAIL", "FLAG", "PASS", "run_all"]
+__all__ = ["CheckResult", "FAIL", "FLAG", "PASS", "random_poly", "run_all"]

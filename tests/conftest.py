@@ -1,25 +1,9 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from pseudoquant.symcore import ChartSpec, Poly, Scalar, standard_chart
-
-
-def random_poly(chart: ChartSpec, rng: random.Random, max_degree: int = 3, terms: int = 4) -> Poly:
-    """Random exact polynomial in the chart coordinates (no stray hbar powers)."""
-    nv = len(chart.variables)
-    out = Poly.zero(chart)
-    for _ in range(rng.randint(1, terms)):
-        exp = [0] * nv
-        for _ in range(rng.randint(0, max_degree)):
-            exp[rng.randrange(1, nv)] += 1
-        coeff = Scalar(
-            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-            Fraction(rng.randint(-2, 2), 1),
-        )
-        out = out + Poly(chart, {tuple(exp): coeff})
-    return out
+from pseudoquant.symcore import ChartSpec, standard_chart
+from pseudoquant.verify import random_poly  # re-exported for the test modules
 
 
 @pytest.fixture

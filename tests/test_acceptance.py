@@ -8,28 +8,18 @@ linear-momentum monomials, so the corresponding grid prediction cannot hold.
 """
 
 import math
-import random
 import sys
 import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from pseudoquant import bks, bohrsommerfeld, dynamics, verify
 from pseudoquant.polarisation import classify_monomials, preserves, scaled_connection
-from pseudoquant.prequant import (
-    ConnectionData,
-    FormalOperator,
-    commutator,
-    commutator_rhs,
-    quantise,
-    theorem_commutator,
-)
-from pseudoquant.symcore import ChartSpec, Poly, Scalar, standard_chart
-from pseudoquant.verify import cylinder_setup, example_connections, folded_connection
+from pseudoquant.symcore import ChartSpec, Poly
 
 import conftest
-from conftest import random_poly
 
 
 def _report(num: int, desc: str, fn):
@@ -45,87 +35,52 @@ def _report(num: int, desc: str, fn):
     print(line, file=sys.__stdout__, flush=True)
 
 
-def _mult(op):
-    p = op.is_multiplication_by()
-    assert p is not None, f"operator is not a multiplication: {op}"
-    return p
-
-
-def test_criterion_01_canonical_recovery():
-    def body():
+@pytest.fixture(scope="module")
+def battery():
+    """Every ``verify.ALL_CHECKS`` entry run once: {function name: (result, wall seconds)}."""
+    out = {}
+    for check in verify.ALL_CHECKS:
         t0 = time.perf_counter()
-        for n in range(1, 4):
-            chart = standard_chart(n)
-            conn = ConnectionData.standard(chart)
-            minus_ihbar = Poly.hbar(chart).scale(Scalar(0, -1))
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    got = commutator(
-                        quantise(Poly.var(chart, f"p{i}"), conn),
-                        quantise(Poly.var(chart, f"q{j}"), conn),
-                    )
-                    want = minus_ihbar if i == j else Poly.zero(chart)
-                    assert _mult(got) == want, (n, i, j)
-        assert time.perf_counter() - t0 < 1.0
+        result = check()
+        out[check.__name__] = (result, time.perf_counter() - t0)
+    return out
+
+
+def _passed(battery, name: str) -> float:
+    """Assert that the named check passed; return its wall time in seconds."""
+    result, seconds = battery[name]
+    assert result.status == verify.PASS, result.line()
+    return seconds
+
+
+def test_criterion_01_canonical_recovery(battery):
+    def body():
+        assert _passed(battery, "check_canonical") < 1.0
 
     _report(1, "canonical commutators recovered exactly on 1-3 degrees of freedom", body)
 
 
-def test_criterion_02_folded_commutator():
+def test_criterion_02_folded_commutator(battery):
     def body():
-        t0 = time.perf_counter()
-        chart = standard_chart(3)
-        conn = folded_connection(chart)
-        p1 = Poly.var(chart, "p1")
-        minus_ihbar = Poly.hbar(chart).scale(Scalar(0, -1))
-        got11 = commutator(quantise(p1, conn), quantise(Poly.var(chart, "q1"), conn))
-        assert _mult(got11) == minus_ihbar * (Poly.const(chart, 2) - p1)
-        for i in range(1, 4):
-            for j in range(1, 4):
-                if (i, j) == (1, 1):
-                    continue
-                got = commutator(
-                    quantise(Poly.var(chart, f"p{i}"), conn),
-                    quantise(Poly.var(chart, f"q{j}"), conn),
-                )
-                want = minus_ihbar if i == j else Poly.zero(chart)
-                assert _mult(got) == want, (i, j)
-        assert time.perf_counter() - t0 < 1.0
+        assert _passed(battery, "check_folded") < 1.0
 
     _report(2, "folded connection gives -i*hbar*(2 - p1) exactly, other pairs canonical", body)
 
 
-def test_criterion_03_cylinder_family():
+def test_criterion_03_cylinder_family(battery):
     def body():
-        for lam in (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)):
-            s = cylinder_setup(lam)
-            tgt = s.map.target
-            got = theorem_commutator(Poly.var(tgt, "z"), Poly.var(tgt, "phi_z"), s)
-            coeff = Fraction(2 * lam - 1, 1) / (lam * lam)
-            want = Poly.hbar(s.map.source).scale(Scalar(0, -1)).scale(Scalar(coeff))
-            assert _mult(got) == want, lam
-        # float shadow at the sign-reversing irrational scale
-        s = cylinder_setup(Scalar(Fraction(math.sqrt(2) - 1)))
-        tgt = s.map.target
-        got = theorem_commutator(Poly.var(tgt, "z"), Poly.var(tgt, "phi_z"), s)
-        val = _mult(got).evaluate({"l": 0.7, "phi_l": 0.1}, hbar=1.0)
-        assert abs(val - 1j) < 1e-12
+        _passed(battery, "check_cylinder_rational")
+        # float shadow at the sign-reversing irrational scale, at (l, phi_l) = (0.7, 0.1)
+        _passed(battery, "check_cylinder_irrational")
 
     _report(3, "cylinder commutator family exact for rational scales, +i*hbar at sqrt(2)-1", body)
 
 
-def test_criterion_04_structural_vs_formula_oracle():
+def test_criterion_04_structural_vs_formula_oracle(battery):
     def body():
-        t0 = time.perf_counter()
-        rng = random.Random(20260823)
-        for name, conn in example_connections().items():
-            chart = conn.chart
-            for _ in range(200):
-                A = random_poly(chart, rng)
-                B = random_poly(chart, rng)
-                lhs = commutator(quantise(A, conn), quantise(B, conn))
-                assert lhs == commutator_rhs(A, B, conn), name
-        assert time.perf_counter() - t0 < 10.0
+        assert _passed(battery, "check_structural_vs_closed_form") < 10.0
+        result, _ = battery["check_structural_vs_closed_form"]
+        assert result.details.startswith("800 random pairs across 4 connections")
 
     _report(4, "structural commutator equals closed-form oracle on 200 random pairs per connection", body)
 
@@ -159,12 +114,9 @@ def test_criterion_05_preservation_grid():
     _report(5, "preservation grid: m <= 1 monomials preserve in standard and scaled cases", body)
 
 
-def test_criterion_06_divergence_and_exponent_identity():
+def test_criterion_06_divergence_and_exponent_identity(battery):
     def body():
-        for n in range(1, 51):
-            rep = bks.classify_term(n, 0, 0)
-            assert rep.classification == bks.DIVERGES
-            assert rep.exponent < 0
+        _passed(battery, "check_divergence")
         for n in range(1, 21):
             for m in range(6):
                 jc = bks.critical_j(n, m)
@@ -188,7 +140,7 @@ def test_criterion_07_position_pairing_coefficient():
         for v in vals:
             assert abs(v - target) / abs(target) < 1e-6
         assert abs(res.effective_coefficient(0.0) - target) / abs(target) < 1e-6
-        check = bks.standard_schrodinger_check(V=None, hbar=hbar)
+        check = bks.standard_schrodinger_check(hbar=hbar)
         want_prefactor = math.sqrt(2.0 * math.pi * hbar) * complex(
             math.cos(math.pi / 4), math.sin(math.pi / 4)
         )
@@ -260,9 +212,9 @@ def test_criterion_10_lattice_counts():
     _report(10, "level dimensions 2E-1 and folded lattice points match brute-force enumeration", body)
 
 
-def test_criterion_11_documented_discrepancies():
+def test_criterion_11_documented_discrepancies(battery):
     def body():
-        results = verify.run_all()
+        results = [result for result, _ in battery.values()]
         fails = [r for r in results if r.status == verify.FAIL]
         flags = [r for r in results if r.status == verify.FLAG]
         assert not fails, [r.check_id for r in fails]

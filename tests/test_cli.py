@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -88,13 +89,34 @@ class TestQuantiseAndPreserve:
         assert run(["quantise", "--problem", cylinder, "--observable", "z"]) == EXIT_OK
         assert out_of(capsys) == "-2*l - 2*i*hbar*d/dphi_l"
 
-    def test_preserve_grid_rejects_problem(self, capsys, cylinder):
+    @pytest.mark.parametrize("argv, message", [
         # the grid is built on the fixed a1/b1 chart, so a problem file cannot apply
-        assert run(["preserve", "--problem", cylinder, "--grid", "2,2"]) == EXIT_INPUT
+        pytest.param(["preserve", "--problem", "{cylinder}", "--grid", "2,2"],
+                     "--grid uses the built-in a1/b1 chart and cannot take --problem",
+                     id="grid-with-problem"),
+        pytest.param(["preserve", "--grid", "-1,2"], "--grid expects", id="grid-negative-m"),
+        pytest.param(["preserve", "--grid", "2,-1"], "--grid expects", id="grid-negative-n"),
+        pytest.param(["preserve", "--grid", "2,2", "--observable", "p1"],
+                     "--grid tabulates monomials and cannot take --observable",
+                     id="grid-with-observable"),
+        pytest.param(["preserve", "--observable", "p1", "--csv", "out.csv"],
+                     "--csv applies only to --grid", id="observable-with-csv"),
+        pytest.param(["preserve", "--observable", "p1", "--case", "polarised-scaled"],
+                     "--case applies only to --grid", id="observable-with-case"),
+        pytest.param(["preserve", "--observable", "p1", "--deformation", "b1^2"],
+                     "--deformation applies only to --grid", id="observable-with-deformation"),
+        pytest.param(["preserve", "--observable", "p1", "--json"],
+                     "unrecognized arguments: --json", id="preserve-json"),
+        pytest.param(["quantise", "--observable", "p1", "--csv", "out.csv"],
+                     "unrecognized arguments: --csv", id="quantise-csv"),
+        pytest.param(["commutator", "--a", "p1", "--b", "q1", "--csv", "out.csv"],
+                     "unrecognized arguments: --csv", id="commutator-csv"),
+    ])
+    def test_rejects_options(self, capsys, cylinder, argv, message):
+        assert run([a.format(cylinder=cylinder) for a in argv]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: --grid")
-        assert "--problem" in captured.err
+        assert captured.err.startswith(f"error: {message}")
 
     def test_preserve_single(self, capsys):
         assert run(["preserve", "--observable", "p1^2"]) == EXIT_OK
@@ -216,9 +238,14 @@ class TestBsCount:
         vals = sorted(float(r.split(",")[1]) for r in rows)
         assert vals == pytest.approx([-math.sqrt(2), 0.0, math.sqrt(2)])
 
-    def test_bad_range(self, capsys):
-        assert run(["bs-count", "--E", "5..2"]) == EXIT_INPUT
-        capsys.readouterr()
+    @pytest.mark.parametrize("spec", ["5..2", "1..2..3", "x"])
+    def test_bad_range(self, capsys, spec):
+        assert run(["bs-count", "--E", spec]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --E expects a level or 'lo..hi' with integers 1 <= lo <= hi\n"
+        )
 
     def test_closed_form_rows(self, capsys):
         assert run(["bs-count", "--E", "1..300"]) == EXIT_OK
@@ -257,6 +284,33 @@ class TestImports:
     def test_commutator_loads_no_numpy_or_scipy(self):
         code = "from pseudoquant import cli\ncli.run(['commutator', '--a', 'p1', '--b', 'q1'])"
         assert self._heavy_modules(code) == "[]"
+
+    def test_no_unused_imports(self):
+        """Every imported name is read somewhere in its module.
+
+        Names listed in ``__all__`` count as read, and ``__init__.py`` holds
+        only re-exports, so it is not scanned.
+        """
+        unused = []
+        for path in sorted(Path(pseudoquant.__file__).parent.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text())
+            used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+                ):
+                    used.update(ast.literal_eval(node.value))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                ):
+                    for alias in node.names:
+                        name = alias.asname or alias.name.split(".")[0]
+                        if name not in used:
+                            unused.append(f"{path.name}:{node.lineno}: {name}")
+        assert unused == []
 
 
 class TestVerifyExitCodes:

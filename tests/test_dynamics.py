@@ -44,8 +44,6 @@ class TestSetupValidation:
             EvolutionConfig(n=0, hbar=0.0, dt=1e-3)
         with pytest.raises(ValueError):
             EvolutionConfig(n=0, hbar=1.0, dt=1e-3, steps=0)
-        with pytest.raises(ValueError):
-            EvolutionConfig(n=0, hbar=1.0, dt=1e-3, boundary="absorbing")
 
     def test_singular_grid_rejected(self):
         g = Grid1D(-2.0, 2.0, 64)
