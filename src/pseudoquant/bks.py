@@ -4,7 +4,8 @@ connection deformations.
 Momentum-type deformations f = (lambda/2) * alpha^n break the pairing: the
 term-by-term tau-power classification always contains a divergent leading
 term.  Position-type deformations f = beta^n give a finite pairing whose
-effective kinetic coefficient is -hbar^2/2 * (1 + 2*beta^n)^(-3/2).
+effective kinetic coefficient is -hbar^2/2 * (1 + 2*beta^n)^(-3/2); their one
+owner, ``PositionDeformation``, is read by this pairing and by ``dynamics``.
 
 Classification is exact rational arithmetic throughout; the oscillatory
 moments that weight surviving terms are evaluated analytically via Gamma
@@ -27,22 +28,50 @@ class SingularSampleError(ValueError):
 
 
 @dataclass(frozen=True)
-class DeformationSpec:
-    """Monomial deformation of the connection scaling.
+class PositionDeformation:
+    """The position deformation f = q^n, sole owner of its weight w(q) = 1 + 2*q^n.
 
-    kind 'momentum' means f = (lam/2) * alpha^n, 'position' means
-    f = beta^n.  hbar is a positive float for the numeric parts;
-    classification itself never touches it.
+    n = 0 is undeformed (w = 1).  The pairing's kinetic coefficient is
+    -hbar^2/2 * c with the kinetic profile c = w^(-3/2), and w^(3/2) = 1/c is
+    the weight whose norm the evolution conserves.  q is a float or a numpy
+    array; every method is elementwise.
     """
 
-    kind: str
+    n: int
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("deformation order n must be >= 0")
+
+    def weight(self, q):
+        return 1.0 + 2.0 * q**self.n if self.n else q * 0.0 + 1.0
+
+    def singular(self, q):
+        """True where w(q) <= 0, the coefficient singularity."""
+        return self.weight(q) <= 0.0
+
+    def kinetic_profile(self, q):
+        return self.weight(q) ** (-1.5)
+
+    def conserved_weight(self, q):
+        return self.weight(q) ** 1.5
+
+    def domain(self, q_max: float) -> tuple[float, float]:
+        """Grid interval clear of w <= 0: odd n starts 10% inside the root of w."""
+        if self.n % 2:
+            return (-(0.5 ** (1.0 / self.n)) * 0.9, q_max)
+        return (-q_max, q_max)
+
+
+@dataclass(frozen=True)
+class DeformationSpec:
+    """Momentum deformation f = (lam/2) * alpha^n; hbar only enters the oscillatory moments."""
+
     n: int = 1
     lam: Fraction = Fraction(1)
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("momentum", "position"):
-            raise ValueError("kind must be 'momentum' or 'position'")
         if self.n < 1:
             raise ValueError("deformation order n must be >= 1")
         if self.lam == 0:
@@ -117,10 +146,7 @@ def classify_term(n: int, m: int, j: int, d: DeformationSpec | None = None) -> B
         cls = FINITE_CANDIDATE
     else:
         cls = VANISHES
-    mu = None
-    if d is not None and d.kind == "momentum":
-        a = float(d.lam) / (2.0 * d.hbar)
-        mu = oscillatory_moment(j, n + 2, a)
+    mu = None if d is None else oscillatory_moment(j, n + 2, float(d.lam) / (2.0 * d.hbar))
     return BKSTermReport(n, m, j, e, alt_exponent(n, m, j), critical_j(n, m), cls, mu)
 
 
@@ -132,8 +158,8 @@ def classify_pairing(
     The verdict is always non-convergent: the leading (m=0, j=0) term has a
     strictly negative tau power for every n >= 1.
     """
-    if d.kind != "momentum":
-        raise ValueError("classify_pairing applies to momentum-type deformations")
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
     reports: list[BKSTermReport] = []
     for m in range(m_max + 1):
         jc = critical_j(d.n, m)
@@ -304,35 +330,26 @@ def position_pairing(
     """Evaluate the finite pairing for the deformation f = beta^n.
 
     The effective second-derivative coefficient at beta is
-    -hbar^2/2 * (1 + 2*beta^n)^(-3/2) after absorbing the standard
-    prefactor; samples must stay clear of the 1 + 2*beta^n <= 0 locus.
+    -hbar^2/2 * w(beta)^(-3/2) of ``PositionDeformation(n)`` after absorbing
+    the standard prefactor; a sample on the w <= 0 locus raises
+    ``SingularSampleError``.
     """
     if n < 1:
         raise ValueError("deformation order n must be >= 1")
-    samples = [float(b) for b in beta_samples]
-    singular = [b for b in samples if 1.0 + 2.0 * b**n <= 0.0]
-    if singular:
-        raise SingularSampleError(
-            f"samples {singular} violate 1 + 2*beta^{n} > 0 (coefficient singularity)"
-        )
+    if hbar <= 0:
+        raise ValueError("hbar must be positive")
+    deformation = PositionDeformation(n)
     norm = schrodinger_prefactor(hbar)
 
     def effective_coefficient(beta: float) -> complex:
-        w = 1.0 + 2.0 * beta**n
-        if w <= 0.0:
-            raise SingularSampleError(f"beta = {beta} hits the singular locus")
-        a = w / (2.0 * hbar)
+        if deformation.singular(beta):
+            raise SingularSampleError(f"beta = {beta} hits the singular locus 1 + 2*beta^{n} <= 0")
+        a = deformation.weight(beta) / (2.0 * hbar)
         # i*hbar*dpsi/dt = -prefactor * (coefficient * psi''), hence the -norm.
         return 1j * hbar * _kinetic_raw(a) / (-norm)
 
-    survivors = surviving_position_terms(n)
-    details = {
-        "coefficients": {b: effective_coefficient(b) for b in samples},
-        "surviving_terms": survivors,
-        "series_orders": position_series_orders(n),
-        "prefactor": norm,
-    }
-    converges = survivors == [(2, (), Fraction(1))]
+    details = {"coefficients": {b: effective_coefficient(b) for b in map(float, beta_samples)}}
+    converges = surviving_position_terms(n) == [(2, (), Fraction(1))]
     return PairingResult(converges, effective_coefficient, norm, details)
 
 
@@ -361,6 +378,7 @@ __all__ = [
     "DIVERGES",
     "FINITE_CANDIDATE",
     "PairingResult",
+    "PositionDeformation",
     "SingularSampleError",
     "VANISHES",
     "alt_exponent",

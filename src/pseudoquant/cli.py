@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -156,51 +157,53 @@ def cmd_preserve(args) -> int:
 
 
 def _parse_range(spec: str) -> list[float]:
-    """'start:stop:step' inclusive-start float grid; bare number means one value."""
-    parts = spec.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
-        raise CliError("range expects 'start:stop:step'")
-    start, stop, step = (float(x) for x in parts)
-    if step <= 0:
-        raise CliError("range step must be positive")
-    out = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v > stop + 1e-12:
-            break
+    """--beta: 'start:stop:step' inclusive-start float grid; bare number means one value."""
+    try:
+        parts = [float(x) for x in spec.split(":")]
+        if not all(map(math.isfinite, parts)):
+            raise ValueError
+        if len(parts) == 1:
+            return parts
+        start, stop, step = parts
+        if step <= 0:
+            raise ValueError
+    except ValueError:
+        raise CliError(
+            "--beta expects a finite number or 'start:stop:step' with step > 0"
+        ) from None
+    out, k = [], 0
+    while (v := start + k * step) <= stop + 1e-12:
         out.append(round(v, 12))
         k += 1
     return out
 
 
-def cmd_bks(args) -> int:
+def cmd_bks_classify(args) -> int:
     from . import bks
 
-    if args.mode == "classify":
+    try:
         lam = Fraction(args.lam)
-        d = bks.DeformationSpec("momentum", args.n, lam, args.hbar)
-        reports, converges = bks.classify_pairing(d, args.m_max)
-        lines = [
-            f"# kind=momentum n={args.n} lam={lam} hbar={_fmt(args.hbar)} m_max={args.m_max}",
-            f"# converges={str(converges).lower()}",
-            "n,m,j,exponent,alt_exponent,critical_j,classification,mu_moment_re,mu_moment_im",
-        ]
-        for r in reports:
-            mu_re = _fmt(r.mu_moment.real) if r.mu_moment is not None else ""
-            mu_im = _fmt(r.mu_moment.imag) if r.mu_moment is not None else ""
-            lines.append(
-                f"{r.n},{r.m},{r.j},{r.exponent},{r.alt_exponent},"
-                f"{r.j_critical},{r.classification},{mu_re},{mu_im}"
-            )
-        _emit(lines, args.csv)
-        return EXIT_OK
-    # pair mode
-    if args.kind != "position":
-        raise CliError("bks pair supports --kind position (momentum pairings diverge; "
-                       "use 'bks classify' for the term table)")
+    except (ValueError, ZeroDivisionError):
+        raise CliError("--lam expects a rational such as 1 or 1/2") from None
+    d = bks.DeformationSpec(args.n, lam, args.hbar)
+    reports, converges = bks.classify_pairing(d, args.m_max)
+    lines = [
+        f"# kind=momentum n={args.n} lam={lam} hbar={_fmt(args.hbar)} m_max={args.m_max}",
+        f"# converges={str(converges).lower()}",
+        "n,m,j,exponent,alt_exponent,critical_j,classification,mu_moment_re,mu_moment_im",
+    ]
+    for r in reports:  # a momentum deformation attaches a mu moment to every term
+        lines.append(
+            f"{r.n},{r.m},{r.j},{r.exponent},{r.alt_exponent},{r.j_critical},"
+            f"{r.classification},{_fmt(r.mu_moment.real)},{_fmt(r.mu_moment.imag)}"
+        )
+    _emit(lines, args.csv)
+    return EXIT_OK
+
+
+def cmd_bks_pair(args) -> int:
+    from . import bks
+
     betas = _parse_range(args.beta)
     result = bks.position_pairing(args.n, betas, args.hbar)
     lines = [
@@ -211,7 +214,7 @@ def cmd_bks(args) -> int:
     ]
     for b in betas:
         c = result.effective_coefficient(b)
-        s = c * (1.0 + 2.0 * b**args.n) ** 1.5
+        s = c * bks.PositionDeformation(args.n).conserved_weight(b)
         lines.append(f"{_fmt(b)},{_fmt(c.real)},{_fmt(c.imag)},{_fmt(s.real)},{_fmt(s.imag)}")
     _emit(lines, args.csv)
     return EXIT_OK
@@ -219,29 +222,40 @@ def cmd_bks(args) -> int:
 
 def _parse_init(spec: str) -> dict:
     kind, _, rest = spec.partition(":")
-    if kind != "gaussian":
-        raise CliError("only 'gaussian:q0=..,p0=..,sigma=..' initial states are supported")
     params = {"q0": 0.0, "p0": 0.0, "sigma": 1.0}
-    if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            if key not in params:
-                raise CliError(f"unknown initial-state parameter {key!r}")
-            params[key] = float(val)
-    if params["sigma"] <= 0:
-        raise CliError("sigma must be positive")
+    try:
+        if kind != "gaussian":
+            raise ValueError
+        if rest:
+            for item in rest.split(","):
+                key, _, val = item.partition("=")
+                if key not in params:
+                    raise ValueError
+                params[key] = float(val)
+        if params["sigma"] <= 0 or not all(map(math.isfinite, params.values())):
+            raise ValueError
+    except ValueError:
+        raise CliError("--init expects 'gaussian:q0=..,p0=..,sigma=..' with finite numbers "
+                       "and sigma > 0") from None
     return params
 
 
 def cmd_evolve(args) -> int:
+    if args.snap_every < 1:
+        raise CliError("--snap-every expects an integer >= 1")
+
     import numpy as np
 
     from . import dynamics
 
-    gparts = args.grid.split(":")
-    if len(gparts) != 3:
-        raise CliError("--grid expects 'qmin:qmax:nodes'")
-    q_min, q_max, nodes = float(gparts[0]), float(gparts[1]), int(gparts[2])
+    try:
+        gmin, gmax, gnodes = args.grid.split(":")
+        q_min, q_max, nodes = float(gmin), float(gmax), int(gnodes)
+        if not (math.isfinite(q_min) and math.isfinite(q_max)):
+            raise ValueError
+    except ValueError:
+        raise CliError("--grid expects 'qmin:qmax:nodes' with finite numbers qmin, qmax and "
+                       "an integer nodes") from None
     grid = dynamics.Grid1D(q_min, q_max, nodes)
     cfg = dynamics.EvolutionConfig(args.n, args.hbar, args.dt, steps=args.steps)
     init = _parse_init(args.init)
@@ -273,11 +287,7 @@ def cmd_evolve(args) -> int:
     _emit(lines, args.csv)
     if args.snapshots:
         # One row per snapshot: little-endian float64 interleaved re/im per node.
-        arr = np.empty((len(snapshots), 2 * grid.nodes), dtype="<f8")
-        for r, psi in enumerate(snapshots):
-            arr[r, 0::2] = psi.real
-            arr[r, 1::2] = psi.imag
-        arr.tofile(args.snapshots)
+        np.asarray(snapshots, dtype="<c16").view("<f8").tofile(args.snapshots)
     return EXIT_OK
 
 
@@ -351,16 +361,19 @@ def build_parser() -> _Parser:
     p.add_argument("--csv", help="write the grid CSV to this path (--grid only)")
     p.set_defaults(func=cmd_preserve)
 
+    bks_options = argparse.ArgumentParser(add_help=False)
+    bks_options.add_argument("--n", type=int, required=True)
+    bks_options.add_argument("--hbar", type=float, default=1.0)
+    bks_options.add_argument("--csv", help="write CSV output to this path")
     p = sub.add_parser("bks", help="pairing classification and evaluation")
-    p.add_argument("mode", choices=["classify", "pair"])
-    p.add_argument("--n", type=int, required=True)
+    modes = p.add_subparsers(dest="mode", required=True)
+    p = modes.add_parser("classify", parents=[bks_options], help="momentum term table")
     p.add_argument("--m-max", type=int, default=2)
     p.add_argument("--lam", default="1", help="rational deformation magnitude")
-    p.add_argument("--kind", choices=["momentum", "position"], default="position")
+    p.set_defaults(func=cmd_bks_classify)
+    p = modes.add_parser("pair", parents=[bks_options], help="position coefficient profile")
     p.add_argument("--beta", default="0:2:0.1", help="'start:stop:step' sample range")
-    p.add_argument("--hbar", type=float, default=1.0)
-    p.add_argument("--csv", help="write CSV output to this path")
-    p.set_defaults(func=cmd_bks)
+    p.set_defaults(func=cmd_bks_pair)
 
     p = sub.add_parser("evolve", help="deformed Schroedinger evolution")
     p.add_argument("--n", type=int, required=True)

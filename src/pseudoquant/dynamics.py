@@ -1,12 +1,13 @@
 """Deformed 1-d Schroedinger evolution on a uniform grid.
 
-The Hamiltonian is H = -(hbar^2/2) * c(q) * d^2/dq^2 with the deformed
-kinetic profile c(q) = (1 + 2*q^n)^(-3/2) (c = 1 for n = 0).  Time stepping
-is the implicit trapezoidal (Crank-Nicolson) rule solved with banded LU.
+The Hamiltonian is H = -(hbar^2/2) * c(q) * d^2/dq^2, stated once in
+``_cn_matrices``.  The kinetic profile c(q) = (1 + 2*q^n)^(-3/2) (c = 1 for
+n = 0) and the conserved weight 1/c(q) come from ``bks.PositionDeformation``,
+the owner the pairing reads too.  Time stepping is the implicit trapezoidal
+(Crank-Nicolson) rule solved with banded LU.
 
-Plain L2 norm is not conserved for n > 0 because diag-weighted symmetry of
-H uses the weight w(q) = (1 + 2*q^n)^(3/2) = 1/c(q); the weighted norm
-integral of w |psi|^2 is conserved to roundoff by the trapezoidal step.
+Plain L2 norm is not conserved for n > 0 because diag(1/c) H, not H, is
+symmetric; the weighted norm integral of |psi|^2 / c is conserved to roundoff.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
+
+from .bks import PositionDeformation
 
 
 class BoundaryLeakWarning(UserWarning):
@@ -56,8 +59,7 @@ class EvolutionConfig:
     steps: int = 1
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("deformation order n must be >= 0")
+        PositionDeformation(self.n)  # rejects n < 0
         if self.hbar <= 0 or self.dt <= 0:
             raise ValueError("hbar and dt must be positive")
         if self.steps < 1:
@@ -77,40 +79,13 @@ class WaveState:
         if self.psi.shape != (self.grid.nodes,):
             raise ValueError("amplitude array does not match the grid")
 
-    def copy(self) -> "WaveState":
-        return WaveState(self.grid, self.psi.copy(), self.t)
-
 
 def kinetic_profile(q: np.ndarray, n: int) -> np.ndarray:
-    """c(q) = (1 + 2*q^n)^(-3/2), identically 1 for the undeformed case."""
-    if n == 0:
-        return np.ones_like(q)
-    w = 1.0 + 2.0 * q**n
-    if np.any(w <= 0.0):
-        bad = float(q[np.argmin(w)])
-        raise ValueError(
-            f"grid reaches the singular locus 1 + 2*q^{n} <= 0 (e.g. q = {bad}); "
-            "shrink the domain"
-        )
-    return w ** (-1.5)
-
-
-def conserved_weight(q: np.ndarray, n: int) -> np.ndarray:
-    """w(q) = 1/c(q); diag(w) H is symmetric, so the w-weighted norm is conserved."""
-    if n == 0:
-        return np.ones_like(q)
-    return (1.0 + 2.0 * q**n) ** 1.5
-
-
-def apply_hamiltonian(state: WaveState, cfg: EvolutionConfig) -> np.ndarray:
-    """H psi with centered second differences and pinned (Dirichlet) endpoints."""
-    q = state.grid.q
-    c = kinetic_profile(q, cfg.n)
-    psi = state.psi
-    out = np.zeros_like(psi)
-    lap = psi[:-2] - 2.0 * psi[1:-1] + psi[2:]
-    out[1:-1] = -(cfg.hbar**2 / 2.0) * c[1:-1] * lap / state.grid.dq**2
-    return out
+    """c(q) of ``PositionDeformation(n)``; a grid that reaches its singular locus is an error."""
+    deformation = PositionDeformation(n)
+    if np.any(deformation.singular(q)):
+        raise ValueError(f"grid reaches the singular locus 1 + 2*q^{n} <= 0; shrink the domain")
+    return deformation.kinetic_profile(q)
 
 
 def _cn_matrices(grid: Grid1D, cfg: EvolutionConfig):
@@ -163,15 +138,13 @@ class Propagator:
         return WaveState(state.grid, psi_new, state.t + self.cfg.dt)
 
 
-def evolve(
-    state: WaveState, cfg: EvolutionConfig, steps: int | None = None, leak_tol: float = 1e-6
-) -> WaveState:
-    """Run trapezoidal steps (cfg.steps by default), warning on boundary mass."""
+def evolve(state: WaveState, cfg: EvolutionConfig) -> WaveState:
+    """Run cfg.steps trapezoidal steps, warning on boundary mass."""
     prop = Propagator(state.grid, cfg)
     cur = state
-    for _ in range(cfg.steps if steps is None else steps):
+    for _ in range(cfg.steps):
         cur = prop.step(cur)
-    check_boundary_mass(cur, leak_tol)
+    check_boundary_mass(cur)
     return cur
 
 
@@ -199,7 +172,7 @@ def l2_norm(state: WaveState) -> float:
 
 
 def weighted_norm(state: WaveState, n: int) -> float:
-    w = conserved_weight(state.grid.q, n)
+    w = PositionDeformation(n).conserved_weight(state.grid.q)
     return math.sqrt(float(np.sum(w * np.abs(state.psi) ** 2) * state.grid.dq))
 
 
@@ -257,12 +230,9 @@ def free_gaussian_width(sigma: float, hbar: float, t: float) -> float:
     return sigma * math.sqrt(1.0 + (hbar * t / (2.0 * sigma**2)) ** 2)
 
 
-def suggested_domain(n: int, q_max: float, margin: float = 0.1) -> tuple[float, float]:
-    """Domain respecting 1 + 2*q^n > 0: odd n clips the left edge above the root."""
-    if n >= 1 and n % 2 == 1:
-        root = -((0.5) ** (1.0 / n))
-        return (root * (1.0 - margin), q_max)
-    return (-q_max, q_max)
+def suggested_domain(n: int, q_max: float) -> tuple[float, float]:
+    """``PositionDeformation(n).domain(q_max)``: clear of the singular locus."""
+    return PositionDeformation(n).domain(q_max)
 
 
 __all__ = [
@@ -271,9 +241,7 @@ __all__ = [
     "Grid1D",
     "Propagator",
     "WaveState",
-    "apply_hamiltonian",
     "check_boundary_mass",
-    "conserved_weight",
     "evolve",
     "expectation_q",
     "free_gaussian_exact",

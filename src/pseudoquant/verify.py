@@ -329,7 +329,7 @@ def check_position_pairing():
     ref = -(hbar**2) / 2.0
     worst = 0.0
     for b in betas:
-        scaled = result.effective_coefficient(b) * (1.0 + 2.0 * b**2) ** 1.5
+        scaled = result.effective_coefficient(b) * bks.PositionDeformation(2).conserved_weight(b)
         worst = max(worst, abs(scaled - ref) / abs(ref))
     return (PASS if worst < 1e-6 and result.converges else FAIL,
             f"coefficient(beta)*(1+2*beta^2)^(3/2) constant within {worst:.2e}")

@@ -78,7 +78,7 @@ class TestClassification:
 
     def test_classify_pairing_never_converges(self):
         for n in (1, 2, 3):
-            d = DeformationSpec("momentum", n=n, lam=Fraction(1, 2))
+            d = DeformationSpec(n=n, lam=Fraction(1, 2))
             reports, converges = classify_pairing(d, m_max=2)
             assert not converges
             assert any(r.classification == DIVERGES for r in reports)
@@ -87,15 +87,14 @@ class TestClassification:
 
     def test_deformation_validation(self):
         with pytest.raises(ValueError):
-            DeformationSpec("bogus")
+            DeformationSpec(n=0)
         with pytest.raises(ValueError):
-            DeformationSpec("momentum", n=0)
+            DeformationSpec(lam=Fraction(0))
         with pytest.raises(ValueError):
-            DeformationSpec("momentum", lam=Fraction(0))
-        with pytest.raises(ValueError):
-            DeformationSpec("position", hbar=-1.0)
-        with pytest.raises(ValueError):
-            classify_pairing(DeformationSpec("position"), m_max=1)
+            DeformationSpec(hbar=-1.0)
+        # an empty table must not read as convergent
+        with pytest.raises(ValueError, match="m_max must be >= 0"):
+            classify_pairing(DeformationSpec(n=2), m_max=-1)
 
 
 class TestOscillatoryMoment:
@@ -174,6 +173,9 @@ class TestPositionPairing:
     def test_validation(self):
         with pytest.raises(ValueError):
             position_pairing(0, [0.0])
+        for hbar in (0.0, -1.0):
+            with pytest.raises(ValueError, match="hbar must be positive"):
+                position_pairing(2, [0.0], hbar=hbar)
 
 
 class TestStandardCheck:

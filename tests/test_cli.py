@@ -176,6 +176,40 @@ class TestBks:
         assert run(["bks", "pair", "--n", "1", "--kind", "momentum"]) == EXIT_INPUT
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv, message", [
+        # each mode accepts only its own options
+        pytest.param(["classify", "--n", "1", "--m-max", "0", "--kind", "position"],
+                     "unrecognized arguments: --kind position", id="classify-kind"),
+        pytest.param(["classify", "--n", "1", "--beta", "0:1:0.5"],
+                     "unrecognized arguments: --beta 0:1:0.5", id="classify-beta"),
+        pytest.param(["pair", "--n", "2", "--m-max", "3"],
+                     "unrecognized arguments: --m-max 3", id="pair-m-max"),
+        pytest.param(["pair", "--n", "2", "--lam", "1/2"],
+                     "unrecognized arguments: --lam 1/2", id="pair-lam"),
+        pytest.param(["classify", "--n", "1", "--lam", "x"],
+                     "--lam expects a rational such as 1 or 1/2", id="lam-malformed"),
+        pytest.param(["classify", "--n", "1", "--lam", "1/0"],
+                     "--lam expects a rational such as 1 or 1/2", id="lam-zero-denominator"),
+        pytest.param(["pair", "--n", "2", "--beta", "0:x:1"],
+                     "--beta expects a finite number or 'start:stop:step' with step > 0",
+                     id="beta-malformed"),
+        pytest.param(["pair", "--n", "2", "--beta", "0:inf:1"],
+                     "--beta expects a finite number or 'start:stop:step' with step > 0",
+                     id="beta-infinite"),
+        pytest.param(["pair", "--n", "2", "--hbar", "0"], "hbar must be positive",
+                     id="pair-hbar-zero"),
+        pytest.param(["pair", "--n", "2", "--hbar", "-1"], "hbar must be positive",
+                     id="pair-hbar-negative"),
+        # an empty table would read as convergent
+        pytest.param(["classify", "--n", "2", "--m-max", "-1"], "m_max must be >= 0",
+                     id="classify-negative-m-max"),
+    ])
+    def test_rejects_input(self, capsys, argv, message):
+        assert run(["bks", *argv]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestEvolve:
     def test_short_run_with_snapshots(self, capsys, tmp_path):
@@ -221,6 +255,31 @@ class TestEvolve:
     def test_bad_init(self, capsys):
         assert run(["evolve", "--n", "0", "--init", "delta:q0=0"]) == EXIT_INPUT
         capsys.readouterr()
+
+    GRID_FORM = ("--grid expects 'qmin:qmax:nodes' with finite numbers qmin, qmax and "
+                 "an integer nodes")
+    INIT_FORM = "--init expects 'gaussian:q0=..,p0=..,sigma=..' with finite numbers and sigma > 0"
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["--grid", "1:2:x"], GRID_FORM, id="grid-malformed"),
+        pytest.param(["--grid", "1:2"], GRID_FORM, id="grid-short"),
+        pytest.param(["--grid", "0:inf:64"], GRID_FORM, id="grid-infinite"),
+        pytest.param(["--init", "gaussian:q0=x"], INIT_FORM, id="init-malformed"),
+        pytest.param(["--init", "gaussian:w=1"], INIT_FORM, id="init-unknown-key"),
+        pytest.param(["--init", "gaussian:q0=inf"], INIT_FORM, id="init-infinite"),
+        pytest.param(["--init", "gaussian:sigma=0"], INIT_FORM, id="init-sigma-zero"),
+        pytest.param(["--snapshots", "out.bin", "--snap-every", "0"],
+                     "--snap-every expects an integer >= 1", id="snap-every-zero"),
+        pytest.param(["--snapshots", "out.bin", "--snap-every", "-3"],
+                     "--snap-every expects an integer >= 1", id="snap-every-negative"),
+    ])
+    def test_rejects_input(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert run(["evolve", "--n", "0", "--steps", "2", *argv]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not (tmp_path / "out.bin").exists()
 
 
 class TestBsCount:
@@ -281,8 +340,16 @@ class TestImports:
         code = "import pseudoquant.cli, pseudoquant.verify, pseudoquant.bks"
         assert self._heavy_modules(code) == "[]"
 
-    def test_commutator_loads_no_numpy_or_scipy(self):
-        code = "from pseudoquant import cli\ncli.run(['commutator', '--a', 'p1', '--b', 'q1'])"
+    @pytest.mark.parametrize("argv", [
+        ["commutator", "--a", "p1", "--b", "q1"],
+        ["quantise", "--observable", "p1^2"],
+        ["preserve", "--grid", "2,2"],
+        ["bks", "classify", "--n", "2", "--m-max", "1"],
+        ["bks", "pair", "--n", "2", "--beta", "0:1:0.5"],
+        ["bs-count", "--E", "1..3"],
+    ], ids=lambda argv: "-".join(argv[:2]) if argv[0] == "bks" else argv[0])
+    def test_exact_subcommand_loads_no_numpy_or_scipy(self, argv):
+        code = f"from pseudoquant import cli\ncli.run({argv!r})"
         assert self._heavy_modules(code) == "[]"
 
     def test_no_unused_imports(self):

@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+from pseudoquant.bks import position_pairing
 from pseudoquant.dynamics import (
     BoundaryLeakWarning,
     EvolutionConfig,
     Grid1D,
     Propagator,
     WaveState,
-    apply_hamiltonian,
     check_boundary_mass,
-    conserved_weight,
     evolve,
     expectation_q,
     free_gaussian_exact,
@@ -71,17 +70,21 @@ class TestHamiltonianAction:
         assert out.t == pytest.approx(5e-3)
 
     def test_constant_interior_annihilated(self):
+        # H annihilates a constant, so a step maps it to itself up to roundoff
         g = Grid1D(-5.0, 5.0, 128)
-        psi = np.ones(g.nodes, dtype=complex)
         cfg = EvolutionConfig(n=2, hbar=1.0, dt=1e-3)
-        h = apply_hamiltonian(WaveState(g, psi), cfg)
-        # interior second difference of a constant vanishes exactly
-        assert np.all(h[2:-2] == 0.0)
+        out = Propagator(g, cfg).step(WaveState(g, np.ones(g.nodes)))
+        assert np.max(np.abs(out.psi - 1.0)) < 1e-12
 
     def test_profiles_are_reciprocal(self):
-        q = np.linspace(-3.0, 3.0, 50)
-        assert np.allclose(kinetic_profile(q, 2) * conserved_weight(q, 2), 1.0)
+        g = Grid1D(-3.0, 3.0, 50)
+        q = g.q
+        assert np.allclose(kinetic_profile(q, 2) * (1.0 + 2.0 * q**2) ** 1.5, 1.0)
         assert np.all(kinetic_profile(q, 0) == 1.0)
+        # weighted_norm weighs |psi|^2 with 1/c = (1 + 2 q^2)^(3/2)
+        state = gaussian_state(g, 0.3, 0.0, 1.0, 1.0)
+        want = math.sqrt(np.sum((1.0 + 2.0 * q**2) ** 1.5 * np.abs(state.psi) ** 2) * g.dq)
+        assert weighted_norm(state, 2) == pytest.approx(want, rel=1e-12)
 
 
 def _free_cn_reference(grid, hbar, dt, steps, psi0):
@@ -108,6 +111,20 @@ def _free_cn_reference(grid, hbar, dt, steps, psi0):
         rhs[1:] += B[2, :-1] * psi[:-1]
         psi = solve_banded((1, 1), A, rhs)
     return psi
+
+
+class TestPairingDrivesPropagator:
+    """The pairing's derived coefficient is the profile the propagator integrates."""
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.37])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pairing_coefficient_is_kinetic_profile(self, n, hbar):
+        grid = Grid1D(*suggested_domain(n, 3.0), 257)
+        q = grid.q
+        pairing = position_pairing(n, [], hbar)
+        got = np.array([pairing.effective_coefficient(float(x)) for x in q])
+        want = -(hbar**2) / 2.0 * kinetic_profile(q, n)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
 
 class TestFreeEvolution:
