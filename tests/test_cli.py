@@ -200,6 +200,9 @@ class TestBks:
                      id="pair-hbar-zero"),
         pytest.param(["pair", "--n", "2", "--hbar", "-1"], "hbar must be positive",
                      id="pair-hbar-negative"),
+        pytest.param(["pair", "--n", "1", "--beta", "-1"],
+                     "beta = -1.0 hits the singular locus 1 + 2*beta^1 <= 0",
+                     id="pair-singular-beta"),
         # an empty table would read as convergent
         pytest.param(["classify", "--n", "2", "--m-max", "-1"], "m_max must be >= 0",
                      id="classify-negative-m-max"),

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from pseudoquant.exprparse import parse_poly
 from pseudoquant.symcore import (
     ChartError,
     ChartSpec,
@@ -105,6 +106,29 @@ class TestPoly:
         assert (h * h.scale(3)).div_exact_hbar() == h.scale(3)
         with pytest.raises(ValueError):
             Poly.var(ab1, "a1").div_exact_hbar()
+
+
+@pytest.mark.parametrize("text, printed", [
+    ("(1/2+i)*p1", "(1/2 + i)*p1"),
+    ("-p1/2", "(-1/2)*p1"),
+    ("2*i*hbar*q1-i*p1+7", "7 - i*p1 + 2*i*hbar*q1"),
+    ("(-1/2 - i/3)*q1 - 4", "-4 + (-1/2 - 1/3*i)*q1"),
+    ("0", "0"),
+    ("i", "i"),
+    ("-i", "-i"),
+    ("(1 - i)", "(1 - i)"),
+    ("p1/(1+i)", "(1/2 - 1/2*i)*p1"),
+    ("1/(2*i)", "-1/2*i"),
+    ("(-3+2*i)", "(-3 + 2*i)"),
+    ("-(1/3)*i*p1", "(-1/3*i)*p1"),
+    ("-2*i*p1 + 3*q1", "3*q1 - 2*i*p1"),
+    ("-3*p1 - hbar", "-3*p1 - hbar"),
+    ("(1+i)*p1 - (1-i)*q1", "(-1 + i)*q1 + (1 + i)*p1"),
+    ("3/4*hbar^2*p1*q1 + 2/3", "2/3 + (3/4)*hbar^2*p1*q1"),
+    ("hbar - i*hbar^2*p1/7", "hbar + (-1/7*i)*hbar^2*p1"),
+])
+def test_printed_form(pq1, text, printed):
+    assert str(parse_poly(text, pq1)) == printed
 
 
 class TestHamiltonianStructure:
