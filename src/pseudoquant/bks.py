@@ -20,7 +20,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 
 class SingularSampleError(ValueError):
@@ -76,8 +76,12 @@ class DeformationSpec:
             raise ValueError("deformation order n must be >= 1")
         if self.lam == 0:
             raise ValueError("deformation magnitude must be nonzero")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        _check_hbar(self.hbar)
+
+
+def _check_hbar(hbar: float) -> None:
+    if not (hbar > 0 and math.isfinite(hbar)):
+        raise ValueError("hbar must be positive and finite")
 
 
 DIVERGES = "Diverges"
@@ -324,20 +328,17 @@ def _kinetic_raw(a: float) -> complex:
     return -0.5 * oscillatory_moment(1, 2, a)
 
 
-def position_pairing(
-    n: int, beta_samples: Iterable[float], hbar: float = 1.0
-) -> PairingResult:
-    """Evaluate the finite pairing for the deformation f = beta^n.
+def position_pairing(n: int, hbar: float = 1.0) -> PairingResult:
+    """The finite pairing for the deformation f = beta^n.
 
-    The effective second-derivative coefficient at beta is
+    Its ``effective_coefficient(beta)`` is the second-derivative coefficient
     -hbar^2/2 * w(beta)^(-3/2) of ``PositionDeformation(n)`` after absorbing
     the standard prefactor; a sample on the w <= 0 locus raises
     ``SingularSampleError``.
     """
     if n < 1:
         raise ValueError("deformation order n must be >= 1")
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
+    _check_hbar(hbar)
     deformation = PositionDeformation(n)
     norm = schrodinger_prefactor(hbar)
 
@@ -348,9 +349,8 @@ def position_pairing(
         # i*hbar*dpsi/dt = -prefactor * (coefficient * psi''), hence the -norm.
         return 1j * hbar * _kinetic_raw(a) / (-norm)
 
-    details = {"coefficients": {b: effective_coefficient(b) for b in map(float, beta_samples)}}
     converges = surviving_position_terms(n) == [(2, (), Fraction(1))]
-    return PairingResult(converges, effective_coefficient, norm, details)
+    return PairingResult(converges, effective_coefficient, norm)
 
 
 def standard_schrodinger_check(hbar: float = 1.0) -> PairingResult:
@@ -368,7 +368,7 @@ def standard_schrodinger_check(hbar: float = 1.0) -> PairingResult:
     lambda0_weight = math.sqrt(math.pi / a0) * cmath.exp(1j * math.pi / 4)
     potential_unit = 1j * hbar * (-1.0) * (-1j / hbar) * lambda0_weight / (-norm)
 
-    details = {"kinetic": kinetic, "potential_unit": potential_unit, "prefactor": norm}
+    details = {"kinetic": kinetic, "potential_unit": potential_unit}
     return PairingResult(True, lambda beta: kinetic, norm, details)
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .exprparse import ExprSyntaxError, ProblemFile, load_problem, parse_poly, standard_problem
 from .polarisation import CASE_TAGS, classify_monomials, preserves
 from .prequant import FormalOperator, commutator, pullback_quantise, quantise
-from .symcore import ChartError, ChartSpec, Scalar
+from .symcore import ChartError, ChartSpec
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -52,10 +52,7 @@ def _operator_json(op: FormalOperator) -> dict:
 
 def _formal_divide(op: FormalOperator) -> FormalOperator:
     """Divide every coefficient by -i*hbar (requires explicit hbar factors)."""
-    out = {}
-    for idx, coeff in op.terms.items():
-        out[idx] = coeff.div_exact_hbar().scale(Scalar(0, 1))
-    return FormalOperator(op.chart, out)
+    return FormalOperator(op.chart, {idx: c.div_minus_i_hbar() for idx, c in op.terms.items()})
 
 
 def _emit(lines: list[str], path: str | None):
@@ -205,7 +202,8 @@ def cmd_bks_pair(args) -> int:
     from . import bks
 
     betas = _parse_range(args.beta)
-    result = bks.position_pairing(args.n, betas, args.hbar)
+    result = bks.position_pairing(args.n, args.hbar)
+    deformation = bks.PositionDeformation(args.n)
     lines = [
         f"# kind=position n={args.n} hbar={_fmt(args.hbar)} beta={args.beta}",
         f"# converges={str(result.converges).lower()} "
@@ -214,7 +212,7 @@ def cmd_bks_pair(args) -> int:
     ]
     for b in betas:
         c = result.effective_coefficient(b)
-        s = c * bks.PositionDeformation(args.n).conserved_weight(b)
+        s = c * deformation.conserved_weight(b)
         lines.append(f"{_fmt(b)},{_fmt(c.real)},{_fmt(c.imag)},{_fmt(s.real)},{_fmt(s.imag)}")
     _emit(lines, args.csv)
     return EXIT_OK

@@ -60,8 +60,8 @@ class EvolutionConfig:
 
     def __post_init__(self):
         PositionDeformation(self.n)  # rejects n < 0
-        if self.hbar <= 0 or self.dt <= 0:
-            raise ValueError("hbar and dt must be positive")
+        if not all(x > 0 and math.isfinite(x) for x in (self.hbar, self.dt)):
+            raise ValueError("hbar and dt must be positive and finite")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
 

@@ -138,7 +138,9 @@ class _Parser:
                         raise ExprSyntaxError(
                             "division is only defined by nonzero constants", col
                         )
-                    p = p.scale(Scalar(1) / rhs.constant_value())
+                    c = rhs.constant_value()
+                    norm = c.re * c.re + c.im * c.im  # exact reciprocal (re - i*im)/norm
+                    p = p.scale(Scalar(c.re / norm, -c.im / norm))
             else:
                 return p
 

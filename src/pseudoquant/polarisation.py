@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .symcore import (
-    MINUS_I,
     ChartError,
     ChartSpec,
     OneForm,
@@ -173,10 +172,8 @@ def cohomologous_residual_operator(
     beta_i = Poly.var(chart, chart.pairs[i][1])
     g = poisson(A, beta_i)
     Xg = hamiltonian_vf(g)
-    minus_ihbar = Poly.hbar(chart).scale(MINUS_I)
-    nabla = FormalOperator.from_vector_field(Xg).scale(minus_ihbar) + FormalOperator.from_poly(
-        -contract(c.theta, Xg)
-    )
+    nabla = FormalOperator.from_vector_field(Xg).scale(Poly.minus_i_hbar(chart))
+    nabla = nabla + FormalOperator.from_poly(-contract(c.theta, Xg))
     dg_pair = dgamma.pair(hamiltonian_vf(A), hamiltonian_vf(beta_i))
     return nabla + FormalOperator.from_poly(dg_pair)
 

@@ -21,12 +21,10 @@ from math import comb
 from typing import Mapping
 
 from .symcore import (
-    MINUS_I,
     ChartError,
     ChartSpec,
     OneForm,
     Poly,
-    Scalar,
     SmoothMap,
     VectorField,
     contract,
@@ -95,17 +93,9 @@ class FormalOperator:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(chart: ChartSpec) -> "FormalOperator":
-        return FormalOperator(chart)
-
-    @staticmethod
     def from_poly(p: Poly) -> "FormalOperator":
         """Multiplication operator."""
         return FormalOperator(p.chart, {(0,) * (2 * p.chart.n): p})
-
-    @staticmethod
-    def identity(chart: ChartSpec) -> "FormalOperator":
-        return FormalOperator.from_poly(Poly.const(chart, 1))
 
     @staticmethod
     def from_vector_field(X: VectorField) -> "FormalOperator":
@@ -161,7 +151,7 @@ class FormalOperator:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, p: Poly | Scalar | int) -> "FormalOperator":
+    def scale(self, p: Poly | int) -> "FormalOperator":
         """Left multiplication by a function or constant."""
         if isinstance(p, Poly):
             return FormalOperator(self.chart, {i: c * p for i, c in self.terms.items()})
@@ -211,9 +201,6 @@ class FormalOperator:
                     result[idx] = piece if prev is None else prev + piece
         return FormalOperator(chart, result)
 
-    def commutator(self, other: "FormalOperator") -> "FormalOperator":
-        return self.compose(other) - other.compose(self)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -250,15 +237,14 @@ def quantise(A: Poly, c: ConnectionData) -> FormalOperator:
     if A.chart != c.chart:
         raise ChartError("observable and connection live on different charts")
     X = hamiltonian_vf(A)
-    minus_ihbar = Poly.hbar(A.chart).scale(MINUS_I)
-    first = FormalOperator.from_vector_field(X).scale(minus_ihbar)
+    first = FormalOperator.from_vector_field(X).scale(Poly.minus_i_hbar(A.chart))
     zeroth = FormalOperator.from_poly(A - contract(c.theta, X))
     return first + zeroth
 
 
 def commutator(op_a: FormalOperator, op_b: FormalOperator) -> FormalOperator:
     """Structural commutator op_a . op_b - op_b . op_a."""
-    return op_a.commutator(op_b)
+    return op_a.compose(op_b) - op_b.compose(op_a)
 
 
 def commutator_rhs(A: Poly, B: Poly, c: ConnectionData) -> FormalOperator:
@@ -268,7 +254,7 @@ def commutator_rhs(A: Poly, B: Poly, c: ConnectionData) -> FormalOperator:
         raise ChartError("chart mismatch")
     P = poisson(A, B)
     XP = hamiltonian_vf(P)
-    minus_ihbar = Poly.hbar(chart).scale(MINUS_I)
+    minus_ihbar = Poly.minus_i_hbar(chart)
     inner = FormalOperator.from_vector_field(XP).scale(minus_ihbar)
     zeroth = (
         -contract(c.theta, XP)
@@ -296,7 +282,7 @@ def phase_conjugate(op: FormalOperator, g: Poly) -> FormalOperator:
             continue
         i = idx.index(1)
         # (coeff * d_i) picks up coeff * (i/hbar) * dg/dx_i on conjugation.
-        shift = shift + (coeff.div_exact_hbar() * g.partial(coords[i])).scale(Scalar(0, 1))
+        shift = shift + coeff.div_minus_i_hbar() * g.partial(coords[i])
     terms = dict(op.terms)
     terms[zero_idx] = terms.get(zero_idx, Poly.zero(chart)) + shift
     return FormalOperator(chart, terms)
@@ -355,7 +341,7 @@ def theorem_commutator(A: Poly, B: Poly, s: PullbackSetup) -> FormalOperator:
     for alpha, beta in tgt.pairs:
         c_sum = c_sum + poisson(mapping[alpha], mapping[beta])
     Xp = hamiltonian_vf(p)
-    minus_ihbar = Poly.hbar(src).scale(MINUS_I)
+    minus_ihbar = Poly.minus_i_hbar(src)
     inner = FormalOperator.from_vector_field(Xp).scale(minus_ihbar)
     zeroth = -contract(s.induced.theta, Xp) + p * (Poly.const(src, 2) - c_sum)
     inner = inner + FormalOperator.from_poly(zeroth)

@@ -7,10 +7,12 @@ brackets, the exterior derivative and pullbacks along polynomial maps.
 Coefficient representation (as in FLINT's ``fmpq_poly``): a Poly stores
 Gaussian-integer numerators ``(re, im)`` over one positive denominator
 shared by all its terms, normalised so that the gcd of every numerator part
-and the denominator is 1.  Arithmetic works on plain ints and normalises
-once per Poly operation.  ``Scalar`` (one Gaussian rational as two
-``Fraction``s) appears only at the boundary: the ``Poly`` constructor,
-``constant_value``, printing and the read-only ``Poly.terms`` view.
+and the denominator is 1.  ``Poly`` does all exact arithmetic, on plain ints,
+and normalises once per operation; it also owns the factor ``-i*hbar`` of
+every quantised first-order term and every commutator.  ``Scalar`` is a
+read-only ``(re, im)`` record of two ``Fraction``s with no arithmetic: it is
+accepted by the ``Poly`` constructor and ``scale`` and returned by
+``constant_value`` and the ``Poly.terms`` view.
 
 Sign conventions, fixed once for the whole package:
 
@@ -41,7 +43,11 @@ class ChartError(ValueError):
 
 
 class Scalar:
-    """A Gaussian rational: exact rational real and imaginary parts."""
+    """A read-only Gaussian rational ``re + i*im`` with ``Fraction`` parts.
+
+    A record, not a number type: it has no arithmetic and no comparison.
+    ``Poly`` does all exact arithmetic.
+    """
 
     __slots__ = ("re", "im")
 
@@ -52,100 +58,39 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
-    @staticmethod
-    def coerce(x: "Scalar | RationalLike") -> "Scalar":
-        if isinstance(x, Scalar):
-            return x
-        return Scalar(x)
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other) -> bool:
-        other = Scalar.coerce(other)
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __add__(self, other):
-        other = Scalar.coerce(other)
-        return Scalar(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Scalar(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-Scalar.coerce(other))
-
-    def __rsub__(self, other):
-        return Scalar.coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = Scalar.coerce(other)
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = Scalar.coerce(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero Scalar")
-        return Scalar(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
-
     def __repr__(self):
         return f"Scalar({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        return format_scalar(self)
-
-
-ZERO = Scalar(0)
-ONE = Scalar(1)
-I = Scalar(0, 1)
-MINUS_I = Scalar(0, -1)
+        return _gaussian_str(*_gaussian(self))
 
 
 def _gaussian(c: Scalar | RationalLike) -> tuple[int, int, int]:
     """``(re, im, den)`` with ``c == (re + i*im) / den`` and ``den > 0``."""
     if isinstance(c, int):
         return c, 0, 1
-    if isinstance(c, Fraction):
-        return c.numerator, 0, c.denominator
-    c = Scalar.coerce(c)
-    rd, id_ = c.re.denominator, c.im.denominator
-    den = lcm(rd, id_)
-    return c.re.numerator * (den // rd), c.im.numerator * (den // id_), den
+    if isinstance(c, Scalar):
+        rd, id_ = c.re.denominator, c.im.denominator
+        den = lcm(rd, id_)
+        return c.re.numerator * (den // rd), c.im.numerator * (den // id_), den
+    c = Fraction(c)
+    return c.numerator, 0, c.denominator
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def _ratio_str(num: int, den: int) -> str:
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
-def format_scalar(s: Scalar) -> str:
-    """Canonical, re-parseable text form of a Gaussian rational."""
-    if not s.im:
-        return _frac_str(s.re)
-    if not s.re:
-        if s.im == 1:
-            return "i"
-        if s.im == -1:
-            return "-i"
-        return f"{_frac_str(s.im)}*i"
-    im = s.im
-    op = "-" if im < 0 else "+"
-    im_abs = -im if im < 0 else im
-    im_part = "i" if im_abs == 1 else f"{_frac_str(im_abs)}*i"
-    return f"({_frac_str(s.re)} {op} {im_part})"
+def _gaussian_str(re: int, im: int, den: int) -> str:
+    """Canonical, re-parseable text form of ``(re + i*im) / den``."""
+    if not im:
+        return _ratio_str(re, den)
+    im_part = "i" if abs(im) == den else f"{_ratio_str(abs(im), den)}*i"
+    if not re:
+        return f"-{im_part}" if im < 0 else im_part
+    return f"({_ratio_str(re, den)} {'-' if im < 0 else '+'} {im_part})"
 
 
 @dataclass(frozen=True)
@@ -206,7 +151,8 @@ class Poly:
     positive denominator ``den``.  The pair is kept in the normal form
     ``gcd(every re, every im, den) == 1`` (``den == 1`` for the zero Poly),
     so Polys over the same chart compare equal iff ``nums`` and ``den`` are
-    equal.  ``terms`` is a read-only ``{exponent: Scalar}`` view.
+    equal.  Every exact operation on coefficients is a Poly operation;
+    ``terms`` is a read-only ``{exponent: Scalar}`` view.
     """
 
     __slots__ = ("chart", "nums", "den")
@@ -261,6 +207,11 @@ class Poly:
     def hbar(chart: ChartSpec) -> "Poly":
         return Poly.var(chart, "hbar")
 
+    @staticmethod
+    def minus_i_hbar(chart: ChartSpec) -> "Poly":
+        """-i*hbar, the factor of op(A)'s first-order part and of every commutator."""
+        return _make(chart, {(1,) + (0,) * (len(chart.variables) - 1): (0, -1)}, 1)
+
     # -- queries -----------------------------------------------------------
 
     @property
@@ -279,16 +230,11 @@ class Poly:
 
     def constant_value(self) -> Scalar:
         if not self.nums:
-            return ZERO
+            return Scalar()
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
         ((re, im),) = self.nums.values()
         return Scalar(Fraction(re, self.den), Fraction(im, self.den))
-
-    def degree(self) -> int:
-        if not self.nums:
-            return 0
-        return max(sum(e) for e in self.nums)
 
     def depends_on(self, name: str) -> bool:
         i = self.chart.var_index(name)
@@ -389,13 +335,13 @@ class Poly:
             nums = {}
         return _normal(self.chart, nums, self.den * d)
 
-    def div_exact_hbar(self) -> "Poly":
-        """Exact division by hbar; raises if any term lacks an hbar factor."""
+    def div_minus_i_hbar(self) -> "Poly":
+        """Exact division by -i*hbar; raises if any term lacks an hbar factor."""
         nums = {}
-        for e, c in self.nums.items():
+        for e, (re, im) in self.nums.items():
             if e[0] < 1:
                 raise ValueError("polynomial is not divisible by hbar")
-            nums[(e[0] - 1,) + e[1:]] = c
+            nums[(e[0] - 1,) + e[1:]] = (-im, re)  # (re + i*im) * i
         return _make(self.chart, nums, self.den)
 
     # -- calculus ----------------------------------------------------------
@@ -465,29 +411,23 @@ class Poly:
 
     # -- printing ----------------------------------------------------------
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
-
     def __str__(self):
         if not self.nums:
             return "0"
         names = self.chart.variables
+        den = self.den
+        units = {(den, 0): "", (-den, 0): "-", (0, den): "i*", (0, -den): "-i*"}
         parts = []
-        for e, c in self.sorted_terms():
+        for e in sorted(self.nums):
+            re, im = self.nums[e]
             mono = "*".join(
                 name if k == 1 else f"{name}^{k}" for name, k in zip(names, e) if k
             )
-            cs = format_scalar(c)
+            cs = _gaussian_str(re, im, den)
             if not mono:
                 parts.append(cs)
-            elif c == ONE:
-                parts.append(mono)
-            elif c == Scalar(-1):
-                parts.append(f"-{mono}")
-            elif c == I:
-                parts.append(f"i*{mono}")
-            elif c == MINUS_I:
-                parts.append(f"-i*{mono}")
+            elif (re, im) in units:
+                parts.append(units[re, im] + mono)
             else:
                 if "/" in cs and not cs.startswith("("):
                     cs = f"({cs})"
@@ -726,11 +666,6 @@ class VectorField:
 
     def __setattr__(self, name, value):
         raise AttributeError("VectorField is immutable")
-
-    @staticmethod
-    def zero(chart: ChartSpec) -> "VectorField":
-        z = Poly.zero(chart)
-        return VectorField(chart, [z] * (2 * chart.n))
 
     def __eq__(self, other):
         return (

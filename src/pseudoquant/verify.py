@@ -45,7 +45,6 @@ from .prequant import (
     theorem_commutator,
 )
 from .symcore import (
-    MINUS_I,
     ChartSpec,
     OneForm,
     Poly,
@@ -86,11 +85,6 @@ def _check(check_id: str, anchor: str):
     return decorate
 
 
-def _minus_ihbar(chart: ChartSpec, factor: Poly | int = 1) -> Poly:
-    p = Poly.hbar(chart).scale(MINUS_I)
-    return p * factor if isinstance(factor, Poly) else p.scale(factor)
-
-
 def _canonical_pair(conn: ConnectionData, i: int, j: int) -> FormalOperator:
     """[op(p_i), op(q_j)] under ``conn``."""
     chart = conn.chart
@@ -124,7 +118,7 @@ def check_canonical():
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 got = _canonical_pair(conn, i, j)
-                want = _minus_ihbar(chart) if i == j else Poly.zero(chart)
+                want = Poly.minus_i_hbar(chart) if i == j else Poly.zero(chart)
                 if got != FormalOperator.from_poly(want):
                     return FAIL, f"[p{i},q{j}] on the {n}-dof chart gave {got}"
     return PASS, "[p_i, q_j] = -i*hbar*delta_ij exactly for n = 1..3"
@@ -145,21 +139,20 @@ def check_folded():
     for i in range(1, 4):
         for j in range(1, 4):
             if (i, j) == (1, 1):
-                want = _minus_ihbar(chart, Poly.const(chart, 2) - Poly.var(chart, "p1"))
+                want = Poly.minus_i_hbar(chart) * (2 - Poly.var(chart, "p1"))
             else:
-                want = _minus_ihbar(chart) if i == j else Poly.zero(chart)
+                want = Poly.minus_i_hbar(chart) if i == j else Poly.zero(chart)
             got = _canonical_pair(conn, i, j)
             if got != FormalOperator.from_poly(want):
                 return FAIL, f"[p{i},q{j}] gave {got}"
     return PASS, "[p1,q1] = -i*hbar*(2 - p1); all other pairs canonical"
 
 
-def cylinder_setup(lam: Fraction | Scalar) -> PullbackSetup:
+def cylinder_setup(lam: Fraction) -> PullbackSetup:
+    """The squeezed cylinder z = l / lam, phi_z = phi_l with the standard target connection."""
     src = ChartSpec((("l", "phi_l"),))
     tgt = ChartSpec((("z", "phi_z"),))
-    lam_s = lam if isinstance(lam, Scalar) else Scalar(lam)
-    inv = Scalar(1) / lam_s
-    m = SmoothMap(src, tgt, [Poly.var(src, "l").scale(inv), Poly.var(src, "phi_l")])
+    m = SmoothMap(src, tgt, [Poly.var(src, "l").scale(1 / lam), Poly.var(src, "phi_l")])
     return PullbackSetup(m, ConnectionData.standard(tgt))
 
 
@@ -172,8 +165,8 @@ def check_cylinder_rational():
         z, phi = Poly.var(tgt, "z"), Poly.var(tgt, "phi_z")
         got = theorem_commutator(z, phi, s)
         structural = commutator(pullback_quantise(z, s), pullback_quantise(phi, s))
-        coeff = Scalar(Fraction(2 * lam - 1, 1) / (lam * lam))
-        want = FormalOperator.from_poly(_minus_ihbar(s.map.source).scale(coeff))
+        coeff = (2 * lam - 1) / (lam * lam)
+        want = FormalOperator.from_poly(Poly.minus_i_hbar(s.map.source).scale(coeff))
         if got != want or structural != want:
             return FAIL, f"lambda = {lam}: closed-form {got}, structural {structural}"
         lines.append(f"lambda={lam}: -i*hbar*({coeff})")
@@ -182,7 +175,7 @@ def check_cylinder_rational():
 
 @_check("cylinder-sign-reversal", "commutator sign reverses at the irrational critical squeeze factor")
 def check_cylinder_irrational():
-    s = cylinder_setup(Scalar(Fraction(math.sqrt(2) - 1)))
+    s = cylinder_setup(Fraction(math.sqrt(2) - 1))
     tgt = s.map.target
     got = theorem_commutator(Poly.var(tgt, "z"), Poly.var(tgt, "phi_z"), s)
     val = got.is_multiplication_by().evaluate({"l": 0.7, "phi_l": 0.1}, hbar=1.0)
@@ -325,11 +318,12 @@ def check_oscillatory_oracle():
 def check_position_pairing():
     hbar = 1.0
     betas = [0.25 * t for t in range(9)]
-    result = bks.position_pairing(2, betas, hbar)
+    result = bks.position_pairing(2, hbar)
+    deformation = bks.PositionDeformation(2)
     ref = -(hbar**2) / 2.0
     worst = 0.0
     for b in betas:
-        scaled = result.effective_coefficient(b) * bks.PositionDeformation(2).conserved_weight(b)
+        scaled = result.effective_coefficient(b) * deformation.conserved_weight(b)
         worst = max(worst, abs(scaled - ref) / abs(ref))
     return (PASS if worst < 1e-6 and result.converges else FAIL,
             f"coefficient(beta)*(1+2*beta^2)^(3/2) constant within {worst:.2e}")
@@ -411,7 +405,7 @@ def flag_position_coupling():
     q1, q2 = Poly.var(chart, "q1"), Poly.var(chart, "q2")
     got_q = commutator(quantise(q1, conn_q), quantise(q2, conn_q)).is_multiplication_by()
     got_p = commutator(quantise(q1, conn_p), quantise(q2, conn_p)).is_multiplication_by()
-    expected = got_q == Poly.zero(chart) and got_p == Poly.hbar(chart).scale(Scalar(0, 1))
+    expected = got_q == Poly.zero(chart) and got_p == -Poly.minus_i_hbar(chart)
     return (FLAG if expected else FAIL,
             f"stated value: i*hbar; computed with the position coupling: {got_q}; "
             f"computed with the momentum coupling instead: {got_p}")
@@ -428,7 +422,7 @@ def flag_paired_shift_example():
     omega_coeff = conn.omega_curv.component(0, 1)          # coefficient of dp1^dq1
     stated_omega = poisson(f, g)                           # claimed coefficient {f,g}
     com = commutator(quantise(p, conn), quantise(q, conn)).is_multiplication_by()
-    formal = com.div_exact_hbar().scale(Scalar(0, 1))      # divide by -i*hbar
+    formal = com.div_minus_i_hbar()
     stated_formal = Poly.const(chart, 2) - poisson(f, g)
     expected = (
         omega_coeff == Poly.const(chart, 1) - f.partial("p1") - g.partial("q1")

@@ -131,7 +131,7 @@ def test_criterion_07_position_pairing_coefficient():
         t0 = time.perf_counter()
         hbar = 1.0
         betas = [k * 0.125 for k in range(17)]  # [0, 2] inclusive
-        res = bks.position_pairing(2, betas, hbar=hbar)
+        res = bks.position_pairing(2, hbar=hbar)
         assert res.converges
         vals = [
             res.effective_coefficient(b) * (1.0 + 2.0 * b**2) ** 1.5 for b in betas

@@ -140,28 +140,28 @@ class TestOscillatoryMoment:
 
 class TestPositionPairing:
     def test_undeformed_limit(self):
-        res = position_pairing(2, [0.0])
+        res = position_pairing(2)
         assert res.converges
         assert res.effective_coefficient(0.0) == pytest.approx(-0.5)
 
     def test_profile_matches_closed_form(self):
         hbar = 0.7
-        res = position_pairing(2, [0.0, 0.5, 1.0, 2.0], hbar=hbar)
-        for b, got in res.details["coefficients"].items():
+        res = position_pairing(2, hbar=hbar)
+        for b in (0.0, 0.5, 1.0, 2.0):
+            got = res.effective_coefficient(b)
             want = -(hbar**2) / 2.0 * (1.0 + 2.0 * b**2) ** (-1.5)
             assert abs(got - want) < 1e-6 * abs(want)
 
     def test_n2_unit_sample_ratio(self):
-        res = position_pairing(2, [1.0])
+        res = position_pairing(2)
         ratio = res.effective_coefficient(1.0) / res.effective_coefficient(0.0)
         assert ratio == pytest.approx(3.0 ** (-1.5), rel=1e-6)
 
     def test_singular_sample_rejected(self):
-        with pytest.raises(SingularSampleError):
-            position_pairing(1, [-0.5])
-        res = position_pairing(1, [0.0])
-        with pytest.raises(SingularSampleError):
-            res.effective_coefficient(-1.0)
+        res = position_pairing(1)
+        for beta in (-0.5, -1.0):
+            with pytest.raises(SingularSampleError):
+                res.effective_coefficient(beta)
 
     def test_surviving_terms(self):
         for n in (1, 2, 3, 4):
@@ -172,10 +172,10 @@ class TestPositionPairing:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            position_pairing(0, [0.0])
-        for hbar in (0.0, -1.0):
-            with pytest.raises(ValueError, match="hbar must be positive"):
-                position_pairing(2, [0.0], hbar=hbar)
+            position_pairing(0)
+        for hbar in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="hbar must be positive and finite"):
+                position_pairing(2, hbar=hbar)
 
 
 class TestStandardCheck:

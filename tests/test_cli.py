@@ -196,10 +196,18 @@ class TestBks:
         pytest.param(["pair", "--n", "2", "--beta", "0:inf:1"],
                      "--beta expects a finite number or 'start:stop:step' with step > 0",
                      id="beta-infinite"),
-        pytest.param(["pair", "--n", "2", "--hbar", "0"], "hbar must be positive",
+        pytest.param(["pair", "--n", "2", "--hbar", "0"], "hbar must be positive and finite",
                      id="pair-hbar-zero"),
-        pytest.param(["pair", "--n", "2", "--hbar", "-1"], "hbar must be positive",
+        pytest.param(["pair", "--n", "2", "--hbar", "-1"], "hbar must be positive and finite",
                      id="pair-hbar-negative"),
+        pytest.param(["pair", "--n", "2", "--hbar", "nan"], "hbar must be positive and finite",
+                     id="pair-hbar-nan"),
+        pytest.param(["pair", "--n", "2", "--hbar", "inf"], "hbar must be positive and finite",
+                     id="pair-hbar-inf"),
+        pytest.param(["classify", "--n", "2", "--hbar", "nan", "--m-max", "0"],
+                     "hbar must be positive and finite", id="classify-hbar-nan"),
+        pytest.param(["classify", "--n", "2", "--hbar", "inf", "--m-max", "0"],
+                     "hbar must be positive and finite", id="classify-hbar-inf"),
         pytest.param(["pair", "--n", "1", "--beta", "-1"],
                      "beta = -1.0 hits the singular locus 1 + 2*beta^1 <= 0",
                      id="pair-singular-beta"),
@@ -262,6 +270,7 @@ class TestEvolve:
     GRID_FORM = ("--grid expects 'qmin:qmax:nodes' with finite numbers qmin, qmax and "
                  "an integer nodes")
     INIT_FORM = "--init expects 'gaussian:q0=..,p0=..,sigma=..' with finite numbers and sigma > 0"
+    FINITE_STEP = "hbar and dt must be positive and finite"
 
     @pytest.mark.parametrize("argv, message", [
         pytest.param(["--grid", "1:2:x"], GRID_FORM, id="grid-malformed"),
@@ -275,6 +284,10 @@ class TestEvolve:
                      "--snap-every expects an integer >= 1", id="snap-every-zero"),
         pytest.param(["--snapshots", "out.bin", "--snap-every", "-3"],
                      "--snap-every expects an integer >= 1", id="snap-every-negative"),
+        pytest.param(["--hbar", "nan"], FINITE_STEP, id="hbar-nan"),
+        pytest.param(["--hbar", "inf"], FINITE_STEP, id="hbar-inf"),
+        pytest.param(["--dt", "nan"], FINITE_STEP, id="dt-nan"),
+        pytest.param(["--dt", "inf"], FINITE_STEP, id="dt-inf"),
     ])
     def test_rejects_input(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)

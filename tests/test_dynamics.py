@@ -121,7 +121,7 @@ class TestPairingDrivesPropagator:
     def test_pairing_coefficient_is_kinetic_profile(self, n, hbar):
         grid = Grid1D(*suggested_domain(n, 3.0), 257)
         q = grid.q
-        pairing = position_pairing(n, [], hbar)
+        pairing = position_pairing(n, hbar)
         got = np.array([pairing.effective_coefficient(float(x)) for x in q])
         want = -(hbar**2) / 2.0 * kinetic_profile(q, n)
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12

@@ -18,7 +18,6 @@ from pseudoquant.symcore import (
     ChartSpec,
     OneForm,
     Poly,
-    Scalar,
     standard_potential,
 )
 
@@ -32,7 +31,7 @@ class TestFlatAction:
     def test_first_order(self, ab1, conn):
         op = quantise(Poly.var(ab1, "a1"), conn)  # -i*hbar d/db1
         fa = flat_action(op, Polarisation(ab1, conn))
-        assert fa.nonzero_coeffs() == [((1,), Poly.hbar(ab1).scale(Scalar(0, -1)))]
+        assert fa.nonzero_coeffs() == [((1,), Poly.minus_i_hbar(ab1))]
 
     def test_multiplication(self, ab1, conn):
         beta = Poly.var(ab1, "b1")

@@ -16,10 +16,7 @@ from pseudoquant.prequant import (
     theorem_commutator,
 )
 from pseudoquant.symcore import (
-    ChartSpec,
-    OneForm,
     Poly,
-    Scalar,
     SmoothMap,
     contract,
     exterior_d,
@@ -29,46 +26,34 @@ from pseudoquant.symcore import (
     standard_chart,
     standard_potential,
 )
+from pseudoquant.verify import cylinder_setup, folded_connection
 
 from conftest import random_poly
-
-
-def minus_ihbar(chart):
-    return Poly.hbar(chart).scale(Scalar(0, -1))
 
 
 def mult(p):
     return FormalOperator.from_poly(p)
 
 
-def folded_connection(chart):
-    entries = {"dq1": Poly.var(chart, "p1") ** 2 * Poly.const(chart, Fraction(1, 2))}
-    for i in range(2, chart.n + 1):
-        entries[f"dq{i}"] = Poly.var(chart, f"p{i}")
-    return ConnectionData(OneForm.from_dict(chart, entries))
-
-
 class TestQuantise:
     def test_standard_momentum(self, pq1):
         conn = ConnectionData.standard(pq1)
         op = quantise(Poly.var(pq1, "p1"), conn)
-        want = FormalOperator(pq1, {(0, 1): minus_ihbar(pq1)})
+        want = FormalOperator(pq1, {(0, 1): Poly.minus_i_hbar(pq1)})
         assert op == want
 
     def test_standard_position(self, pq1):
         conn = ConnectionData.standard(pq1)
         op = quantise(Poly.var(pq1, "q1"), conn)
-        ihbar = Poly.hbar(pq1).scale(Scalar(0, 1))
-        want = FormalOperator(pq1, {(1, 0): ihbar, (0, 0): Poly.var(pq1, "q1")})
+        want = FormalOperator(pq1, {(1, 0): -Poly.minus_i_hbar(pq1), (0, 0): Poly.var(pq1, "q1")})
         assert op == want
 
     def test_folded_position(self):
         chart = standard_chart(2)
         conn = folded_connection(chart)
         op = quantise(Poly.var(chart, "q1"), conn)
-        ihbar = Poly.hbar(chart).scale(Scalar(0, 1))
         want = FormalOperator(
-            chart, {(1, 0, 0, 0): ihbar, (0, 0, 0, 0): Poly.var(chart, "q1")}
+            chart, {(1, 0, 0, 0): -Poly.minus_i_hbar(chart), (0, 0, 0, 0): Poly.var(chart, "q1")}
         )
         assert op == want
 
@@ -88,7 +73,7 @@ class TestCommutator:
         got = commutator(
             quantise(Poly.var(pq1, "p1"), conn), quantise(Poly.var(pq1, "q1"), conn)
         )
-        assert got == mult(minus_ihbar(pq1))
+        assert got == mult(Poly.minus_i_hbar(pq1))
 
     def test_self_commutator_zero(self, pq2, rng):
         conn = ConnectionData.standard(pq2)
@@ -100,13 +85,13 @@ class TestCommutator:
         conn = folded_connection(chart)
         p1, q1 = Poly.var(chart, "p1"), Poly.var(chart, "q1")
         got = commutator(quantise(p1, conn), quantise(q1, conn))
-        want = mult(minus_ihbar(chart) * (Poly.const(chart, 2) - p1))
+        want = mult(Poly.minus_i_hbar(chart) * (Poly.const(chart, 2) - p1))
         assert got == want
         # the untouched pair stays canonical
         got22 = commutator(
             quantise(Poly.var(chart, "p2"), conn), quantise(Poly.var(chart, "q2"), conn)
         )
-        assert got22 == mult(minus_ihbar(chart))
+        assert got22 == mult(Poly.minus_i_hbar(chart))
 
     def test_rhs_oracle_random(self, rng):
         charts = [standard_chart(1), standard_chart(2)]
@@ -150,18 +135,6 @@ class TestGaugeShift:
             )
 
 
-def cylinder_setup(lam):
-    src = ChartSpec((("l", "phi_l"),))
-    tgt = ChartSpec((("z", "phi_z"),))
-    lam_s = lam if isinstance(lam, Scalar) else Scalar(lam)
-    m = SmoothMap(
-        src,
-        tgt,
-        [Poly.var(src, "l").scale(Scalar(1) / lam_s), Poly.var(src, "phi_l")],
-    )
-    return PullbackSetup(m, ConnectionData.standard(tgt))
-
-
 class TestPullbackQuantisation:
     def test_identity_map_is_plain_quantise(self, pq1, rng):
         s = PullbackSetup(SmoothMap.identity(pq1), ConnectionData.standard(pq1))
@@ -186,14 +159,13 @@ class TestPullbackQuantisation:
         s = cylinder_setup(lam)
         tgt = s.map.target
         z, phi = Poly.var(tgt, "z"), Poly.var(tgt, "phi_z")
-        want = mult(minus_ihbar(s.map.source).scale(Scalar(coeff)))
+        want = mult(Poly.minus_i_hbar(s.map.source).scale(coeff))
         assert theorem_commutator(z, phi, s) == want
         structural = commutator(pullback_quantise(z, s), pullback_quantise(phi, s))
         assert structural == want
 
     def test_cylinder_sign_reversal_float_shadow(self):
-        lam = Scalar(Fraction(math.sqrt(2) - 1))
-        s = cylinder_setup(lam)
+        s = cylinder_setup(Fraction(math.sqrt(2) - 1))
         tgt = s.map.target
         got = theorem_commutator(Poly.var(tgt, "z"), Poly.var(tgt, "phi_z"), s)
         poly = got.is_multiplication_by()

@@ -108,7 +108,9 @@ def test_normal_form_is_canonical(p, q, c, k):
     for _ in range(k):
         summed = summed + p
     assert_same_representation(summed, p.scale(k))
-    if c:
-        assert_same_representation(p.scale(c).scale(Scalar(1) / c), p)
+    norm = c.re * c.re + c.im * c.im
+    if norm:
+        inverse = Scalar(c.re / norm, -c.im / norm)
+        assert_same_representation(p.scale(c).scale(inverse), p)
     half = p.scale(Fraction(1, 2))
     assert_same_representation(half + half, p)
