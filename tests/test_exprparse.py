@@ -5,6 +5,7 @@ import pytest
 
 from pseudoquant.exprparse import (
     ExprSyntaxError,
+    ProblemFile,
     dump_problem,
     load_problem,
     one_form_entries,
@@ -12,6 +13,7 @@ from pseudoquant.exprparse import (
     parse_poly,
     standard_problem,
 )
+from pseudoquant.prequant import ConnectionData
 from pseudoquant.symcore import ChartError, ChartSpec, OneForm, Poly, Scalar, standard_potential
 
 
@@ -105,6 +107,11 @@ class TestProblemFiles:
         assert prob.chart.coords == ("p1", "q1")
         assert prob.connection.theta == standard_potential(prob.chart)
         assert prob.polarisation is not None
+
+    def test_optional_blocks_default_to_none(self, chart):
+        prob = ProblemFile(chart, ConnectionData.standard(chart), {})
+        assert prob.pullback is None and prob.polarisation is None
+        assert load_problem({"chart": {"pairs": [["a1", "b1"]]}}).pullback is None
 
     def test_load_dump_load(self):
         data = {

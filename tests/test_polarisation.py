@@ -5,6 +5,7 @@ import pytest
 from pseudoquant.polarisation import (
     FlatSectionAction,
     Polarisation,
+    PreservationReport,
     classify_monomials,
     cohomologous_residual_operator,
     flat_action,
@@ -67,6 +68,12 @@ class TestPreserves:
         alpha, beta = Poly.var(ab1, "a1"), Poly.var(ab1, "b1")
         for n in range(4):
             assert preserves(alpha * beta**n, conn).preserves
+
+    def test_report_case_defaults_to_standard(self, ab1, conn):
+        beta = Poly.var(ab1, "b1")
+        assert preserves(beta, conn).case == "standard"
+        assert PreservationReport(beta, True, ()).case == "standard"
+        assert PreservationReport(beta, True, (), "scaled").case == "scaled"
 
     def test_quadratic_momentum_fails(self, ab1, conn):
         alpha = Poly.var(ab1, "a1")

@@ -251,12 +251,35 @@ class TestPullback:
 
 class TestChartValidation:
     def test_duplicate_labels(self):
-        with pytest.raises(ChartError):
+        with pytest.raises(ChartError, match="^coordinate labels must be distinct and not 'hbar'$"):
             ChartSpec((("x", "x"),))
 
     def test_hbar_reserved(self):
-        with pytest.raises(ChartError):
+        with pytest.raises(ChartError, match="^coordinate labels must be distinct and not 'hbar'$"):
             ChartSpec((("hbar", "q"),))
+
+    def test_empty_chart(self):
+        with pytest.raises(ChartError, match="^chart needs at least one coordinate pair$"):
+            ChartSpec(())
+
+    def test_equality_and_hash_by_pairs(self):
+        a, b = ChartSpec((("p1", "q1"),)), ChartSpec((("p1", "q1"),))
+        assert a.coords == ("p1", "q1")  # a cached name tuple takes no part
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert len({a, b, standard_chart(1)}) == 1
+        assert a != ChartSpec((("a1", "b1"),))
+        assert a != standard_chart(2)
+        assert a != (("p1", "q1"),)
+
+    def test_repr(self):
+        assert repr(ChartSpec((("p1", "q1"),))) == "ChartSpec(pairs=(('p1', 'q1'),))"
+
+    def test_immutable(self, pq1):
+        with pytest.raises(AttributeError):
+            pq1.pairs = (("a1", "b1"),)
+        with pytest.raises(AttributeError):
+            pq1.label = "x"
+        assert pq1.pairs == (("p1", "q1"),)
 
     def test_chart_mismatch(self, pq1, ab1):
         with pytest.raises(ChartError):

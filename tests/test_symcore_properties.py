@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pseudoquant.exprparse import parse_poly
-from pseudoquant.prequant import FormalOperator
+from pseudoquant.prequant import FormalOperator, commutator
 from pseudoquant.symcore import Poly, Scalar, poisson, standard_chart
 
 CHART = standard_chart(2)
@@ -80,6 +80,12 @@ def test_leibniz_rule(p, q, name):
 @given(operators, operators, polys())
 def test_compose_is_application_in_sequence(op1, op2, f):
     assert op1.compose(op2).apply(f) == op1.apply(op2.apply(f))
+
+
+@PROPS
+@given(operators, operators)
+def test_commutator_is_difference_of_compositions(op1, op2):
+    assert commutator(op1, op2) == op1.compose(op2) - op2.compose(op1)
 
 
 @PROPS
