@@ -29,7 +29,6 @@ Problem files are JSON objects::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -223,15 +222,21 @@ def one_form_entries(theta: OneForm) -> list[list[str]]:
 # -- problem files -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ProblemFile:
     """Parsed problem: chart, connection, named observables, optional extras."""
 
-    chart: ChartSpec
-    connection: ConnectionData
-    observables: dict[str, Poly]
-    pullback: PullbackSetup | None = None
-    polarisation: Polarisation | None = None
+    __slots__ = ("chart", "connection", "observables", "pullback", "polarisation")
+
+    def __init__(
+        self, chart: ChartSpec, connection: ConnectionData, observables: dict[str, Poly],
+        pullback: PullbackSetup | None = None, polarisation: Polarisation | None = None,
+    ):
+        values = (chart, connection, observables, pullback, polarisation)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ProblemFile is immutable")
 
 
 def _chart_from_dict(data) -> ChartSpec:

@@ -14,8 +14,6 @@ vanishes identically as a polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .symcore import (
     ChartError,
     ChartSpec,
@@ -134,14 +132,21 @@ def flat_action(op: FormalOperator, P: Polarisation) -> FlatSectionAction:
     return FlatSectionAction(op.chart, coeffs)
 
 
-@dataclass(frozen=True)
 class PreservationReport:
-    """Outcome of the direct-quantisability test for one observable."""
+    """Outcome of the direct-quantisability test for one observable.
 
-    observable: Poly
-    preserves: bool                    # True: preserves the flat sections
-    residuals: tuple[tuple[int, tuple[int, ...], Poly], ...]  # (flat index, k, c_k)
-    case: str = "standard"
+    ``preserves`` is True when the observable preserves the flat sections;
+    ``residuals`` holds the remaining ``(flat index, k, c_k)`` terms.
+    """
+
+    __slots__ = ("observable", "preserves", "residuals", "case")
+
+    def __init__(self, observable: Poly, preserves: bool, residuals: tuple, case="standard"):
+        for name, value in zip(self.__slots__, (observable, preserves, residuals, case)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PreservationReport is immutable")
 
     def __str__(self):
         tag = "preserves" if self.preserves else "fails"

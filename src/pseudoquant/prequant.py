@@ -5,9 +5,9 @@ An observable A quantises to the first-order differential operator
     op(A) = -i*hbar*X_A + (A - Theta(X_A))
 
 where Theta is the connection potential of the curvature two-form
-Omega = d(Theta).  Commutators are computed structurally (operator
-composition with Leibniz expansion) and, independently, from the
-closed-form right-hand side
+Omega = d(Theta).  Commutators are computed structurally (Leibniz
+expansion of both products, skipping the k = 0 terms that cancel) and,
+independently, from the closed-form right-hand side
 
     -i*hbar * [ -i*hbar*X_{A,B} - Theta(X_{A,B}) - Omega(X_A, X_B) + 2{A,B} ]
 
@@ -177,29 +177,7 @@ class FormalOperator:
 
     def compose(self, other: "FormalOperator") -> "FormalOperator":
         """Operator product self . other with Leibniz expansion."""
-        if other.chart != self.chart:
-            raise ChartError("chart mismatch")
-        chart = self.chart
-        m = 2 * chart.n
-        result: dict[tuple[int, ...], Poly] = {}
-        for a, c in self.terms.items():
-            for b, d in other.terms.items():
-                # D^a (d D^b) = sum_{k <= a} C(a,k) (D^k d) D^{a-k+b}
-                for k in _sub_multi_indices(a):
-                    dk = self._derive(d, k)
-                    if dk.is_zero():
-                        continue
-                    factor = 1
-                    for ai, ki in zip(a, k):
-                        if ki:
-                            factor *= comb(ai, ki)
-                    idx = tuple(ai - ki + bi for ai, ki, bi in zip(a, k, b))
-                    piece = c * dk
-                    if factor != 1:
-                        piece = piece.scale(factor)
-                    prev = result.get(idx)
-                    result[idx] = piece if prev is None else prev + piece
-        return FormalOperator(chart, result)
+        return FormalOperator(self.chart, _add_leibniz({}, self, other))
 
     def __str__(self):
         if not self.terms:
@@ -224,9 +202,33 @@ class FormalOperator:
     __repr__ = __str__
 
 
-def _sub_multi_indices(a: tuple[int, ...]):
-    """All multi-indices k with 0 <= k <= a componentwise."""
-    return product(*(range(ai + 1) for ai in a))
+def _add_leibniz(result: dict, left: FormalOperator, right: FormalOperator, skip_k0=False):
+    """Add the terms of left . right into ``result`` and return it; ``skip_k0`` drops k = 0.
+
+    For c D^a in ``left`` and d D^b in ``right``,
+    D^a (d D^b) = sum_{k <= a} C(a,k) (D^k d) D^{a-k+b}.
+    """
+    if right.chart != left.chart:
+        raise ChartError("chart mismatch")
+    derive = left._derive
+    for a, c in left.terms.items():
+        ks = tuple(product(*(range(ai + 1) for ai in a)))[1 if skip_k0 else 0 :]  # k = 0 first
+        for b, d in right.terms.items():
+            for k in ks:
+                dk = derive(d, k)
+                if dk.is_zero():
+                    continue
+                factor = 1
+                for ai, ki in zip(a, k):
+                    if ki:
+                        factor *= comb(ai, ki)
+                idx = tuple(ai - ki + bi for ai, ki, bi in zip(a, k, b))
+                piece = c * dk
+                if factor != 1:
+                    piece = piece.scale(factor)
+                prev = result.get(idx)
+                result[idx] = piece if prev is None else prev + piece
+    return result
 
 
 # -- quantisation ------------------------------------------------------------
@@ -243,8 +245,13 @@ def quantise(A: Poly, c: ConnectionData) -> FormalOperator:
 
 
 def commutator(op_a: FormalOperator, op_b: FormalOperator) -> FormalOperator:
-    """Structural commutator op_a . op_b - op_b . op_a."""
-    return op_a.compose(op_b) - op_b.compose(op_a)
+    """Structural commutator op_a . op_b - op_b . op_a.
+
+    Only the k >= 1 Leibniz terms of the two products are built: the k = 0
+    terms c d D^(a+b) agree in both orders and cancel exactly.
+    """
+    result = _add_leibniz({}, op_a, op_b, skip_k0=True)
+    return FormalOperator(op_a.chart, _add_leibniz(result, -op_b, op_a, skip_k0=True))
 
 
 def commutator_rhs(A: Poly, B: Poly, c: ConnectionData) -> FormalOperator:

@@ -28,7 +28,6 @@ floats appear only through the explicit ``evaluate`` shadow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -93,24 +92,36 @@ def _gaussian_str(re: int, im: int, den: int) -> str:
     return f"({_ratio_str(re, den)} {'-' if im < 0 else '+'} {im_part})"
 
 
-@dataclass(frozen=True)
 class ChartSpec:
     """A single cotangent chart with n canonically paired coordinates.
 
     ``pairs[i] = (alpha_i, beta_i)`` names the i-th momentum/position pair.
     Polynomial variables are ordered ``(hbar, alpha_1..alpha_n,
     beta_1..beta_n)``; covector and vector components follow the same
-    coordinate order.
+    coordinate order.  Charts compare and hash by ``pairs``.
     """
 
-    pairs: tuple[tuple[str, str], ...]
+    __slots__ = ("pairs", "__dict__")  # __dict__ holds the cached name tuples
 
-    def __post_init__(self):
-        if len(self.pairs) < 1:
+    def __init__(self, pairs: tuple[tuple[str, str], ...]):
+        if len(pairs) < 1:
             raise ChartError("chart needs at least one coordinate pair")
-        names = [n for p in self.pairs for n in p]
+        names = [n for p in pairs for n in p]
         if len(set(names)) != len(names) or "hbar" in names:
             raise ChartError("coordinate labels must be distinct and not 'hbar'")
+        object.__setattr__(self, "pairs", pairs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ChartSpec is immutable")
+
+    def __eq__(self, other):
+        return type(other) is ChartSpec and self.pairs == other.pairs
+
+    def __hash__(self):
+        return hash(self.pairs)
+
+    def __repr__(self):
+        return f"ChartSpec(pairs={self.pairs!r})"
 
     @property
     def n(self) -> int:

@@ -11,7 +11,8 @@ and reports one line per check.  Statuses:
 - ``fail``: anything else.
 
 Each check declares its id and anchor once, through ``_check``; its body
-returns ``(status, details)``.
+returns ``(status, details)``.  Checks of the numeric layers import ``bks``,
+``bohrsommerfeld`` and ``dynamics`` in their bodies, keeping this import light.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ import cmath
 import functools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import bks, bohrsommerfeld
 from .polarisation import (
     Polarisation,
     classify_monomials,
@@ -61,12 +60,17 @@ FLAG = "flagged-discrepancy"
 FAIL = "fail"
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    check_id: str
-    anchor: str
-    status: str
-    details: str
+    """One line of the verification battery."""
+
+    __slots__ = ("check_id", "anchor", "status", "details")
+
+    def __init__(self, check_id: str, anchor: str, status: str, details: str):
+        for name, value in zip(self.__slots__, (check_id, anchor, status, details)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CheckResult is immutable")
 
     def line(self) -> str:
         return f"[{self.status:>20}] {self.check_id}: {self.anchor} -- {self.details}"
@@ -286,6 +290,7 @@ def check_cohomologous():
 
 @_check("leading-term-divergence", "momentum deformations always produce a divergent leading term")
 def check_divergence():
+    from . import bks
     for n in range(1, 51):
         rep = bks.classify_term(n, 0, 0)
         if rep.classification != bks.DIVERGES:
@@ -295,6 +300,7 @@ def check_divergence():
 
 @_check("critical-exponent-identity", "the critical series index zeroes the tau exponent")
 def check_exponent_identity():
+    from . import bks
     for n in range(1, 21):
         for m in range(6):
             if bks.exponent(n, m, 0) + Fraction(bks.critical_j(n, m) * n, n + 2) != 0:
@@ -304,6 +310,7 @@ def check_exponent_identity():
 
 @_check("oscillatory-oracle", "closed-form oscillatory moments match regulated quadrature")
 def check_oscillatory_oracle():
+    from . import bks
     cases = [(0, 2, 1.0), (1, 2, 1.0), (0, 4, 1.0), (2, 3, 0.5), (1, 5, 2.0)]
     worst = 0.0
     for j, k, a in cases:
@@ -316,6 +323,7 @@ def check_oscillatory_oracle():
 
 @_check("position-pairing-law", "position deformation yields the inverse-three-halves kinetic profile")
 def check_position_pairing():
+    from . import bks
     hbar = 1.0
     betas = [0.25 * t for t in range(9)]
     result = bks.position_pairing(2, hbar)
@@ -331,6 +339,7 @@ def check_position_pairing():
 
 @_check("undeformed-recovery", "undeformed pairing reproduces the free evolution coefficients")
 def check_prefactor():
+    from . import bks
     hbar = 1.0
     res = bks.standard_schrodinger_check(hbar)
     want_pref = math.sqrt(2 * math.pi * hbar) * cmath.exp(1j * math.pi / 4)
@@ -376,6 +385,7 @@ def check_dynamics():
 
 @_check("lattice-counts", "integral-point counts for the standard and folded sphere charts")
 def check_lattice_counts():
+    from . import bohrsommerfeld
     for E in range(1, 11):
         if bohrsommerfeld.standard_dim(E) != 2 * E - 1:
             return FAIL, f"standard dim wrong at E = {E}"
@@ -436,6 +446,7 @@ def flag_paired_shift_example():
 
 @_check("exponent-cross-check", "stated tau exponent vs independent substitution-based derivation")
 def flag_exponent_cross_check():
+    from . import bks
     diffs = [f"n={n}: primary {bks.exponent(n, 0, 0)}, independent {bks.alt_exponent(n, 0, 0)}"
              for n in (1, 2, 3)]
     agree_at_2 = bks.exponent(2, 0, 0) == bks.alt_exponent(2, 0, 0)

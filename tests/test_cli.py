@@ -338,23 +338,27 @@ class TestBsCount:
 
 
 class TestImports:
-    """The exact subcommands must not pay for loading numpy or scipy."""
+    """The exact subcommands must not pay for loading numpy, scipy or dataclasses."""
 
     HEAVY = "[m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')]"
+    # dataclasses imports inspect, which imports ast, dis and tokenize
+    INTROSPECTION = ("dataclasses", "inspect")
 
-    def _heavy_modules(self, code):
+    def _loaded(self, code, listed=None):
+        """The numpy/scipy modules, or the ``listed`` ones, that ``code`` loads when run fresh."""
         src = str(Path(pseudoquant.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        loaded = self.HEAVY if listed is None else f"[m for m in {listed!r} if m in sys.modules]"
         proc = subprocess.run(
-            [sys.executable, "-c", f"import sys\n{code}\nprint({self.HEAVY})"],
+            [sys.executable, "-c", f"import sys\n{code}\nprint({loaded})"],
             env=env, capture_output=True, text=True, check=True,
         )
         return proc.stdout.strip().splitlines()[-1]
 
     def test_import_loads_no_numpy_or_scipy(self):
         code = "import pseudoquant.cli, pseudoquant.verify, pseudoquant.bks"
-        assert self._heavy_modules(code) == "[]"
+        assert self._loaded(code) == "[]"
 
     @pytest.mark.parametrize("argv", [
         ["commutator", "--a", "p1", "--b", "q1"],
@@ -366,7 +370,20 @@ class TestImports:
     ], ids=lambda argv: "-".join(argv[:2]) if argv[0] == "bks" else argv[0])
     def test_exact_subcommand_loads_no_numpy_or_scipy(self, argv):
         code = f"from pseudoquant import cli\ncli.run({argv!r})"
-        assert self._heavy_modules(code) == "[]"
+        assert self._loaded(code) == "[]"
+
+    def test_verify_import_loads_no_dataclasses_or_numeric_modules(self):
+        listed = self.INTROSPECTION + ("pseudoquant.bks", "pseudoquant.bohrsommerfeld")
+        assert self._loaded("import pseudoquant.verify", listed) == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["commutator", "--a", "p1", "--b", "q1"],
+        ["quantise", "--observable", "p1^2"],
+        ["preserve", "--grid", "2,2"],
+    ], ids=lambda argv: argv[0])
+    def test_exact_subcommand_loads_no_dataclasses(self, argv):
+        code = f"from pseudoquant import cli\ncli.run({argv!r})"
+        assert self._loaded(code, self.INTROSPECTION) == "[]"
 
     def test_no_unused_imports(self):
         """Every imported name is read somewhere in its module.
