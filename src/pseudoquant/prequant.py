@@ -27,6 +27,7 @@ from .symcore import (
     Poly,
     SmoothMap,
     VectorField,
+    _sum_products,
     contract,
     exterior_d,
     hamiltonian_vf,
@@ -95,19 +96,12 @@ class FormalOperator:
     @staticmethod
     def from_poly(p: Poly) -> "FormalOperator":
         """Multiplication operator."""
-        return FormalOperator(p.chart, {(0,) * (2 * p.chart.n): p})
+        return _op(p.chart, {(0,) * (2 * p.chart.n): p})
 
     @staticmethod
     def from_vector_field(X: VectorField) -> "FormalOperator":
-        chart = X.chart
-        terms: dict[tuple[int, ...], Poly] = {}
-        for i, comp in enumerate(X.comps):
-            if comp.is_zero():
-                continue
-            idx = [0] * (2 * chart.n)
-            idx[i] = 1
-            terms[tuple(idx)] = comp
-        return FormalOperator(chart, terms)
+        m = len(X.comps)
+        return _op(X.chart, {(0,) * i + (1,) + (0,) * (m - 1 - i): c for i, c in enumerate(X.comps)})
 
     # -- structure ---------------------------------------------------------
 
@@ -143,10 +137,10 @@ class FormalOperator:
         for idx, c in other.terms.items():
             s = terms.get(idx)
             terms[idx] = c if s is None else s + c
-        return FormalOperator(self.chart, terms)
+        return _op(self.chart, terms)
 
     def __neg__(self):
-        return FormalOperator(self.chart, {idx: -c for idx, c in self.terms.items()})
+        return _op(self.chart, {idx: -c for idx, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -154,30 +148,20 @@ class FormalOperator:
     def scale(self, p: Poly | int) -> "FormalOperator":
         """Left multiplication by a function or constant."""
         if isinstance(p, Poly):
-            return FormalOperator(self.chart, {i: c * p for i, c in self.terms.items()})
-        return FormalOperator(self.chart, {i: c.scale(p) for i, c in self.terms.items()})
+            return _op(self.chart, {i: c * p for i, c in self.terms.items()})
+        return _op(self.chart, {i: c.scale(p) for i, c in self.terms.items()})
 
     # -- action and composition ---------------------------------------------
-
-    def _derive(self, p: Poly, idx: tuple[int, ...]) -> Poly:
-        coords = self.chart.coords
-        for i, k in enumerate(idx):
-            for _ in range(k):
-                p = p.partial(coords[i])
-        return p
 
     def apply(self, p: Poly) -> Poly:
         """Apply to a polynomial section."""
         if p.chart != self.chart:
             raise ChartError("chart mismatch")
-        out = Poly.zero(self.chart)
-        for idx, c in self.terms.items():
-            out = out + c * self._derive(p, idx)
-        return out
+        return _sum_products(self.chart, [(1, c, _derive(p, i)) for i, c in self.terms.items()])
 
     def compose(self, other: "FormalOperator") -> "FormalOperator":
         """Operator product self . other with Leibniz expansion."""
-        return FormalOperator(self.chart, _add_leibniz({}, self, other))
+        return _sum_terms(self.chart, _add_leibniz({}, self, other))
 
     def __str__(self):
         if not self.terms:
@@ -202,33 +186,46 @@ class FormalOperator:
     __repr__ = __str__
 
 
-def _add_leibniz(result: dict, left: FormalOperator, right: FormalOperator, skip_k0=False):
-    """Add the terms of left . right into ``result`` and return it; ``skip_k0`` drops k = 0.
+def _derive(p: Poly, idx: tuple[int, ...]) -> Poly:
+    """D^idx p, with idx a derivative multi-index over the chart coordinates."""
+    for i, k in enumerate(idx):
+        if k:
+            p = p._partial(i + 1, k)
+    return p
+
+
+def _op(chart: ChartSpec, terms: dict) -> FormalOperator:
+    """A FormalOperator from valid terms on ``chart``; only zero coefficients are dropped."""
+    op = object.__new__(FormalOperator)
+    object.__setattr__(op, "chart", chart)
+    object.__setattr__(op, "terms", {idx: c for idx, c in terms.items() if c.nums})
+    return op
+
+
+def _sum_terms(chart: ChartSpec, triples: dict) -> FormalOperator:
+    """The operator whose coefficient at each multi-index is the sum of its triples."""
+    return _op(chart, {idx: _sum_products(chart, ts) for idx, ts in triples.items()})
+
+
+def _add_leibniz(triples: dict, left: FormalOperator, right: FormalOperator, sign=1, skip_k0=False):
+    """Collect ``(sign * C(a,k), c, D^k d)`` per multi-index of left . right; ``skip_k0`` drops k = 0.
 
     For c D^a in ``left`` and d D^b in ``right``,
     D^a (d D^b) = sum_{k <= a} C(a,k) (D^k d) D^{a-k+b}.
     """
     if right.chart != left.chart:
         raise ChartError("chart mismatch")
-    derive = left._derive
     for a, c in left.terms.items():
         ks = tuple(product(*(range(ai + 1) for ai in a)))[1 if skip_k0 else 0 :]  # k = 0 first
         for b, d in right.terms.items():
             for k in ks:
-                dk = derive(d, k)
-                if dk.is_zero():
-                    continue
-                factor = 1
+                factor = sign
                 for ai, ki in zip(a, k):
                     if ki:
                         factor *= comb(ai, ki)
                 idx = tuple(ai - ki + bi for ai, ki, bi in zip(a, k, b))
-                piece = c * dk
-                if factor != 1:
-                    piece = piece.scale(factor)
-                prev = result.get(idx)
-                result[idx] = piece if prev is None else prev + piece
-    return result
+                triples.setdefault(idx, []).append((factor, c, _derive(d, k)))
+    return triples
 
 
 # -- quantisation ------------------------------------------------------------
@@ -250,8 +247,8 @@ def commutator(op_a: FormalOperator, op_b: FormalOperator) -> FormalOperator:
     Only the k >= 1 Leibniz terms of the two products are built: the k = 0
     terms c d D^(a+b) agree in both orders and cancel exactly.
     """
-    result = _add_leibniz({}, op_a, op_b, skip_k0=True)
-    return FormalOperator(op_a.chart, _add_leibniz(result, -op_b, op_a, skip_k0=True))
+    triples = _add_leibniz({}, op_a, op_b, skip_k0=True)
+    return _sum_terms(op_a.chart, _add_leibniz(triples, op_b, op_a, -1, skip_k0=True))
 
 
 def commutator_rhs(A: Poly, B: Poly, c: ConnectionData) -> FormalOperator:

@@ -7,12 +7,14 @@ brackets, the exterior derivative and pullbacks along polynomial maps.
 Coefficient representation (as in FLINT's ``fmpq_poly``): a Poly stores
 Gaussian-integer numerators ``(re, im)`` over one positive denominator
 shared by all its terms, normalised so that the gcd of every numerator part
-and the denominator is 1.  ``Poly`` does all exact arithmetic, on plain ints,
-and normalises once per operation; it also owns the factor ``-i*hbar`` of
-every quantised first-order term and every commutator.  ``Scalar`` is a
-read-only ``(re, im)`` record of two ``Fraction``s with no arithmetic: it is
-accepted by the ``Poly`` constructor and ``scale`` and returned by
-``constant_value`` and the ``Poly.terms`` view.
+and the denominator is 1.  ``Poly`` does all exact arithmetic, on plain ints.
+Every sum of products (a product included) goes through one kernel,
+``_sum_products``, which accumulates on a common denominator and normalises
+once.  ``Poly`` also owns the factor ``-i*hbar`` of every quantised
+first-order term and every commutator.  ``Scalar`` is a read-only
+``(re, im)`` record of two ``Fraction``s with no arithmetic: it is accepted by
+the ``Poly`` constructor and ``scale`` and returned by ``constant_value`` and
+the ``Poly.terms`` view.
 
 Sign conventions, fixed once for the whole package:
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, perm
 from operator import add as _add
 from typing import Iterable, Mapping, Union
 
@@ -283,6 +285,8 @@ class Poly:
     def __add__(self, other):
         if type(other) is not Poly or other.chart is not self.chart:
             other = self._coerce(other)
+        if not other.nums or not self.nums:
+            return self if self.nums else other
         d1, d2 = self.den, other.den
         if d1 == d2:
             den, nums, m2 = d1, dict(self.nums), 1
@@ -319,7 +323,16 @@ class Poly:
     def __mul__(self, other):
         if type(other) is not Poly or other.chart is not self.chart:
             other = self._coerce(other)
-        return _normal(self.chart, _mul_nums(self.nums, other.nums), self.den * other.den)
+        for p, u in ((self, other), (other, self)):
+            if u.den == 1 and len(u.nums) == 1:
+                ((eu, (ur, ui)),) = u.nums.items()
+                if abs(ur) + abs(ui) == 1:  # a unit monomial: shift and rotate, no gcd pass
+                    nums = {
+                        tuple(map(_add, e, eu)): (re * ur - im * ui, re * ui + im * ur)
+                        for e, (re, im) in p.nums.items()
+                    }
+                    return _make(self.chart, nums, p.den)
+        return _sum_products(self.chart, ((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -359,12 +372,16 @@ class Poly:
 
     def partial(self, name: str) -> "Poly":
         """Exact partial derivative with respect to a coordinate or hbar."""
-        i = self.chart.var_index(name)
+        return self._partial(self.chart.var_index(name))
+
+    def _partial(self, i: int, k: int = 1) -> "Poly":
+        """k-th partial derivative by the variable at index ``i`` of ``chart.variables``."""
         nums = {}
         for e, (re, im) in self.nums.items():
-            k = e[i]
-            if k:
-                nums[e[:i] + (k - 1,) + e[i + 1 :]] = (re * k, im * k)
+            m = e[i]
+            if m >= k:
+                f = m if k == 1 else perm(m, k)
+                nums[e[:i] + (m - k,) + e[i + 1 :]] = (re * f, im * f)
         return _normal(self.chart, nums, self.den)
 
     def substitute(self, new_chart: ChartSpec, mapping: Mapping[str, "Poly"]) -> "Poly":
@@ -391,7 +408,7 @@ class Poly:
                 if k:
                     while len(pw) < k:
                         pw.append(pw[-1] * pw[0])
-                    nums = _mul_nums(nums, pw[k - 1].nums)
+                    nums = _add_product({}, nums, pw[k - 1].nums, 1)
                     den *= pw[k - 1].den
             pieces.append((nums, den))
         den = lcm(*(d for _, d in pieces))
@@ -484,11 +501,12 @@ def _normal(chart: ChartSpec, nums: dict, den: int) -> Poly:
     return _make(chart, nums, den)
 
 
-def _mul_nums(n1: dict, n2: dict) -> dict:
-    """Product of two numerator maps, with cancelled terms dropped."""
-    acc: dict[tuple[int, ...], tuple[int, int]] = {}
+def _add_product(acc: dict, n1: dict, n2: dict, f: int) -> dict:
+    """Add ``f * n1 * n2`` into the numerator map ``acc``; entries may cancel to (0, 0)."""
     get = acc.get
     for e1, (a, b) in n1.items():
+        if f != 1:
+            a, b = a * f, b * f
         for e2, (c, d) in n2.items():
             e = tuple(map(_add, e1, e2))
             old = get(e)
@@ -496,9 +514,21 @@ def _mul_nums(n1: dict, n2: dict) -> dict:
                 acc[e] = (a * c - b * d, a * d + b * c)
             else:
                 acc[e] = (old[0] + a * c - b * d, old[1] + a * d + b * c)
-    if len(acc) == len(n1) * len(n2):  # no exponent was hit twice, so nothing cancelled
-        return acc
-    return {e: v for e, v in acc.items() if v[0] or v[1]}
+    return acc
+
+
+def _sum_products(chart: ChartSpec, triples: Iterable[tuple[int, Poly, Poly]]) -> Poly:
+    """The sum of ``k * p * q`` over ``(k, p, q)``, on one common denominator, normalised once."""
+    triples = [t for t in triples if t[0] and t[1].nums and t[2].nums]
+    if not triples:
+        return _make(chart, {}, 1)
+    den = lcm(*(p.den * q.den for _, p, q in triples))
+    acc: dict[tuple[int, ...], tuple[int, int]] = {}
+    for k, p, q in triples:
+        _add_product(acc, p.nums, q.nums, k * (den // (p.den * q.den)))
+    if len(acc) < sum(len(p.nums) * len(q.nums) for _, p, q in triples):  # an exponent recurred
+        acc = {e: v for e, v in acc.items() if v[0] or v[1]}
+    return _normal(chart, acc, den)
 
 
 # -- covector/vector index helpers ------------------------------------------
@@ -525,11 +555,6 @@ class OneForm:
 
     def __setattr__(self, name, value):
         raise AttributeError("OneForm is immutable")
-
-    @staticmethod
-    def zero(chart: ChartSpec) -> "OneForm":
-        z = Poly.zero(chart)
-        return OneForm(chart, [z] * (2 * chart.n))
 
     @staticmethod
     def from_dict(chart: ChartSpec, entries: Mapping[str, Poly]) -> "OneForm":
@@ -643,10 +668,14 @@ class TwoForm:
         """Evaluate on two vector fields."""
         if X.chart != self.chart or Y.chart != self.chart:
             raise ChartError("chart mismatch")
-        out = Poly.zero(self.chart)
-        for (i, j), c in self.comps.items():
-            out = out + c * (X.comps[i] * Y.comps[j] - X.comps[j] * Y.comps[i])
-        return out
+        x, y, chart = X.comps, Y.comps, self.chart
+        return _sum_products(
+            chart,
+            [
+                (1, c, _sum_products(chart, ((1, x[i], y[j]), (-1, x[j], y[i]))))
+                for (i, j), c in self.comps.items()
+            ],
+        )
 
     def __str__(self):
         names = covector_names(self.chart)
@@ -700,11 +729,9 @@ class VectorField:
         """Directional derivative of a function."""
         if p.chart != self.chart:
             raise ChartError("chart mismatch")
-        out = Poly.zero(self.chart)
-        for comp, name in zip(self.comps, self.chart.coords):
-            if not comp.is_zero():
-                out = out + comp * p.partial(name)
-        return out
+        return _sum_products(
+            self.chart, [(1, c, p._partial(i + 1)) for i, c in enumerate(self.comps) if c.nums]
+        )
 
     def lie_bracket(self, other: "VectorField") -> "VectorField":
         """[X, Y] by coefficient calculus."""
@@ -763,11 +790,8 @@ def hamiltonian_vf(A: Poly) -> VectorField:
     """Hamiltonian vector field of A under the package sign convention."""
     chart = A.chart
     n = chart.n
-    comps = [Poly.zero(chart)] * (2 * n)
-    for i in range(n):
-        alpha, beta = chart.pairs[i]
-        comps[i] = -A.partial(beta)        # d/dalpha_i component
-        comps[n + i] = A.partial(alpha)    # d/dbeta_i component
+    # d/dalpha_i component -dA/dbeta_i, d/dbeta_i component dA/dalpha_i
+    comps = [-A._partial(1 + n + i) for i in range(n)] + [A._partial(1 + i) for i in range(n)]
     return VectorField(chart, comps)
 
 
@@ -775,25 +799,24 @@ def poisson(A: Poly, B: Poly) -> Poly:
     """{A, B} = omega(X_A, X_B)."""
     if A.chart != B.chart:
         raise ChartError("chart mismatch in Poisson bracket")
-    chart = A.chart
-    out = Poly.zero(chart)
-    for alpha, beta in chart.pairs:
-        out = out + A.partial(alpha) * B.partial(beta) - A.partial(beta) * B.partial(alpha)
-    return out
+    n = A.chart.n
+    triples = []
+    for i in range(1, n + 1):  # variable indices of alpha_i and beta_i: i and n + i
+        triples += ((1, A._partial(i), B._partial(n + i)), (-1, A._partial(n + i), B._partial(i)))
+    return _sum_products(A.chart, triples)
 
 
 def exterior_d(phi: Union[Poly, OneForm]) -> Union[OneForm, TwoForm]:
     """Exterior derivative of a 0-form (Poly) or a one-form."""
     if isinstance(phi, Poly):
         chart = phi.chart
-        return OneForm(chart, [phi.partial(c) for c in chart.coords])
+        return OneForm(chart, [phi._partial(1 + i) for i in range(2 * chart.n)])
     if isinstance(phi, OneForm):
         chart = phi.chart
-        coords = chart.coords
         comps: dict[tuple[int, int], Poly] = {}
         for i in range(2 * chart.n):
             for j in range(i + 1, 2 * chart.n):
-                c = phi.comps[j].partial(coords[i]) - phi.comps[i].partial(coords[j])
+                c = phi.comps[j]._partial(1 + i) - phi.comps[i]._partial(1 + j)
                 if not c.is_zero():
                     comps[(i, j)] = c
         return TwoForm(chart, comps)
@@ -804,10 +827,7 @@ def contract(theta: OneForm, X: VectorField) -> Poly:
     """Pointwise pairing theta(X)."""
     if theta.chart != X.chart:
         raise ChartError("chart mismatch in contraction")
-    out = Poly.zero(theta.chart)
-    for a, b in zip(theta.comps, X.comps):
-        out = out + a * b
-    return out
+    return _sum_products(theta.chart, [(1, a, b) for a, b in zip(theta.comps, X.comps)])
 
 
 def wedge(a: OneForm, b: OneForm) -> TwoForm:
@@ -817,7 +837,7 @@ def wedge(a: OneForm, b: OneForm) -> TwoForm:
     comps: dict[tuple[int, int], Poly] = {}
     for i in range(2 * chart.n):
         for j in range(i + 1, 2 * chart.n):
-            c = a.comps[i] * b.comps[j] - a.comps[j] * b.comps[i]
+            c = _sum_products(chart, ((1, a.comps[i], b.comps[j]), (-1, a.comps[j], b.comps[i])))
             if not c.is_zero():
                 comps[(i, j)] = c
     return TwoForm(chart, comps)
@@ -850,13 +870,14 @@ def pullback_form(m: SmoothMap, phi: Union[Poly, OneForm, TwoForm]):
     if isinstance(phi, OneForm):
         if phi.chart != tgt:
             raise ChartError("pullback argument must live on the target chart")
-        out = OneForm.zero(src)
-        for comp, coeff in zip(m.comps, phi.comps):
-            if coeff.is_zero():
-                continue
-            pulled = coeff.substitute(src, mapping)
-            out = out + exterior_d(comp).scale(pulled)
-        return out
+        pulled = [
+            (coeff.substitute(src, mapping), exterior_d(comp).comps)
+            for comp, coeff in zip(m.comps, phi.comps)
+            if coeff.nums
+        ]
+        return OneForm(
+            src, [_sum_products(src, [(1, p, d[j]) for p, d in pulled]) for j in range(2 * src.n)]
+        )
     if isinstance(phi, TwoForm):
         if phi.chart != tgt:
             raise ChartError("pullback argument must live on the target chart")

@@ -16,7 +16,9 @@ from pseudoquant.prequant import (
     theorem_commutator,
 )
 from pseudoquant.symcore import (
+    ChartError,
     Poly,
+    Scalar,
     SmoothMap,
     contract,
     exterior_d,
@@ -108,6 +110,45 @@ class TestCommutator:
         conn = ConnectionData.standard(pq1)
         a = random_poly(pq1, rng)
         assert commutator_rhs(a, a, conn).is_zero()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_tall_coefficients(self, seed):
+        # Degree-8, 10-term observables with denominators up to 99 on the folded
+        # 3-dof chart: common denominators and numerators grow far past 6.
+        conn = folded_connection(standard_chart(3))
+        chart, rng = conn.chart, random.Random(seed)
+
+        def observable():
+            terms = {}
+            while len(terms) < 10:
+                exp = [0] * len(chart.variables)
+                for _ in range(rng.randint(4, 8)):
+                    exp[rng.randrange(1, len(exp))] += 1
+                re = Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+                terms[tuple(exp)] = Scalar(re, Fraction(rng.randint(1, 99), rng.randint(1, 99)))
+            return Poly(chart, terms)
+
+        a, b = observable(), observable()
+        op_a, op_b = quantise(a, conn), quantise(b, conn)
+        got = commutator(op_a, op_b)
+        assert max(c.den for c in got.terms.values()) > 10**6
+        assert got == commutator_rhs(a, b, conn)
+        assert got == op_a.compose(op_b) - op_b.compose(op_a)
+
+
+class TestOperatorValidation:
+    def test_public_constructor_and_scale(self, pq1, pq2):
+        with pytest.raises(ChartError, match="bad derivative multi-index"):
+            FormalOperator(pq1, {(1, 0, 0): Poly.var(pq1, "p1")})
+        with pytest.raises(ChartError, match="bad derivative multi-index"):
+            FormalOperator(pq1, {(1, -1): Poly.var(pq1, "p1")})
+        with pytest.raises(ChartError, match="operator coefficient on the wrong chart"):
+            FormalOperator(pq1, {(1, 0): Poly.var(pq2, "p1")})
+        op = quantise(Poly.var(pq1, "p1") ** 2, ConnectionData.standard(pq1))
+        with pytest.raises(ChartError):
+            op.scale(Poly.var(pq2, "q1"))
+        with pytest.raises(ChartError):
+            op.scale(Poly.minus_i_hbar(pq2))
 
 
 class TestGaugeShift:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from pseudoquant.exprparse import parse_poly
 from pseudoquant.prequant import FormalOperator, commutator
-from pseudoquant.symcore import Poly, Scalar, poisson, standard_chart
+from pseudoquant.symcore import Poly, Scalar, _sum_products, poisson, standard_chart
 
 CHART = standard_chart(2)
 NV = len(CHART.variables)
@@ -19,11 +19,13 @@ PROPS = settings(
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 scalars = st.builds(Scalar, fractions, fractions)
+nonzero_scalars = st.builds(Scalar, fractions.filter(bool), fractions)
 exponents = st.tuples(st.integers(0, 1), *[st.integers(0, 2)] * (NV - 1))
 
 
-def polys(max_terms: int = 4):
-    return st.dictionaries(exponents, scalars, max_size=max_terms).map(
+def polys(max_terms: int = 4, min_terms: int = 0):
+    coeffs = nonzero_scalars if min_terms else scalars
+    return st.dictionaries(exponents, coeffs, min_size=min_terms, max_size=max_terms).map(
         lambda terms: Poly(CHART, terms)
     )
 
@@ -36,6 +38,9 @@ operators = st.dictionaries(multi_indices, polys(2), max_size=3).map(
     lambda terms: FormalOperator(CHART, terms)
 )
 variables = st.sampled_from(CHART.variables)
+polys_or_zero = st.one_of(st.just(Poly.zero(CHART)), polys())
+factors = st.integers(-6, 6).filter(bool)
+units = st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)])
 
 
 def assert_normal_form(p: Poly) -> None:
@@ -54,6 +59,18 @@ def assert_same_representation(a: Poly, b: Poly) -> None:
     assert hash(a) == hash(b)
 
 
+def fraction_sum_products(triples) -> Poly:
+    """sum k * p * q coefficient by coefficient in Fractions, through the public constructor."""
+    acc = {}
+    for k, p, q in triples:
+        for e1, a in p.terms.items():
+            for e2, b in q.terms.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                re, im = acc.get(e, (0, 0))
+                acc[e] = (re + k * (a.re * b.re - a.im * b.im), im + k * (a.re * b.im + a.im * b.re))
+    return Poly(CHART, {e: Scalar(re, im) for e, (re, im) in acc.items()})
+
+
 @PROPS
 @given(polys(), polys(), polys())
 def test_ring_axioms(p, q, r):
@@ -70,10 +87,63 @@ def test_ring_axioms(p, q, r):
 
 
 @PROPS
+@given(
+    st.lists(st.tuples(factors, polys_or_zero, polys_or_zero), max_size=5),
+    polys(4, min_terms=1),
+    polys(4, min_terms=1),
+    st.integers(2, 9),
+)
+def test_sum_products_is_the_term_by_term_sum(triples, q, r, d):
+    # a product over one more denominator, and two products that cancel exactly
+    triples = triples + [(1, r.scale(Fraction(1, d)), r), (1, r, q), (-1, q, r)]
+    got = _sum_products(CHART, triples)
+    assert_normal_form(got)
+    term_by_term = Poly.zero(CHART)
+    for k, a, b in triples:
+        term_by_term = term_by_term + (a * b).scale(k)
+    assert_same_representation(got, term_by_term)
+    assert_same_representation(got, fraction_sum_products(triples))
+
+
+@PROPS
+@given(polys(), units, exponents)
+def test_unit_monomial_product_is_the_general_product(p, unit, exp):
+    u = Poly(CHART, {exp: Scalar(*unit)})
+    general = _sum_products(CHART, [(1, p, u)])
+    assert_same_representation(general, fraction_sum_products([(1, p, u)]))
+    for product in (p * u, u * p):
+        assert_normal_form(product)
+        assert_same_representation(product, general)
+
+
+@PROPS
+@given(polys())
+def test_zero_operand_results_are_normal(p):
+    for result in (p * 0, 0 * p, p * Poly.zero(CHART), 0 + p, p + 0, Poly.zero(CHART) + p):
+        assert_normal_form(result)
+    assert_same_representation(p * 0, Poly.zero(CHART))
+    assert_same_representation(0 + p, p)
+
+
+@PROPS
+@given(operators, operators, polys())
+def test_operator_results_hold_no_zero_coefficient(op1, op2, p):
+    for result in (
+        op1 + op2, op1 - op1, op1.scale(p), op1.scale(0), op1.compose(op2), commutator(op1, op2)
+    ):
+        assert all(not c.is_zero() for c in result.terms.values())
+    assert (op1 - op1).terms == {}
+    assert commutator(op1, op1).is_zero()
+
+
+@PROPS
 @given(polys(), polys(), variables)
 def test_leibniz_rule(p, q, name):
     assert (p * q).partial(name) == p.partial(name) * q + p * q.partial(name)
     assert (p + q).partial(name) == p.partial(name) + q.partial(name)
+    i = CHART.variables.index(name)
+    assert p._partial(i, 2) == p.partial(name).partial(name)
+    assert p._partial(i, 3) == p.partial(name).partial(name).partial(name)
 
 
 @PROPS
