@@ -293,3 +293,32 @@ class TestChartValidation:
     def test_standard_chart_styles(self):
         assert standard_chart(2).coords == ("p1", "p2", "q1", "q2")
         assert standard_chart(1, style="ab").coords == ("a1", "b1")
+
+
+@pytest.mark.parametrize("cls, noun", [(OneForm, "one-form"), (VectorField, "vector field")])
+class TestFormAndFieldRecords:
+    def test_validation_messages(self, cls, noun, pq1, ab1):
+        with pytest.raises(ChartError, match=f"^{noun} needs 2n coefficient polynomials$"):
+            cls(pq1, [Poly.zero(pq1)])
+        with pytest.raises(ChartError, match=f"^{noun} coefficient on the wrong chart$"):
+            cls(pq1, [Poly.zero(pq1), Poly.zero(ab1)])
+
+    def test_immutable(self, cls, noun, pq1):
+        rec = cls(pq1, [Poly.var(pq1, "p1"), Poly.zero(pq1)])
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            rec.comps = ()
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            rec.label = "x"
+
+    def test_sum_and_chart_mismatch(self, cls, noun, pq1, ab1):
+        p, q = Poly.var(pq1, "p1"), Poly.var(pq1, "q1")
+        assert cls(pq1, [p, q]) + cls(pq1, [q, p]) == cls(pq1, [p + q, p + q])
+        with pytest.raises(ChartError):
+            cls(pq1, [p, q]) + cls(ab1, [Poly.zero(ab1)] * 2)
+
+    def test_never_equals_the_other_record(self, cls, noun, pq1):
+        comps = [Poly.var(pq1, "p1"), Poly.const(pq1, 2)]
+        other = VectorField if cls is OneForm else OneForm
+        assert cls(pq1, comps) == cls(pq1, comps)
+        assert cls(pq1, comps) != other(pq1, comps)
+        assert not cls(pq1, comps) == other(pq1, comps)
