@@ -287,15 +287,6 @@ def oscillatory_moment_quadrature(
 # -- position deformations: the surviving Schroedinger coefficient -------------
 
 
-def position_series_orders(n: int) -> list[Fraction]:
-    """Tau orders contributed by the flow-phase correction series.
-
-    The identity component sits at tau^0; the j-th correction factor adds
-    tau^(j/2 + 1), so the lowest nontrivial order is 3/2.
-    """
-    return [Fraction(0)] + [Fraction(j, 2) + 1 for j in range(1, n + 1)]
-
-
 def surviving_position_terms(
     n: int, lambda_max: int = 6, series_depth: int = 2
 ) -> list[tuple[int, tuple[int, ...], Fraction]]:
@@ -389,7 +380,6 @@ __all__ = [
     "oscillatory_moment",
     "oscillatory_moment_quadrature",
     "position_pairing",
-    "position_series_orders",
     "schrodinger_prefactor",
     "standard_schrodinger_check",
     "surviving_position_terms",

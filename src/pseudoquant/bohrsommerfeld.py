@@ -56,10 +56,6 @@ class LatticeReport:
     def folded_count(self) -> int:
         return len(self.folded_points)
 
-    @property
-    def counts_match(self) -> bool:
-        return self.folded_count == self.standard_dim
-
 
 def standard_dim(E: int) -> int:
     """Dimension 2E - 1 of the level-E space in the standard chart."""
@@ -99,16 +95,11 @@ def analyse(E: int) -> LatticeReport:
     return LatticeReport(E, standard_dim(E), folded_points(E))
 
 
-def analyse_range(E_max: int) -> list[LatticeReport]:
-    return [analyse(E) for E in range(1, E_max + 1)]
-
-
 __all__ = [
     "FoldedPoint",
     "LatticeReport",
     "SphereSpec",
     "analyse",
-    "analyse_range",
     "folded_count",
     "folded_points",
     "standard_dim",

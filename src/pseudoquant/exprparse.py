@@ -198,25 +198,18 @@ def parse_one_form(entries, chart: ChartSpec) -> OneForm:
         from .symcore import standard_potential
 
         return standard_potential(chart)
+    if not isinstance(entries, (list, tuple)):
+        raise ChartError("'theta' must be \"standard\" or a list of [coefficient, basis] pairs")
     comps = {}
     for item in entries:
-        if len(item) != 2:
-            raise ChartError("one-form entries must be [coefficient, basis] pairs")
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise ChartError("'theta' entries must be [coefficient, basis] pairs")
         coeff, basis = item
         if not isinstance(basis, str) or not basis.startswith("d"):
             raise ChartError(f"covector name {basis!r} must look like 'dq1'")
         poly = coeff if isinstance(coeff, Poly) else parse_poly(str(coeff), chart)
         comps[basis] = comps.get(basis, Poly.zero(chart)) + poly
     return OneForm.from_dict(chart, comps)
-
-
-def one_form_entries(theta: OneForm) -> list[list[str]]:
-    """Serializable [[coeff, basis], ...] view of a one-form."""
-    out = []
-    for coeff, coord in zip(theta.comps, theta.chart.coords):
-        if not coeff.is_zero():
-            out.append([str(coeff), f"d{coord}"])
-    return out
 
 
 # -- problem files -------------------------------------------------------------
@@ -239,10 +232,19 @@ class ProblemFile:
         raise AttributeError("ProblemFile is immutable")
 
 
-def _chart_from_dict(data) -> ChartSpec:
-    pairs = data.get("pairs")
-    if not pairs:
-        raise ChartError("chart needs a non-empty 'pairs' list")
+def _object(value, key: str) -> dict:
+    """``value`` if it is a JSON object; a ChartError naming ``key`` otherwise."""
+    if not isinstance(value, dict):
+        raise ChartError(f"'{key}' must be a JSON object")
+    return value
+
+
+def _chart_from_dict(data, key: str) -> ChartSpec:
+    pairs = _object(data, key).get("pairs")
+    if not pairs or not isinstance(pairs, list):
+        raise ChartError(f"'{key}' needs a non-empty 'pairs' list")
+    if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise ChartError(f"'{key}.pairs' must be [momentum, position] name pairs")
     return ChartSpec(tuple((str(a), str(b)) for a, b in pairs))
 
 
@@ -269,19 +271,21 @@ def load_problem(source) -> ProblemFile:
         else:
             raise FileNotFoundError(f"no such file: {source}")
         data = json.loads(text)
-    chart = _chart_from_dict(data.get("chart", {"pairs": [["p1", "q1"]]}))
+    if not isinstance(data, dict):
+        raise ChartError("a problem file must hold a JSON object")
+    chart = _chart_from_dict(data.get("chart", {"pairs": [["p1", "q1"]]}), "chart")
     theta = parse_one_form(data.get("theta", "standard"), chart)
     conn = ConnectionData(theta)
     observables = {
         name: parse_poly(str(expr), chart)
-        for name, expr in data.get("observables", {}).items()
+        for name, expr in _object(data.get("observables", {}), "observables").items()
     }
     pullback = None
     if "pullback" in data:
-        pb = data["pullback"]
-        target = _chart_from_dict(pb["target"])
+        pb = _object(data["pullback"], "pullback")
+        target = _chart_from_dict(pb.get("target"), "pullback.target")
         target_theta = parse_one_form(pb.get("theta", "standard"), target)
-        mapping = pb.get("map", {})
+        mapping = _object(pb.get("map", {}), "pullback.map")
         comps = []
         for coord in target.coords:
             if coord not in mapping:
@@ -294,31 +298,10 @@ def load_problem(source) -> ProblemFile:
     return ProblemFile(chart, conn, observables, pullback, polarisation)
 
 
-def dump_problem(problem: ProblemFile) -> dict:
-    """Serializable dict that ``load_problem`` parses back to equal objects."""
-    data = {
-        "chart": {"pairs": [list(p) for p in problem.chart.pairs]},
-        "theta": one_form_entries(problem.connection.theta),
-        "observables": {name: str(p) for name, p in problem.observables.items()},
-    }
-    if problem.pullback is not None:
-        pb = problem.pullback
-        data["pullback"] = {
-            "target": {"pairs": [list(p) for p in pb.map.target.pairs]},
-            "theta": one_form_entries(pb.target_connection.theta),
-            "map": {c: str(p) for c, p in pb.map.mapping().items()},
-        }
-    if problem.polarisation is not None:
-        data["polarisation"] = True
-    return data
-
-
 __all__ = [
     "ExprSyntaxError",
     "ProblemFile",
-    "dump_problem",
     "load_problem",
-    "one_form_entries",
     "parse_one_form",
     "parse_poly",
     "standard_problem",

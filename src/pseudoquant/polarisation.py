@@ -90,27 +90,8 @@ class FlatSectionAction:
             and self.coeffs == other.coeffs
         )
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def nonzero_coeffs(self) -> list[tuple[tuple[int, ...], Poly]]:
         return sorted(self.coeffs.items())
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        betas = [p[1] for p in self.chart.pairs]
-        parts = []
-        for k, p in sorted(self.coeffs.items()):
-            dd = "*".join(
-                f"d^{kk}F/d{nm}^{kk}" if kk > 1 else f"dF/d{nm}"
-                for nm, kk in zip(betas, k)
-                if kk
-            )
-            parts.append(f"({p})*{dd}" if dd else f"({p})*F")
-        return " + ".join(parts)
-
-    __repr__ = __str__
 
 
 def flat_action(op: FormalOperator, P: Polarisation) -> FlatSectionAction:
@@ -147,10 +128,6 @@ class PreservationReport:
 
     def __setattr__(self, name, value):
         raise AttributeError("PreservationReport is immutable")
-
-    def __str__(self):
-        tag = "preserves" if self.preserves else "fails"
-        return f"{self.observable}: {tag} ({len(self.residuals)} residual terms)"
 
 
 def residual_operator(A: Poly, c: ConnectionData, P: Polarisation, i: int) -> FormalOperator:

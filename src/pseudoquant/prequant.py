@@ -61,10 +61,6 @@ class ConnectionData:
     def standard(chart: ChartSpec) -> "ConnectionData":
         return ConnectionData(standard_potential(chart))
 
-    def is_flat_shift_of(self, other: "ConnectionData") -> bool:
-        """True when the two potentials differ by a closed one-form."""
-        return exterior_d(self.theta - other.theta).is_zero()
-
 
 class FormalOperator:
     """Finite sum of (Poly coefficient) x (mixed partial derivative).

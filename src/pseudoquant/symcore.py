@@ -3,6 +3,8 @@
 Polynomials over the Gaussian rationals in the chart coordinates and the
 formal symbol ``hbar``, plus one-forms, two-forms, vector fields, Poisson
 brackets, the exterior derivative and pullbacks along polynomial maps.
+One-forms and vector fields share one record: a chart plus 2n coefficient
+Polys in coordinate order.
 
 Coefficient representation (as in FLINT's ``fmpq_poly``): a Poly stores
 Gaussian-integer numerators ``(re, im)`` over one positive denominator
@@ -150,10 +152,9 @@ class ChartSpec:
         return 1 + self.coord_index(name)
 
 
-def standard_chart(n: int = 1, style: str = "pq") -> ChartSpec:
-    """Chart with coordinates p1..pn/q1..qn (style 'pq') or a1../b1.. (style 'ab')."""
-    a, b = ("p", "q") if style == "pq" else ("a", "b")
-    return ChartSpec(tuple((f"{a}{i}", f"{b}{i}") for i in range(1, n + 1)))
+def standard_chart(n: int = 1) -> ChartSpec:
+    """Chart with coordinates p1..pn and q1..qn."""
+    return ChartSpec(tuple((f"p{i}", f"q{i}") for i in range(1, n + 1)))
 
 
 class Poly:
@@ -538,23 +539,46 @@ def covector_names(chart: ChartSpec) -> tuple[str, ...]:
     return tuple(f"d{c}" for c in chart.coords)
 
 
-class OneForm:
-    """A one-form with Poly coefficients over (d alpha_1..d alpha_n, d beta_1..)."""
+class _Components:
+    """A chart plus one coefficient Poly per coordinate, in coordinate order.
+
+    The one record of ``OneForm`` and ``VectorField``: it holds their
+    validation, immutability, ``==`` and ``+``.  Records of different classes
+    never compare equal.
+    """
 
     __slots__ = ("chart", "comps")
+    _noun = ""  # names the record in error messages
 
     def __init__(self, chart: ChartSpec, comps: Iterable[Poly]):
         comps = tuple(comps)
         if len(comps) != 2 * chart.n:
-            raise ChartError("one-form needs 2n coefficient polynomials")
+            raise ChartError(f"{self._noun} needs 2n coefficient polynomials")
         for c in comps:
             if c.chart != chart:
-                raise ChartError("one-form coefficient on the wrong chart")
+                raise ChartError(f"{self._noun} coefficient on the wrong chart")
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "comps", comps)
 
     def __setattr__(self, name, value):
-        raise AttributeError("OneForm is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self) and self.chart == other.chart and self.comps == other.comps
+        )
+
+    def __add__(self, other):
+        if other.chart != self.chart:
+            raise ChartError("chart mismatch")
+        return type(self)(self.chart, [a + b for a, b in zip(self.comps, other.comps)])
+
+
+class OneForm(_Components):
+    """A one-form with Poly coefficients over (d alpha_1..d alpha_n, d beta_1..)."""
+
+    __slots__ = ()
+    _noun = "one-form"
 
     @staticmethod
     def from_dict(chart: ChartSpec, entries: Mapping[str, Poly]) -> "OneForm":
@@ -565,41 +589,10 @@ class OneForm:
             comps[chart.coord_index(basis[1:])] = coeff
         return OneForm(chart, comps)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, OneForm)
-            and self.chart == other.chart
-            and self.comps == other.comps
-        )
-
-    def __hash__(self):
-        return hash((self.chart, self.comps))
-
-    def __add__(self, other):
-        if other.chart != self.chart:
-            raise ChartError("chart mismatch")
-        return OneForm(self.chart, [a + b for a, b in zip(self.comps, other.comps)])
-
-    def __neg__(self):
-        return OneForm(self.chart, [-a for a in self.comps])
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, p: Poly | Scalar | RationalLike) -> "OneForm":
         if isinstance(p, Poly):
             return OneForm(self.chart, [a * p for a in self.comps])
         return OneForm(self.chart, [a.scale(p) for a in self.comps])
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.comps)
-
-    def __str__(self):
-        names = covector_names(self.chart)
-        parts = [f"({c})*{nm}" for c, nm in zip(self.comps, names) if not c.is_zero()]
-        return " + ".join(parts) if parts else "0"
-
-    __repr__ = __str__
 
 
 class TwoForm:
@@ -689,41 +682,11 @@ class TwoForm:
     __repr__ = __str__
 
 
-class VectorField:
+class VectorField(_Components):
     """Vector field with Poly coefficients over (d/dalpha_i, d/dbeta_i)."""
 
-    __slots__ = ("chart", "comps")
-
-    def __init__(self, chart: ChartSpec, comps: Iterable[Poly]):
-        comps = tuple(comps)
-        if len(comps) != 2 * chart.n:
-            raise ChartError("vector field needs 2n coefficient polynomials")
-        for c in comps:
-            if c.chart != chart:
-                raise ChartError("vector field coefficient on the wrong chart")
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "comps", comps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VectorField is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, VectorField)
-            and self.chart == other.chart
-            and self.comps == other.comps
-        )
-
-    def __add__(self, other):
-        if other.chart != self.chart:
-            raise ChartError("chart mismatch")
-        return VectorField(self.chart, [a + b for a, b in zip(self.comps, other.comps)])
-
-    def __neg__(self):
-        return VectorField(self.chart, [-a for a in self.comps])
-
-    def __sub__(self, other):
-        return self + (-other)
+    __slots__ = ()
+    _noun = "vector field"
 
     def apply(self, p: Poly) -> Poly:
         """Directional derivative of a function."""
@@ -741,19 +704,6 @@ class VectorField:
             self.chart,
             [self.apply(oc) - other.apply(sc) for oc, sc in zip(other.comps, self.comps)],
         )
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.comps)
-
-    def __str__(self):
-        parts = [
-            f"({c})*d/d{nm}"
-            for c, nm in zip(self.comps, self.chart.coords)
-            if not c.is_zero()
-        ]
-        return " + ".join(parts) if parts else "0"
-
-    __repr__ = __str__
 
 
 class SmoothMap:
@@ -774,10 +724,6 @@ class SmoothMap:
 
     def __setattr__(self, name, value):
         raise AttributeError("SmoothMap is immutable")
-
-    @staticmethod
-    def identity(chart: ChartSpec) -> "SmoothMap":
-        return SmoothMap(chart, chart, [Poly.var(chart, c) for c in chart.coords])
 
     def mapping(self) -> dict[str, Poly]:
         return dict(zip(self.target.coords, self.comps))

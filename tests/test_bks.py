@@ -20,7 +20,6 @@ from pseudoquant.bks import (
     oscillatory_moment,
     oscillatory_moment_quadrature,
     position_pairing,
-    position_series_orders,
     schrodinger_prefactor,
     standard_schrodinger_check,
     surviving_position_terms,
@@ -166,9 +165,6 @@ class TestPositionPairing:
     def test_surviving_terms(self):
         for n in (1, 2, 3, 4):
             assert surviving_position_terms(n) == [(2, (), Fraction(1))]
-
-    def test_series_orders(self):
-        assert position_series_orders(2) == [Fraction(0), Fraction(3, 2), Fraction(2)]
 
     def test_validation(self):
         with pytest.raises(ValueError):

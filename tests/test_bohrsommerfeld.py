@@ -4,7 +4,6 @@ from pseudoquant.bohrsommerfeld import (
     FoldedPoint,
     SphereSpec,
     analyse,
-    analyse_range,
     folded_count,
     folded_points,
     standard_dim,
@@ -28,9 +27,9 @@ class TestFoldedPoints:
 
     def test_counts_match_only_at_E2(self):
         # the folded chart yields E^2 - 1 points versus 2E - 1, equal iff E = 2
-        for rep in analyse_range(10):
-            assert rep.folded_count == rep.E**2 - 1
-            assert rep.counts_match == (rep.E == 2)
+        for E in range(1, 11):
+            assert folded_count(E) == E**2 - 1
+            assert (folded_count(E) == standard_dim(E)) == (E == 2)
 
     def test_brute_force_congruence(self):
         # l is admissible iff l^2 < E^2 and E^2 - l^2 is a positive even integer
@@ -65,7 +64,7 @@ class TestFoldedPoints:
                 assert E * E - p.l_squared > 0
 
     def test_monotone_growth(self):
-        counts = [rep.folded_count for rep in analyse_range(50)]
+        counts = [analyse(E).folded_count for E in range(1, 51)]
         assert all(b > a for a, b in zip(counts, counts[1:]))
 
     def test_closed_form_matches_enumeration(self):

@@ -1,7 +1,9 @@
 import ast
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -77,6 +79,23 @@ class TestErrors:
     def test_no_subcommand_prints_help(self, capsys):
         assert run([]) == EXIT_INPUT
         assert "usage" in capsys.readouterr().out.lower()
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"observables": ["x"]}', "'observables'"),
+        ('{"theta": 7}', "'theta'"),
+        ('{"pullback": {"map": {}}}', "'pullback.target'"),
+        ('{"pullback": 3}', "'pullback'"),
+        ("[1]", "problem file must hold a JSON object"),
+        ('{"chart": {"pairs": [["p1", "q1", "r1"]]}}', "'chart.pairs'"),
+    ])
+    def test_malformed_problem_file(self, capsys, tmp_path, text, key):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert run(["commutator", "--problem", str(path), "--a", "p1", "--b", "q1"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = err.strip().splitlines()
+        assert line.startswith("error: ") and key in line
 
 
 class TestQuantiseAndPreserve:
@@ -384,6 +403,15 @@ class TestImports:
     def test_exact_subcommand_loads_no_dataclasses(self, argv):
         code = f"from pseudoquant import cli\ncli.run({argv!r})"
         assert self._loaded(code, self.INTROSPECTION) == "[]"
+
+    def test_every_exported_name_resolves(self):
+        """A stale ``__all__`` entry breaks ``from pseudoquant.<module> import *``."""
+        stale = []
+        for info in pkgutil.iter_modules(pseudoquant.__path__):
+            module = importlib.import_module(f"pseudoquant.{info.name}")
+            stale += [f"{info.name}.{name}" for name in getattr(module, "__all__", ())
+                      if not hasattr(module, name)]
+        assert stale == []
 
     def test_no_unused_imports(self):
         """Every imported name is read somewhere in its module.
