@@ -12,6 +12,7 @@ from pseudoquant.dynamics import (
     Grid1D,
     Propagator,
     WaveState,
+    _cn_matrices,
     check_boundary_mass,
     evolve,
     expectation_q,
@@ -186,6 +187,36 @@ class TestDeformedEvolution:
         out = evolve(state, cfg)
         assert np.array_equal(cur.psi, out.psi)
         assert cur.t == pytest.approx(out.t)
+
+
+class TestStepper:
+    """Propagator.step is pinned bitwise to a plain banded solve of A psi_new = B psi_old."""
+
+    @pytest.mark.parametrize("n", [0, 2, 3])
+    def test_matches_solve_banded_bitwise(self, n):
+        grid = Grid1D(*suggested_domain(n, 12.0), 2048)
+        cfg = EvolutionConfig(n=n, hbar=1.0, dt=1e-3)
+        q0 = 3.5 if n % 2 else 0.0
+        state = gaussian_state(grid, q0, 0.5, 0.8, 1.0)
+        A, B = _cn_matrices(grid, cfg)
+        prop = Propagator(grid, cfg)
+        cur, psi = state, state.psi
+        for _ in range(400):
+            cur = prop.step(cur)
+            rhs = B[1] * psi
+            rhs[:-1] += B[0, 1:] * psi[1:]
+            rhs[1:] += B[2, :-1] * psi[:-1]
+            psi = solve_banded((1, 1), A, rhs)
+        assert np.array_equal(cur.psi, psi)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_rejected(self, bad):
+        grid = Grid1D(-5.0, 5.0, 64)
+        prop = Propagator(grid, EvolutionConfig(n=2, hbar=1.0, dt=1e-3))
+        psi = gaussian_state(grid, 0.0, 0.0, 1.0, 1.0).psi
+        psi[20] = bad
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            prop.step(WaveState(grid, psi))
 
 
 class TestBoundaryGuard:
