@@ -257,8 +257,8 @@ def cmd_evolve(args) -> int:
     grid = dynamics.Grid1D(q_min, q_max, nodes)
     cfg = dynamics.EvolutionConfig(args.n, args.hbar, args.dt, steps=args.steps)
     init = _parse_init(args.init)
-    state = dynamics.gaussian_state(grid, init["q0"], init["p0"], init["sigma"], args.hbar)
     prop = dynamics.Propagator(grid, cfg)
+    state = dynamics.gaussian_state(grid, init["q0"], init["p0"], init["sigma"], args.hbar)
     lines = [
         f"# n={args.n} hbar={_fmt(args.hbar)} dt={_fmt(args.dt)} steps={args.steps} "
         f"grid={_fmt(q_min)}:{_fmt(q_max)}:{nodes} init={args.init}",
@@ -273,15 +273,20 @@ def cmd_evolve(args) -> int:
         )
 
     snapshots = []
+    watch = dynamics.BoundaryWatch()
     record(state)
+    watch.record(state)
     if args.snapshots:
         snapshots.append(state.psi.copy())
     for k in range(args.steps):
         state = prop.step(state)
         record(state)
+        watch.record(state)
         if args.snapshots and (k + 1) % args.snap_every == 0:
             snapshots.append(state.psi.copy())
-    dynamics.check_boundary_mass(state)
+    report = watch.report()
+    if report:
+        print(f"warning: {report}", file=sys.stderr)
     _emit(lines, args.csv)
     if args.snapshots:
         # One row per snapshot: little-endian float64 interleaved re/im per node.
@@ -429,7 +434,7 @@ def run(argv=None) -> int:
             parser.print_help()
             return EXIT_INPUT
         return args.func(args)
-    except (CliError, ExprSyntaxError, ChartError, ValueError, OSError) as exc:
+    except (CliError, ExprSyntaxError, ChartError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

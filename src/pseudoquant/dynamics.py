@@ -4,7 +4,8 @@ The Hamiltonian is H = -(hbar^2/2) * c(q) * d^2/dq^2, stated once in
 ``_cn_matrices``.  The kinetic profile c(q) = (1 + 2*q^n)^(-3/2) (c = 1 for
 n = 0) and the conserved weight 1/c(q) come from ``bks.PositionDeformation``,
 the owner the pairing reads too.  Time stepping is the implicit trapezoidal
-(Crank-Nicolson) rule solved with banded LU.
+(Crank-Nicolson) rule: its tridiagonal matrix is factorised once with LAPACK
+``zgttrf`` and each step back-solves with ``zgttrs``.
 
 Plain L2 norm is not conserved for n > 0 because diag(1/c) H, not H, is
 symmetric; the weighted norm integral of |psi|^2 / c is conserved to roundoff.
@@ -17,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .bks import PositionDeformation
 
@@ -119,12 +120,25 @@ def _cn_matrices(grid: Grid1D, cfg: EvolutionConfig):
 
 
 class Propagator:
-    """Caches the banded Crank-Nicolson matrices for repeated stepping."""
+    """Keeps B and the LU factors of A, factorised once, for repeated stepping."""
 
     def __init__(self, grid: Grid1D, cfg: EvolutionConfig):
         self.grid = grid
         self.cfg = cfg
-        self.A, self.B = _cn_matrices(grid, cfg)
+        try:
+            with np.errstate(all="ignore"):
+                A, self.B = _cn_matrices(grid, cfg)
+            finite = bool(np.isfinite(A).all() and np.isfinite(self.B).all())
+        except OverflowError:  # from the float powers of hbar and dq
+            finite = False
+        if not finite:
+            raise ValueError(
+                f"Crank-Nicolson coefficients are not finite for hbar={cfg.hbar:g}, "
+                f"dt={cfg.dt:g} and grid spacing {grid.dq:g}"
+            )
+        *self._lu, info = zgttrf(A[2, :-1], A[1], A[0, 1:])
+        if info != 0:
+            raise np.linalg.LinAlgError(f"Crank-Nicolson matrix is singular (zgttrf info={info})")
 
     def _multiply_banded(self, M: np.ndarray, psi: np.ndarray) -> np.ndarray:
         out = M[1] * psi
@@ -133,35 +147,62 @@ class Propagator:
         return out
 
     def step(self, state: WaveState) -> WaveState:
-        rhs = self._multiply_banded(self.B, state.psi)
-        psi_new = solve_banded((1, 1), self.A, rhs)
+        rhs = self._multiply_banded(self.B, np.asarray_chkfinite(state.psi))
+        psi_new, info = zgttrs(*self._lu, rhs, overwrite_b=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"zgttrs info={info}")
         return WaveState(state.grid, psi_new, state.t + self.cfg.dt)
 
 
 def evolve(state: WaveState, cfg: EvolutionConfig) -> WaveState:
-    """Run cfg.steps trapezoidal steps, warning on boundary mass."""
+    """Run cfg.steps trapezoidal steps; warn once if any state reached the grid boundary."""
     prop = Propagator(state.grid, cfg)
+    watch = BoundaryWatch()
     cur = state
+    watch.record(cur)
     for _ in range(cfg.steps):
         cur = prop.step(cur)
-    check_boundary_mass(cur)
+        watch.record(cur)
+    report = watch.report()
+    if report:
+        warnings.warn(report, BoundaryLeakWarning, stacklevel=2)
     return cur
 
 
-def check_boundary_mass(state: WaveState, tol: float = 1e-6, margin: int = 5) -> float:
-    """Fraction of probability within ``margin`` nodes of either boundary."""
-    dens = np.abs(state.psi) ** 2
-    total = float(np.sum(dens) * state.grid.dq)
-    edge = float((np.sum(dens[:margin]) + np.sum(dens[-margin:])) * state.grid.dq)
-    frac = edge / total if total > 0 else 0.0
-    if frac > tol:
-        warnings.warn(
-            f"boundary probability fraction {frac:.3e} exceeds {tol:.1e}; "
-            "enlarge the domain or shorten the run",
-            BoundaryLeakWarning,
-            stacklevel=2,
+class BoundaryWatch:
+    """Probability fraction within ``margin`` nodes of either grid edge, state by state.
+
+    Step k is the k-th recorded state, the initial one being step 0.  ``report``
+    names the first step over ``tol`` and the largest fraction seen, or is None.
+    """
+
+    def __init__(self, tol: float = 1e-6, margin: int = 5):
+        self.tol = tol
+        self.margin = margin
+        self.records = 0
+        self.first_over: tuple[int, float] | None = None  # (step, t)
+        self.largest = 0.0
+
+    def record(self, state: WaveState) -> float:
+        psi, m = state.psi, self.margin
+        total = np.vdot(psi, psi).real
+        edge = np.vdot(psi[:m], psi[:m]).real + np.vdot(psi[-m:], psi[-m:]).real
+        frac = float(edge / total) if total > 0 else 0.0
+        if frac > self.largest:
+            self.largest = frac
+        if self.first_over is None and frac > self.tol:
+            self.first_over = (self.records, state.t)
+        self.records += 1
+        return frac
+
+    def report(self) -> str | None:
+        if self.first_over is None:
+            return None
+        step, t = self.first_over
+        return (
+            f"boundary probability fraction first exceeded {self.tol:.1e} at step {step} "
+            f"(t={t:g}), largest {self.largest:.3e}; enlarge the domain or shorten the run"
         )
-    return frac
 
 
 # -- norms and moments ---------------------------------------------------------
@@ -237,11 +278,11 @@ def suggested_domain(n: int, q_max: float) -> tuple[float, float]:
 
 __all__ = [
     "BoundaryLeakWarning",
+    "BoundaryWatch",
     "EvolutionConfig",
     "Grid1D",
     "Propagator",
     "WaveState",
-    "check_boundary_mass",
     "evolve",
     "expectation_q",
     "free_gaussian_exact",

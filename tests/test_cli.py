@@ -316,6 +316,52 @@ class TestEvolve:
         assert captured.err == f"error: {message}\n"
         assert not (tmp_path / "out.bin").exists()
 
+    @staticmethod
+    def _evolve_fresh(argv):
+        """``evolve`` in a fresh interpreter, so stderr holds exactly what a user sees."""
+        src = str(Path(pseudoquant.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "pseudoquant.cli", "evolve", *argv],
+                              env=env, capture_output=True, text=True)
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["--hbar", "1e300"], "hbar=1e+300, dt=0.001 and grid spacing 0.0097704",
+                     id="hbar-overflow"),
+        pytest.param(["--grid=-1e300:1e300:64"], "hbar=1, dt=0.001 and grid spacing 3.1746e+298",
+                     id="spacing-overflow"),
+        pytest.param(["--grid=-1e-300:1e-300:64"], "hbar=1, dt=0.001 and grid spacing 3.1746e-302",
+                     id="spacing-underflow"),
+    ])
+    def test_non_finite_coefficients(self, argv, message):
+        proc = self._evolve_fresh(["--n", "0", "--steps", "3", *argv])
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: Crank-Nicolson coefficients are not finite for {message}\n"
+
+    def test_unallocatable_grid(self):
+        # 10^15 nodes need 7.11 PiB, beyond a 47-bit address space: it fails at once anywhere
+        proc = self._evolve_fresh(["--n", "0", "--grid=-5:5:1000000000000000"])
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: Unable to allocate 7.11 PiB")
+        assert proc.stderr.count("\n") == 1
+
+    def test_boundary_warning_names_first_step(self, tmp_path):
+        # The packet reaches the right edge, reflects and is back inside by the last step,
+        # so only a check at every record sees it.
+        csv = tmp_path / "series.csv"
+        proc = self._evolve_fresh(["--n", "0", "--grid=-10:10:1024", "--dt", "0.002",
+                                   "--steps", "600", "--init", "gaussian:q0=5,p0=10,sigma=0.5",
+                                   "--csv", str(csv)])
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == (
+            "warning: boundary probability fraction first exceeded 1.0e-06 at step 120 "
+            "(t=0.24), largest 4.460e-02; enlarge the domain or shorten the run\n"
+        )
+        rows = [l for l in csv.read_text().splitlines() if not l.startswith("#")]
+        assert rows[0] == "t,l2_norm,weighted_norm,mean_q,var_q" and len(rows) == 602
+
 
 class TestBsCount:
     def test_range(self, capsys):

@@ -8,12 +8,12 @@ from scipy.linalg import solve_banded
 from pseudoquant.bks import position_pairing
 from pseudoquant.dynamics import (
     BoundaryLeakWarning,
+    BoundaryWatch,
     EvolutionConfig,
     Grid1D,
     Propagator,
     WaveState,
     _cn_matrices,
-    check_boundary_mass,
     evolve,
     expectation_q,
     free_gaussian_exact,
@@ -223,13 +223,43 @@ class TestBoundaryGuard:
     def test_leak_warning(self):
         g = Grid1D(-5.0, 5.0, 128)
         psi = np.ones(g.nodes, dtype=complex)
-        with pytest.warns(BoundaryLeakWarning):
-            check_boundary_mass(WaveState(g, psi), tol=1e-6)
+        with pytest.warns(BoundaryLeakWarning, match="at step 0 "):
+            evolve(WaveState(g, psi), EvolutionConfig(n=0, hbar=1.0, dt=1e-3, steps=1))
 
     def test_centered_packet_quiet(self):
         g = Grid1D(-20.0, 20.0, 512)
         state = gaussian_state(g, 0.0, 0.0, 1.0, 1.0)
+        watch = BoundaryWatch(tol=1e-6)
+        frac = watch.record(state)
+        assert frac < 1e-12
+        assert watch.report() is None
         with warnings.catch_warnings():
             warnings.simplefilter("error", BoundaryLeakWarning)
-            frac = check_boundary_mass(state, tol=1e-6)
-        assert frac < 1e-12
+            evolve(state, EvolutionConfig(n=0, hbar=1.0, dt=1e-3, steps=5))
+
+    def test_reflected_packet_warns_once_naming_first_step(self):
+        # Aimed at the right edge, the packet reflects off it and is back inside by the
+        # last step: only a check at every step sees that it touched the boundary.
+        g = Grid1D(-10.0, 10.0, 1024)
+        cfg = EvolutionConfig(n=0, hbar=1.0, dt=2e-3, steps=600)
+        state = gaussian_state(g, 5.0, 10.0, 0.5, 1.0)
+
+        def edge_fraction(psi):
+            dens = np.abs(psi) ** 2
+            return (dens[:5].sum() + dens[-5:].sum()) / dens.sum()
+
+        prop, cur, fracs = Propagator(g, cfg), state, [edge_fraction(state.psi)]
+        for _ in range(cfg.steps):
+            cur = prop.step(cur)
+            fracs.append(edge_fraction(cur.psi))
+        first = next(k for k, f in enumerate(fracs) if f > 1e-6)
+        assert 0 < first and fracs[-1] < 1e-8
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = evolve(state, cfg)
+        assert [w.category for w in caught] == [BoundaryLeakWarning]
+        message = str(caught[0].message)
+        assert f"at step {first} (t={first * cfg.dt:g})" in message
+        assert f"largest {max(fracs):.3e}" in message
+        assert np.array_equal(out.psi, cur.psi)
