@@ -264,8 +264,10 @@ def cmd_evolve(args) -> int:
         f"grid={_fmt(q_min)}:{_fmt(q_max)}:{nodes} init={args.init}",
         "t,l2_norm,weighted_norm,mean_q,var_q",
     ]
+    watch = dynamics.BoundaryWatch()
 
     def record(s):
+        watch.record(s)
         lines.append(
             f"{_fmt(s.t)},{_fmt(dynamics.l2_norm(s))},"
             f"{_fmt(dynamics.weighted_norm(s, args.n))},"
@@ -273,15 +275,12 @@ def cmd_evolve(args) -> int:
         )
 
     snapshots = []
-    watch = dynamics.BoundaryWatch()
     record(state)
-    watch.record(state)
     if args.snapshots:
         snapshots.append(state.psi.copy())
     for k in range(args.steps):
         state = prop.step(state)
         record(state)
-        watch.record(state)
         if args.snapshots and (k + 1) % args.snap_every == 0:
             snapshots.append(state.psi.copy())
     report = watch.report()

@@ -176,14 +176,15 @@ class BoundaryWatch:
     names the first step over ``tol`` and the largest fraction seen, or is None.
     """
 
-    def __init__(self, tol: float = 1e-6, margin: int = 5):
-        self.tol = tol
-        self.margin = margin
+    tol = 1e-6
+    margin = 5
+
+    def __init__(self):
         self.records = 0
         self.first_over: tuple[int, float] | None = None  # (step, t)
         self.largest = 0.0
 
-    def record(self, state: WaveState) -> float:
+    def record(self, state: WaveState) -> None:
         psi, m = state.psi, self.margin
         total = np.vdot(psi, psi).real
         edge = np.vdot(psi[:m], psi[:m]).real + np.vdot(psi[-m:], psi[-m:]).real
@@ -193,7 +194,6 @@ class BoundaryWatch:
         if self.first_over is None and frac > self.tol:
             self.first_over = (self.records, state.t)
         self.records += 1
-        return frac
 
     def report(self) -> str | None:
         if self.first_over is None:

@@ -229,9 +229,9 @@ class TestBoundaryGuard:
     def test_centered_packet_quiet(self):
         g = Grid1D(-20.0, 20.0, 512)
         state = gaussian_state(g, 0.0, 0.0, 1.0, 1.0)
-        watch = BoundaryWatch(tol=1e-6)
-        frac = watch.record(state)
-        assert frac < 1e-12
+        watch = BoundaryWatch()
+        watch.record(state)
+        assert watch.largest < 1e-12
         assert watch.report() is None
         with warnings.catch_warnings():
             warnings.simplefilter("error", BoundaryLeakWarning)
