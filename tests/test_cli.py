@@ -36,6 +36,15 @@ def out_of(capsys):
     return capsys.readouterr().out.strip()
 
 
+def run_fresh(args, check=False):
+    """``python *args`` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(pseudoquant.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=check)
+
+
 class TestCommutator:
     def test_canonical_pair(self, capsys):
         assert run(["commutator", "--a", "p1", "--b", "q1"]) == EXIT_OK
@@ -319,11 +328,7 @@ class TestEvolve:
     @staticmethod
     def _evolve_fresh(argv):
         """``evolve`` in a fresh interpreter, so stderr holds exactly what a user sees."""
-        src = str(Path(pseudoquant.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        return subprocess.run([sys.executable, "-m", "pseudoquant.cli", "evolve", *argv],
-                              env=env, capture_output=True, text=True)
+        return run_fresh(["-m", "pseudoquant.cli", "evolve", *argv])
 
     @pytest.mark.parametrize("argv, message", [
         pytest.param(["--hbar", "1e300"], "hbar=1e+300, dt=0.001 and grid spacing 0.0097704",
@@ -411,14 +416,8 @@ class TestImports:
 
     def _loaded(self, code, listed=None):
         """The numpy/scipy modules, or the ``listed`` ones, that ``code`` loads when run fresh."""
-        src = str(Path(pseudoquant.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         loaded = self.HEAVY if listed is None else f"[m for m in {listed!r} if m in sys.modules]"
-        proc = subprocess.run(
-            [sys.executable, "-c", f"import sys\n{code}\nprint({loaded})"],
-            env=env, capture_output=True, text=True, check=True,
-        )
+        proc = run_fresh(["-c", f"import sys\n{code}\nprint({loaded})"], check=True)
         return proc.stdout.strip().splitlines()[-1]
 
     def test_import_loads_no_numpy_or_scipy(self):
