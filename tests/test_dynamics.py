@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from pseudoquant.bks import position_pairing
+from pseudoquant.bks import PositionDeformation, position_pairing
 from pseudoquant.dynamics import (
     BoundaryLeakWarning,
     BoundaryWatch,
@@ -22,6 +22,7 @@ from pseudoquant.dynamics import (
     kinetic_profile,
     l2_norm,
     suggested_domain,
+    variance_q,
     weighted_norm,
     width_q,
 )
@@ -217,6 +218,43 @@ class TestStepper:
         psi[20] = bad
         with pytest.raises(ValueError, match="must not contain infs or NaNs"):
             prop.step(WaveState(grid, psi))
+
+
+def _reference_diagnostics(grid, psi, n):
+    """l2_norm, weighted_norm, expectation_q and variance_q written out from fresh arrays."""
+    q = np.linspace(grid.q_min, grid.q_max, grid.nodes)
+    w = PositionDeformation(n).conserved_weight(q)
+    dens = np.abs(psi) ** 2
+    mass = float(np.sum(dens) * grid.dq)
+    mean = float(np.sum(q * dens) * grid.dq) / mass
+    return (
+        math.sqrt(float(np.sum(np.abs(psi) ** 2) * grid.dq)),
+        math.sqrt(float(np.sum(w * np.abs(psi) ** 2) * grid.dq)),
+        mean,
+        float(np.sum((q - mean) ** 2 * dens) * grid.dq) / mass,
+    )
+
+
+def _stepped_state(n, steps=5):
+    grid = Grid1D(*suggested_domain(n, 12.0), 2048)
+    prop = Propagator(grid, EvolutionConfig(n=n, hbar=1.0, dt=1e-3))
+    state = gaussian_state(grid, 3.5 if n % 2 else 0.0, 0.5, 0.8, 1.0)
+    for _ in range(steps):
+        state = prop.step(state)
+    return state
+
+
+def _diagnostics(state, n):
+    return l2_norm(state), weighted_norm(state, n), expectation_q(state), variance_q(state)
+
+
+class TestDiagnostics:
+    """The norms and moments are pinned bitwise to their formulas on fresh arrays."""
+
+    @pytest.mark.parametrize("n", [0, 2, 3])
+    def test_match_reference_formulas_bitwise(self, n):
+        state = _stepped_state(n)
+        assert _diagnostics(state, n) == _reference_diagnostics(state.grid, state.psi, n)
 
 
 class TestBoundaryGuard:
