@@ -7,12 +7,17 @@ the owner the pairing reads too.  Time stepping is the implicit trapezoidal
 (Crank-Nicolson) rule: its tridiagonal matrix is factorised once with LAPACK
 ``zgttrf`` and each step back-solves with ``zgttrs``.
 
+A grid's coordinates ``Grid1D.q`` and the conserved weight ``weighted_norm``
+reads are computed once per grid (and order n) and shared read-only, so the
+per-step diagnostics build no arrays but |psi|^2 and its products.
+
 Plain L2 norm is not conserved for n > 0 because diag(1/c) H, not H, is
 symmetric; the weighted norm integral of |psi|^2 / c is conserved to roundoff.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -45,9 +50,12 @@ class Grid1D:
     def dq(self) -> float:
         return (self.q_max - self.q_min) / (self.nodes - 1)
 
-    @property
+    @functools.cached_property
     def q(self) -> np.ndarray:
-        return np.linspace(self.q_min, self.q_max, self.nodes)
+        """The node coordinates, built once and read-only."""
+        q = np.linspace(self.q_min, self.q_max, self.nodes)
+        q.flags.writeable = False
+        return q
 
 
 @dataclass(frozen=True)
@@ -212,8 +220,16 @@ def l2_norm(state: WaveState) -> float:
     return math.sqrt(float(np.sum(np.abs(state.psi) ** 2) * state.grid.dq))
 
 
+@functools.lru_cache(maxsize=32)
+def _conserved_weight(grid: Grid1D, n: int) -> np.ndarray:
+    """``PositionDeformation(n).conserved_weight`` on ``grid.q``, built once and read-only."""
+    w = PositionDeformation(n).conserved_weight(grid.q)
+    w.flags.writeable = False
+    return w
+
+
 def weighted_norm(state: WaveState, n: int) -> float:
-    w = PositionDeformation(n).conserved_weight(state.grid.q)
+    w = _conserved_weight(state.grid, n)
     return math.sqrt(float(np.sum(w * np.abs(state.psi) ** 2) * state.grid.dq))
 
 
@@ -224,10 +240,11 @@ def expectation_q(state: WaveState) -> float:
 
 
 def variance_q(state: WaveState) -> float:
+    q = state.grid.q
     dens = np.abs(state.psi) ** 2
     mass = float(np.sum(dens) * state.grid.dq)
-    mean = float(np.sum(state.grid.q * dens) * state.grid.dq) / mass
-    return float(np.sum((state.grid.q - mean) ** 2 * dens) * state.grid.dq) / mass
+    mean = float(np.sum(q * dens) * state.grid.dq) / mass
+    return float(np.sum((q - mean) ** 2 * dens) * state.grid.dq) / mass
 
 
 def width_q(state: WaveState) -> float:
@@ -240,11 +257,29 @@ def width_q(state: WaveState) -> float:
 def gaussian_state(
     grid: Grid1D, q0: float, p0: float, sigma: float, hbar: float
 ) -> WaveState:
-    """Normalised Gaussian packet centred at q0 with mean momentum p0."""
+    """Normalised Gaussian packet centred at q0 with mean momentum p0.
+
+    A sigma whose normalisation is not a finite float, or a packet whose samples
+    have no finite, nonzero mass on the grid, is a ValueError.
+    """
     q = grid.q
-    psi = (2.0 * math.pi * sigma**2) ** (-0.25) * np.exp(
-        -((q - q0) ** 2) / (4.0 * sigma**2) + 1j * p0 * q / hbar
-    )
+    try:
+        norm = (2.0 * math.pi * sigma**2) ** (-0.25)
+    except (OverflowError, ZeroDivisionError):  # sigma**2 overflows or underflows to 0
+        norm = math.inf
+    if not math.isfinite(norm):
+        raise ValueError(
+            f"the Gaussian normalisation (2*pi*sigma^2)^(-1/4) is not a finite float "
+            f"for sigma={sigma:g}"
+        )
+    with np.errstate(all="ignore"):
+        psi = norm * np.exp(-((q - q0) ** 2) / (4.0 * sigma**2) + 1j * p0 * q / hbar)
+        mass = float(np.sum(np.abs(psi) ** 2) * grid.dq)
+    if not 0.0 < mass < math.inf:
+        raise ValueError(
+            f"the Gaussian (q0={q0:g}, p0={p0:g}, sigma={sigma:g}) has no finite, nonzero "
+            f"mass on the grid [{grid.q_min:g}, {grid.q_max:g}] with {grid.nodes} nodes"
+        )
     return WaveState(grid, psi, 0.0)
 
 

@@ -344,6 +344,27 @@ class TestEvolve:
         assert proc.stdout == ""
         assert proc.stderr == f"error: Crank-Nicolson coefficients are not finite for {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["--grid=-1e100:1e100:64"],
+                     "the Gaussian (q0=0, p0=2, sigma=0.5) has no finite, nonzero mass on the "
+                     "grid [-1e+100, 1e+100] with 64 nodes", id="nodes-miss-packet"),
+        pytest.param(["--grid=-5:5:64", "--init", "gaussian:q0=1e6"],
+                     "the Gaussian (q0=1e+06, p0=0, sigma=1) has no finite, nonzero mass on the "
+                     "grid [-5, 5] with 64 nodes", id="packet-off-grid"),
+        pytest.param(["--init", "gaussian:sigma=1e-200"],
+                     "the Gaussian normalisation (2*pi*sigma^2)^(-1/4) is not a finite float "
+                     "for sigma=1e-200", id="sigma-underflow"),
+        pytest.param(["--init", "gaussian:sigma=1e200"],
+                     "the Gaussian normalisation (2*pi*sigma^2)^(-1/4) is not a finite float "
+                     "for sigma=1e+200", id="sigma-overflow"),
+    ])
+    def test_unrepresentable_initial_state(self, argv, message):
+        proc = self._evolve_fresh(["--n", "0", "--steps", "3", *argv])
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
+        assert "Traceback" not in proc.stderr
+
     def test_unallocatable_grid(self):
         # 10^15 nodes need 7.11 PiB, beyond a 47-bit address space: it fails at once anywhere
         proc = self._evolve_fresh(["--n", "0", "--grid=-5:5:1000000000000000"])

@@ -14,6 +14,7 @@ from pseudoquant.dynamics import (
     Propagator,
     WaveState,
     _cn_matrices,
+    _conserved_weight,
     evolve,
     expectation_q,
     free_gaussian_exact,
@@ -255,6 +256,58 @@ class TestDiagnostics:
     def test_match_reference_formulas_bitwise(self, n):
         state = _stepped_state(n)
         assert _diagnostics(state, n) == _reference_diagnostics(state.grid, state.psi, n)
+
+
+class TestGridCache:
+    """A grid's coordinates and conserved weights are built once and cannot be written."""
+
+    def test_q_is_built_once(self):
+        g = Grid1D(-1.0, 1.0, 9)
+        assert g.q is g.q
+
+    def test_cached_arrays_are_read_only(self):
+        g = Grid1D(-3.0, 3.0, 50)
+        with pytest.raises(ValueError, match="read-only"):
+            g.q[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            _conserved_weight(g, 2)[0] = 0.0
+
+    @pytest.mark.parametrize("n", [0, 2, 3])
+    def test_diagnostics_build_no_arrays_after_first_call(self, n, monkeypatch):
+        state = _stepped_state(n, steps=1)
+        first = _diagnostics(state, n)
+        calls = {"linspace": 0, "conserved_weight": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np, "linspace", counted("linspace", np.linspace))
+        monkeypatch.setattr(PositionDeformation, "conserved_weight",
+                            counted("conserved_weight", PositionDeformation.conserved_weight))
+        for _ in range(100):
+            assert _diagnostics(state, n) == first
+        assert calls == {"linspace": 0, "conserved_weight": 0}
+
+
+class TestGaussianState:
+    @pytest.mark.parametrize("sigma", [1e-200, 1e200])
+    def test_unrepresentable_normalisation_rejected(self, sigma):
+        with pytest.raises(ValueError, match="normalisation .* is not a finite float"):
+            gaussian_state(Grid1D(-5.0, 5.0, 64), 0.0, 0.0, sigma, 1.0)
+
+    @pytest.mark.parametrize("grid, q0, p0", [
+        pytest.param(Grid1D(-1e100, 1e100, 64), 0.0, 0.0, id="nodes-miss-packet"),
+        pytest.param(Grid1D(-5.0, 5.0, 64), 1e6, 0.0, id="packet-off-grid"),
+        pytest.param(Grid1D(-5.0, 5.0, 64), 0.0, 1e308, id="phase-overflow"),
+    ])
+    def test_state_without_finite_mass_rejected(self, grid, q0, p0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no finite, nonzero mass on the grid"):
+                gaussian_state(grid, q0, p0, 1.0, 1.0)
 
 
 class TestBoundaryGuard:
