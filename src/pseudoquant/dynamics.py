@@ -8,8 +8,9 @@ the owner the pairing reads too.  Time stepping is the implicit trapezoidal
 ``zgttrf`` and each step back-solves with ``zgttrs``.
 
 A grid's coordinates ``Grid1D.q`` and the conserved weight ``weighted_norm``
-reads are computed once per grid (and order n) and shared read-only, so the
-per-step diagnostics build no arrays but |psi|^2 and its products.
+reads are computed once per grid (and order n) and shared read-only: writing
+into them raises ValueError, so copy before modifying.  The per-step
+diagnostics then build no arrays but |psi|^2 and its products.
 
 Plain L2 norm is not conserved for n > 0 because diag(1/c) H, not H, is
 symmetric; the weighted norm integral of |psi|^2 / c is conserved to roundoff.
@@ -220,9 +221,9 @@ def l2_norm(state: WaveState) -> float:
     return math.sqrt(float(np.sum(np.abs(state.psi) ** 2) * state.grid.dq))
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=8)
 def _conserved_weight(grid: Grid1D, n: int) -> np.ndarray:
-    """``PositionDeformation(n).conserved_weight`` on ``grid.q``, built once and read-only."""
+    """``PositionDeformation(n).conserved_weight`` on ``grid.q``, read-only; keeps the last 8."""
     w = PositionDeformation(n).conserved_weight(grid.q)
     w.flags.writeable = False
     return w
@@ -266,21 +267,20 @@ def gaussian_state(
     try:
         norm = (2.0 * math.pi * sigma**2) ** (-0.25)
     except (OverflowError, ZeroDivisionError):  # sigma**2 overflows or underflows to 0
-        norm = math.inf
-    if not math.isfinite(norm):
         raise ValueError(
             f"the Gaussian normalisation (2*pi*sigma^2)^(-1/4) is not a finite float "
             f"for sigma={sigma:g}"
-        )
+        ) from None
     with np.errstate(all="ignore"):
         psi = norm * np.exp(-((q - q0) ** 2) / (4.0 * sigma**2) + 1j * p0 * q / hbar)
-        mass = float(np.sum(np.abs(psi) ** 2) * grid.dq)
-    if not 0.0 < mass < math.inf:
+        state = WaveState(grid, psi, 0.0)
+        l2 = l2_norm(state)
+    if not 0.0 < l2 < math.inf:
         raise ValueError(
             f"the Gaussian (q0={q0:g}, p0={p0:g}, sigma={sigma:g}) has no finite, nonzero "
             f"mass on the grid [{grid.q_min:g}, {grid.q_max:g}] with {grid.nodes} nodes"
         )
-    return WaveState(grid, psi, 0.0)
+    return state
 
 
 def free_gaussian_exact(
