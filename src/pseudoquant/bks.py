@@ -154,10 +154,10 @@ def classify_term(n: int, m: int, j: int, d: DeformationSpec | None = None) -> B
     return BKSTermReport(n, m, j, e, alt_exponent(n, m, j), critical_j(n, m), cls, mu)
 
 
-def classify_pairing(
-    d: DeformationSpec, m_max: int, j_extra: int = 2
-) -> tuple[list[BKSTermReport], bool]:
+def classify_pairing(d: DeformationSpec, m_max: int) -> tuple[list[BKSTermReport], bool]:
     """Full term table for a momentum deformation, plus the convergence verdict.
+
+    Each m lists j = 0 .. max(0, ceil(j')) + 2, two terms past its critical j'.
 
     The verdict is always non-convergent: the leading (m=0, j=0) term has a
     strictly negative tau power for every n >= 1.
@@ -167,7 +167,7 @@ def classify_pairing(
     reports: list[BKSTermReport] = []
     for m in range(m_max + 1):
         jc = critical_j(d.n, m)
-        j_hi = max(0, math.ceil(jc)) + j_extra
+        j_hi = max(0, math.ceil(jc)) + 2
         for j in range(j_hi + 1):
             reports.append(classify_term(d.n, m, j, d))
     converges = all(r.classification != DIVERGES for r in reports)
@@ -257,22 +257,20 @@ def _neville_to_zero(xs: Sequence[float], ys: Sequence[complex]) -> complex:
     return tbl[0]
 
 
-def oscillatory_moment_quadrature(
-    j: int, k: int, a: float, eps0: float = 0.3, levels: int = 8, ratio: float = 3.0
-) -> complex:
+def oscillatory_moment_quadrature(j: int, k: int, a: float) -> complex:
     """Gaussian-regulator oracle for ``oscillatory_moment``.
 
     Computes the regulated integral with weight exp(-eps*mu^2) by direct
-    quadrature for a geometric ladder of regulators and extrapolates
-    eps -> 0 (Neville on the polynomial expansion in eps).  Independent of
-    the contour-rotation route.
+    quadrature for the geometric ladder of regulators eps = 0.3 / 3^i,
+    i = 0..7, and extrapolates eps -> 0 (Neville on the polynomial
+    expansion in eps).  Independent of the contour-rotation route.
     """
     if k < 2 or a == 0:
         raise ValueError("need k >= 2 and a != 0")
     sign = 1.0
     if a < 0:
         a, sign = -a, -1.0
-    eps_ladder = [eps0 / ratio**i for i in range(levels)]
+    eps_ladder = [0.3 / 3.0**i for i in range(8)]
     vals = [_regulated_half_line(j, k, a, eps) for eps in eps_ladder]
     half = _neville_to_zero(eps_ladder, vals)
     if k % 2 == 0:
@@ -287,20 +285,19 @@ def oscillatory_moment_quadrature(
 # -- position deformations: the surviving Schroedinger coefficient -------------
 
 
-def surviving_position_terms(
-    n: int, lambda_max: int = 6, series_depth: int = 2
-) -> list[tuple[int, tuple[int, ...], Fraction]]:
+def surviving_position_terms(n: int) -> list[tuple[int, tuple[int, ...], Fraction]]:
     """Enumerate (F-expansion order, correction factors, tau power) that survive.
 
-    A term survives the tau -> 0 derivative limit iff its tau power equals 1
-    and its mu-integrand parity is even.  The only survivor is the bare
-    second-order term.
+    Scans F-expansion orders 0..6 with up to two correction factors.  A term
+    survives the tau -> 0 derivative limit iff its tau power equals 1 and its
+    mu-integrand parity is even.  The only survivor is the bare second-order
+    term.
     """
     survivors = []
     combos: list[tuple[int, ...]] = [()]
-    for _ in range(series_depth):
+    for _ in range(2):
         combos += [c + (jj,) for c in combos for jj in range(1, n + 1)]
-    for lam in range(lambda_max + 1):
+    for lam in range(7):
         for extra in combos:
             power = Fraction(lam, 2) + sum(Fraction(jj, 2) + 1 for jj in extra)
             mu_power = lam + sum(extra)

@@ -139,11 +139,10 @@ def cmd_preserve(args) -> int:
             raise CliError(f"--{flag} applies only to --grid")
     problem = _load(args)
     A = parse_poly(args.observable, problem.chart)
-    rep = preserves(A, problem.connection, problem.polarisation)
+    rep = preserves(A, problem.connection)
     payload = {
         "observable": str(rep.observable),
         "preserves": rep.preserves,
-        "case": rep.case,
         "residuals": [
             {"flat_index": i, "derivative": list(k), "coefficient": str(c)}
             for i, k, c in rep.residuals

@@ -234,16 +234,24 @@ def weighted_norm(state: WaveState, n: int) -> float:
     return math.sqrt(float(np.sum(w * np.abs(state.psi) ** 2) * state.grid.dq))
 
 
+def _mass(dens: np.ndarray, grid: Grid1D) -> float:
+    """The integral of ``dens`` over ``grid``; a ValueError when it is 0."""
+    mass = float(np.sum(dens) * grid.dq)
+    if mass == 0.0:
+        raise ValueError("the state is empty: with no mass on the grid, q moments are undefined")
+    return mass
+
+
 def expectation_q(state: WaveState) -> float:
     dens = np.abs(state.psi) ** 2
-    mass = float(np.sum(dens) * state.grid.dq)
+    mass = _mass(dens, state.grid)
     return float(np.sum(state.grid.q * dens) * state.grid.dq) / mass
 
 
 def variance_q(state: WaveState) -> float:
     q = state.grid.q
     dens = np.abs(state.psi) ** 2
-    mass = float(np.sum(dens) * state.grid.dq)
+    mass = _mass(dens, state.grid)
     mean = float(np.sum(q * dens) * state.grid.dq) / mass
     return float(np.sum((q - mean) ** 2 * dens) * state.grid.dq) / mass
 

@@ -21,9 +21,10 @@ Problem files are JSON objects::
       "theta": "standard" | [["<coeff expr>", "dq1"], ...],
       "observables": {"name": "<expr>", ...},
       "pullback": {"target": {"pairs": [...]},
-                   "theta": ..., "map": {"<target coord>": "<expr>", ...}},
-      "polarisation": true
+                   "theta": ..., "map": {"<target coord>": "<expr>", ...}}
     }
+
+Every key is optional; any other key is a ChartError naming it.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .prequant import ConnectionData, PullbackSetup
-from .polarisation import Polarisation
-from .symcore import ChartError, ChartSpec, OneForm, Poly, Scalar, SmoothMap
+from .symcore import ChartError, ChartSpec, OneForm, Poly, Scalar, SmoothMap, _Record
 
 
 class ExprSyntaxError(ValueError):
@@ -207,29 +207,24 @@ def parse_one_form(entries, chart: ChartSpec) -> OneForm:
         coeff, basis = item
         if not isinstance(basis, str) or not basis.startswith("d"):
             raise ChartError(f"covector name {basis!r} must look like 'dq1'")
-        poly = coeff if isinstance(coeff, Poly) else parse_poly(str(coeff), chart)
-        comps[basis] = comps.get(basis, Poly.zero(chart)) + poly
+        comps[basis] = comps.get(basis, Poly.zero(chart)) + parse_poly(str(coeff), chart)
     return OneForm.from_dict(chart, comps)
 
 
 # -- problem files -------------------------------------------------------------
 
 
-class ProblemFile:
-    """Parsed problem: chart, connection, named observables, optional extras."""
+class ProblemFile(_Record):
+    """Parsed problem: chart, connection, named observables, optional pullback."""
 
-    __slots__ = ("chart", "connection", "observables", "pullback", "polarisation")
+    __slots__ = ("chart", "connection", "observables", "pullback")
 
     def __init__(
         self, chart: ChartSpec, connection: ConnectionData, observables: dict[str, Poly],
-        pullback: PullbackSetup | None = None, polarisation: Polarisation | None = None,
+        pullback: PullbackSetup | None = None,
     ):
-        values = (chart, connection, observables, pullback, polarisation)
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self.__slots__, (chart, connection, observables, pullback)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProblemFile is immutable")
 
 
 def _object(value, key: str) -> dict:
@@ -237,6 +232,15 @@ def _object(value, key: str) -> dict:
     if not isinstance(value, dict):
         raise ChartError(f"'{key}' must be a JSON object")
     return value
+
+
+def _known_keys(block: dict, allowed: tuple[str, ...], prefix: str) -> None:
+    """A ChartError naming the first key of ``block`` that is not in ``allowed``."""
+    for key in block:
+        if key not in allowed:
+            raise ChartError(
+                f"unknown problem-file key '{prefix}{key}' (expected {', '.join(allowed)})"
+            )
 
 
 def _chart_from_dict(data, key: str) -> ChartSpec:
@@ -251,8 +255,7 @@ def _chart_from_dict(data, key: str) -> ChartSpec:
 def standard_problem() -> ProblemFile:
     """The default 1-dof chart p1/q1 with the standard potential."""
     chart = ChartSpec((("p1", "q1"),))
-    conn = ConnectionData.standard(chart)
-    return ProblemFile(chart, conn, {}, None, Polarisation(chart, conn))
+    return ProblemFile(chart, ConnectionData.standard(chart), {})
 
 
 def load_problem(source) -> ProblemFile:
@@ -273,6 +276,7 @@ def load_problem(source) -> ProblemFile:
         data = json.loads(text)
     if not isinstance(data, dict):
         raise ChartError("a problem file must hold a JSON object")
+    _known_keys(data, ("chart", "theta", "observables", "pullback"), "")
     chart = _chart_from_dict(data.get("chart", {"pairs": [["p1", "q1"]]}), "chart")
     theta = parse_one_form(data.get("theta", "standard"), chart)
     conn = ConnectionData(theta)
@@ -283,6 +287,7 @@ def load_problem(source) -> ProblemFile:
     pullback = None
     if "pullback" in data:
         pb = _object(data["pullback"], "pullback")
+        _known_keys(pb, ("target", "theta", "map"), "pullback.")
         target = _chart_from_dict(pb.get("target"), "pullback.target")
         target_theta = parse_one_form(pb.get("theta", "standard"), target)
         mapping = _object(pb.get("map", {}), "pullback.map")
@@ -292,10 +297,7 @@ def load_problem(source) -> ProblemFile:
                 raise ChartError(f"pullback map missing target coordinate {coord!r}")
             comps.append(parse_poly(str(mapping[coord]), chart))
         pullback = PullbackSetup(SmoothMap(chart, target, comps), ConnectionData(target_theta))
-    polarisation = None
-    if data.get("polarisation"):
-        polarisation = Polarisation(chart, conn)
-    return ProblemFile(chart, conn, observables, pullback, polarisation)
+    return ProblemFile(chart, conn, observables, pullback)
 
 
 __all__ = [

@@ -19,6 +19,7 @@ from .symcore import (
     ChartSpec,
     OneForm,
     Poly,
+    _Record,
     contract,
     exterior_d,
     hamiltonian_vf,
@@ -28,29 +29,25 @@ from .symcore import (
 from .prequant import ConnectionData, FormalOperator, quantise
 
 
-class Polarisation:
+class Polarisation(_Record):
     """The vertical polarisation spanned by X_{beta_i} = -d/dalpha_i.
 
     Flat sections are functions of the beta coordinates.  Construction
-    verifies the adapted-gauge condition Theta(X_{beta_i}) = 0 by exact
-    contraction when a connection is given.
+    verifies the adapted-gauge condition Theta(X_{beta_i}) = 0 of the
+    connection by exact contraction.
     """
 
     __slots__ = ("chart",)
 
-    def __init__(self, chart: ChartSpec, connection: ConnectionData | None = None):
-        if connection is not None:
-            if connection.chart != chart:
-                raise ChartError("connection lives on a different chart")
-            if not is_adapted(connection.theta):
-                raise ChartError(
-                    "connection is not adapted: the potential must have no "
-                    "d(alpha) components so that flat sections are F(beta)"
-                )
+    def __init__(self, chart: ChartSpec, connection: ConnectionData):
+        if connection.chart != chart:
+            raise ChartError("connection lives on a different chart")
+        if not is_adapted(connection.theta):
+            raise ChartError(
+                "connection is not adapted: the potential must have no "
+                "d(alpha) components so that flat sections are F(beta)"
+            )
         object.__setattr__(self, "chart", chart)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polarisation is immutable")
 
 
 def is_adapted(theta: OneForm) -> bool:
@@ -59,7 +56,7 @@ def is_adapted(theta: OneForm) -> bool:
     return all(theta.comps[i].is_zero() for i in range(n))
 
 
-class FlatSectionAction:
+class FlatSectionAction(_Record):
     """Action of an operator on flat sections F(beta).
 
     Stored as coefficient Polys of the pure beta-derivatives: the operator
@@ -79,9 +76,6 @@ class FlatSectionAction:
                 clean[k] = p
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FlatSectionAction is immutable")
 
     def __eq__(self, other):
         return (
@@ -113,24 +107,21 @@ def flat_action(op: FormalOperator, P: Polarisation) -> FlatSectionAction:
     return FlatSectionAction(op.chart, coeffs)
 
 
-class PreservationReport:
+class PreservationReport(_Record):
     """Outcome of the direct-quantisability test for one observable.
 
     ``preserves`` is True when the observable preserves the flat sections;
     ``residuals`` holds the remaining ``(flat index, k, c_k)`` terms.
     """
 
-    __slots__ = ("observable", "preserves", "residuals", "case")
+    __slots__ = ("observable", "preserves", "residuals")
 
-    def __init__(self, observable: Poly, preserves: bool, residuals: tuple, case="standard"):
-        for name, value in zip(self.__slots__, (observable, preserves, residuals, case)):
+    def __init__(self, observable: Poly, preserves: bool, residuals: tuple):
+        for name, value in zip(self.__slots__, (observable, preserves, residuals)):
             object.__setattr__(self, name, value)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PreservationReport is immutable")
 
-
-def residual_operator(A: Poly, c: ConnectionData, P: Polarisation, i: int) -> FormalOperator:
+def residual_operator(A: Poly, c: ConnectionData, i: int) -> FormalOperator:
     """L_i = op({A, beta_i}) - multiplication by Omega(X_A, X_{beta_i})."""
     chart = c.chart
     beta_i = Poly.var(chart, chart.pairs[i][1])
@@ -160,13 +151,15 @@ def cohomologous_residual_operator(
     return nabla + FormalOperator.from_poly(dg_pair)
 
 
-def preserves(A: Poly, c: ConnectionData, P: Polarisation | None = None) -> PreservationReport:
-    """Decide direct quantisability of A; exact residual polynomials included."""
-    if P is None:
-        P = Polarisation(c.chart, c)
+def preserves(A: Poly, c: ConnectionData) -> PreservationReport:
+    """Decide direct quantisability of A; exact residual polynomials included.
+
+    A connection outside the adapted gauge is a ChartError.
+    """
+    P = Polarisation(c.chart, c)
     residuals: list[tuple[int, tuple[int, ...], Poly]] = []
     for i in range(c.chart.n):
-        L = residual_operator(A, c, P, i)
+        L = residual_operator(A, c, i)
         fa = flat_action(L, P)
         for k, coeff in fa.nonzero_coeffs():
             residuals.append((i, k, coeff))
@@ -213,13 +206,11 @@ def classify_monomials(
                 if deformation.depends_on(a_name):
                     raise ChartError("polarised deformation must depend on beta only")
         conn = scaled_connection(chart, deformation)
-    P = Polarisation(chart, conn)
     table: dict[tuple[int, int], PreservationReport] = {}
     for m in range(m_max + 1):
         for n in range(n_max + 1):
             A = Poly.var(chart, alpha) ** m * Poly.var(chart, beta) ** n
-            rep = preserves(A, conn, P)
-            table[(m, n)] = PreservationReport(rep.observable, rep.preserves, rep.residuals, case)
+            table[(m, n)] = preserves(A, conn)
     return table
 
 

@@ -27,6 +27,7 @@ from .symcore import (
     Poly,
     SmoothMap,
     VectorField,
+    _Record,
     _sum_products,
     contract,
     exterior_d,
@@ -38,7 +39,7 @@ from .symcore import (
 )
 
 
-class ConnectionData:
+class ConnectionData(_Record):
     """A connection potential together with its cached curvature.
 
     ``theta`` is the potential one-form, ``omega_curv = d(theta)`` the
@@ -54,15 +55,12 @@ class ConnectionData:
         object.__setattr__(self, "omega_curv", exterior_d(theta))
         object.__setattr__(self, "base_omega", standard_symplectic(chart))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ConnectionData is immutable")
-
     @staticmethod
     def standard(chart: ChartSpec) -> "ConnectionData":
         return ConnectionData(standard_potential(chart))
 
 
-class FormalOperator:
+class FormalOperator(_Record):
     """Finite sum of (Poly coefficient) x (mixed partial derivative).
 
     Terms map a derivative multi-index over (d/dalpha_i, d/dbeta_i) to a
@@ -83,9 +81,6 @@ class FormalOperator:
                 clean[idx] = coeff
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FormalOperator is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -143,9 +138,7 @@ class FormalOperator:
 
     def scale(self, p: Poly | int) -> "FormalOperator":
         """Left multiplication by a function or constant."""
-        if isinstance(p, Poly):
-            return _op(self.chart, {i: c * p for i, c in self.terms.items()})
-        return _op(self.chart, {i: c.scale(p) for i, c in self.terms.items()})
+        return _op(self.chart, {i: c * p for i, c in self.terms.items()})
 
     # -- action and composition ---------------------------------------------
 
@@ -291,7 +284,7 @@ def phase_conjugate(op: FormalOperator, g: Poly) -> FormalOperator:
 # -- pullback quantisation ----------------------------------------------------
 
 
-class PullbackSetup:
+class PullbackSetup(_Record):
     """A polynomial map into a prequantised target plus the induced data.
 
     The induced connection over the source chart pulls back both the target
@@ -309,9 +302,6 @@ class PullbackSetup:
         object.__setattr__(self, "target_connection", target_connection)
         induced = ConnectionData(pullback_form(m, target_connection.theta))
         object.__setattr__(self, "induced", induced)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PullbackSetup is immutable")
 
 
 def pullback_quantise(A: Poly, s: PullbackSetup) -> FormalOperator:

@@ -45,7 +45,16 @@ class ChartError(ValueError):
     """Mismatched or malformed chart data."""
 
 
-class Scalar:
+class _Record:
+    """Base of the immutable records; constructors set slots via ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Scalar(_Record):
     """A read-only Gaussian rational ``re + i*im`` with ``Fraction`` parts.
 
     A record, not a number type: it has no arithmetic and no comparison.
@@ -57,9 +66,6 @@ class Scalar:
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
         object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
         object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
 
     def __repr__(self):
         return f"Scalar({self.re!r}, {self.im!r})"
@@ -96,7 +102,7 @@ def _gaussian_str(re: int, im: int, den: int) -> str:
     return f"({_ratio_str(re, den)} {'-' if im < 0 else '+'} {im_part})"
 
 
-class ChartSpec:
+class ChartSpec(_Record):
     """A single cotangent chart with n canonically paired coordinates.
 
     ``pairs[i] = (alpha_i, beta_i)`` names the i-th momentum/position pair.
@@ -114,9 +120,6 @@ class ChartSpec:
         if len(set(names)) != len(names) or "hbar" in names:
             raise ChartError("coordinate labels must be distinct and not 'hbar'")
         object.__setattr__(self, "pairs", pairs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChartSpec is immutable")
 
     def __eq__(self, other):
         return type(other) is ChartSpec and self.pairs == other.pairs
@@ -157,7 +160,7 @@ def standard_chart(n: int = 1) -> ChartSpec:
     return ChartSpec(tuple((f"p{i}", f"q{i}") for i in range(1, n + 1)))
 
 
-class Poly:
+class Poly(_Record):
     """Exact multivariate polynomial over the Gaussian rationals.
 
     ``nums`` maps an exponent tuple over ``chart.variables`` to a nonzero
@@ -194,9 +197,6 @@ class Poly:
         _set_chart(self, chart)
         _set_nums(self, nums)
         _set_den(self, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -539,12 +539,12 @@ def covector_names(chart: ChartSpec) -> tuple[str, ...]:
     return tuple(f"d{c}" for c in chart.coords)
 
 
-class _Components:
+class _Components(_Record):
     """A chart plus one coefficient Poly per coordinate, in coordinate order.
 
     The one record of ``OneForm`` and ``VectorField``: it holds their
-    validation, immutability, ``==`` and ``+``.  Records of different classes
-    never compare equal.
+    validation, ``==`` and ``+``.  Records of different classes never compare
+    equal.
     """
 
     __slots__ = ("chart", "comps")
@@ -559,9 +559,6 @@ class _Components:
                 raise ChartError(f"{self._noun} coefficient on the wrong chart")
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "comps", comps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other):
         return (
@@ -590,12 +587,10 @@ class OneForm(_Components):
         return OneForm(chart, comps)
 
     def scale(self, p: Poly | Scalar | RationalLike) -> "OneForm":
-        if isinstance(p, Poly):
-            return OneForm(self.chart, [a * p for a in self.comps])
-        return OneForm(self.chart, [a.scale(p) for a in self.comps])
+        return OneForm(self.chart, [a * p for a in self.comps])
 
 
-class TwoForm:
+class TwoForm(_Record):
     """A two-form stored on the canonical ordered basis dx_i ^ dx_j, i < j."""
 
     __slots__ = ("chart", "comps")
@@ -611,9 +606,6 @@ class TwoForm:
                 clean[(i, j)] = p
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "comps", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwoForm is immutable")
 
     @staticmethod
     def zero(chart: ChartSpec) -> "TwoForm":
@@ -706,7 +698,7 @@ class VectorField(_Components):
         )
 
 
-class SmoothMap:
+class SmoothMap(_Record):
     """Polynomial map between charts: one source-chart Poly per target coordinate."""
 
     __slots__ = ("source", "target", "comps")
@@ -721,9 +713,6 @@ class SmoothMap:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "comps", comps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SmoothMap is immutable")
 
     def mapping(self) -> dict[str, Poly]:
         return dict(zip(self.target.coords, self.comps))

@@ -49,6 +49,7 @@ from .symcore import (
     Poly,
     Scalar,
     SmoothMap,
+    _Record,
     exterior_d,
     poisson,
     standard_chart,
@@ -60,7 +61,7 @@ FLAG = "flagged-discrepancy"
 FAIL = "fail"
 
 
-class CheckResult:
+class CheckResult(_Record):
     """One line of the verification battery."""
 
     __slots__ = ("check_id", "anchor", "status", "details")
@@ -68,9 +69,6 @@ class CheckResult:
     def __init__(self, check_id: str, anchor: str, status: str, details: str):
         for name, value in zip(self.__slots__, (check_id, anchor, status, details)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CheckResult is immutable")
 
     def line(self) -> str:
         return f"[{self.status:>20}] {self.check_id}: {self.anchor} -- {self.details}"
@@ -205,16 +203,16 @@ def example_connections() -> dict[str, ConnectionData]:
 
 
 @_check("commutator-oracle", "structural commutator equals the closed-form expression")
-def check_structural_vs_closed_form(pairs_per_connection: int = 200, seed: int = 20260823):
+def check_structural_vs_closed_form(seed: int = 20260823):
     rng = random.Random(seed)
     connections = example_connections()
     for name, conn in connections.items():
-        for _ in range(pairs_per_connection):
+        for _ in range(200):
             A = random_poly(conn.chart, rng)
             B = random_poly(conn.chart, rng)
             if commutator(quantise(A, conn), quantise(B, conn)) != commutator_rhs(A, B, conn):
                 return FAIL, f"mismatch on connection {name}: A={A}, B={B}"
-    total = pairs_per_connection * len(connections)
+    total = 200 * len(connections)
     return PASS, f"{total} random pairs across {len(connections)} connections, exact equality"
 
 
@@ -281,7 +279,7 @@ def check_cohomologous():
         gamma = standard_potential(ab1).scale(-f)
         P = Polarisation(ab1, conn)
         for A in (a1, a1**2, a1 * b1):
-            direct = residual_operator(A, conn, P, 0)
+            direct = residual_operator(A, conn, 0)
             simplified = cohomologous_residual_operator(A, conn, P, gamma, 0)
             if flat_action(direct, P) != flat_action(simplified, P):
                 return FAIL, f"A = {A}, f = {f}"

@@ -14,6 +14,8 @@ import pytest
 import pseudoquant
 from pseudoquant.bohrsommerfeld import folded_points
 from pseudoquant.cli import EXIT_INPUT, EXIT_OK, run
+from pseudoquant.exprparse import load_problem, parse_poly
+from pseudoquant.prequant import theorem_commutator
 
 
 @pytest.fixture
@@ -96,6 +98,11 @@ class TestErrors:
         ('{"pullback": 3}', "'pullback'"),
         ("[1]", "problem file must hold a JSON object"),
         ('{"chart": {"pairs": [["p1", "q1", "r1"]]}}', "'chart.pairs'"),
+        # a misspelt or removed key is an error, not a silent default
+        ('{"thetaa": [["2*p1", "dq1"]]}', "unknown problem-file key 'thetaa'"),
+        ('{"polarisation": true}', "unknown problem-file key 'polarisation'"),
+        ('{"pullback": {"target": {"pairs": [["z", "phi_z"]]}, "thetaa": [["2*z", "dphi_z"]],'
+         ' "map": {"z": "p1", "phi_z": "q1"}}}', "unknown problem-file key 'pullback.thetaa'"),
     ])
     def test_malformed_problem_file(self, capsys, tmp_path, text, key):
         path = tmp_path / "bad.json"
@@ -149,6 +156,7 @@ class TestQuantiseAndPreserve:
     def test_preserve_single(self, capsys):
         assert run(["preserve", "--observable", "p1^2"]) == EXIT_OK
         data = json.loads(out_of(capsys))
+        assert set(data) == {"observable", "preserves", "residuals"}
         assert data["preserves"] is False
         assert data["residuals"]
 
@@ -178,6 +186,31 @@ class TestQuantiseAndPreserve:
         verdicts = {tuple(r.split(",")[:2]): r.split(",")[2] for r in rows}
         assert verdicts[("0", "0")] == "true"
         assert verdicts[("1", "0")] == "false"
+
+
+class TestReadmeProblemFile:
+    """The example under README's "## Problem files" loads and runs as documented."""
+
+    @staticmethod
+    def example() -> str:
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Problem files\n", 1)[1]
+        return section.split("```json\n", 1)[1].split("```", 1)[0]
+
+    def test_loads(self):
+        prob = load_problem(self.example())
+        assert prob.chart.coords == ("p1", "q1")
+        assert set(prob.observables) == {"H"}
+        assert prob.pullback.map.target.coords == ("z", "phi_z")
+
+    def test_commutator(self, capsys, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text(self.example())
+        assert run(["commutator", "--problem", str(path), "--a", "z^2", "--b", "phi_z"]) == EXIT_OK
+        setup = load_problem(self.example()).pullback
+        z, phi_z = (parse_poly(x, setup.map.target) for x in ("z", "phi_z"))
+        want = str(theorem_commutator(z**2, phi_z, setup))  # the closed-form oracle
+        assert out_of(capsys) == want == "16*i*hbar*p1 - 8*hbar^2*d/dq1"
 
 
 class TestBks:

@@ -257,6 +257,13 @@ class TestDiagnostics:
         state = _stepped_state(n)
         assert _diagnostics(state, n) == _reference_diagnostics(state.grid, state.psi, n)
 
+    @pytest.mark.parametrize("moment", [expectation_q, variance_q, width_q])
+    def test_empty_state_moments_raise(self, moment):
+        state = WaveState(Grid1D(-5.0, 5.0, 64), np.zeros(64, dtype=complex))
+        assert l2_norm(state) == 0.0 and weighted_norm(state, 2) == 0.0
+        with pytest.raises(ValueError, match="^the state is empty"):
+            moment(state)
+
 
 class TestGridCache:
     """A grid's coordinates and conserved weights are built once and cannot be written."""

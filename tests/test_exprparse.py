@@ -104,11 +104,10 @@ class TestProblemFiles:
         prob = standard_problem()
         assert prob.chart.coords == ("p1", "q1")
         assert prob.connection.theta == standard_potential(prob.chart)
-        assert prob.polarisation is not None
 
     def test_optional_blocks_default_to_none(self, chart):
         prob = ProblemFile(chart, ConnectionData.standard(chart), {})
-        assert prob.pullback is None and prob.polarisation is None
+        assert prob.pullback is None
         assert load_problem({"chart": {"pairs": [["a1", "b1"]]}}).pullback is None
 
     def test_load_dump_load(self):
@@ -121,7 +120,6 @@ class TestProblemFiles:
                 "theta": "standard",
                 "map": {"z": "2*p1", "w": "q1"},
             },
-            "polarisation": True,
         }
         prob = load_problem(data)
         p1, q1 = Poly.var(prob.chart, "p1"), Poly.var(prob.chart, "q1")
@@ -132,7 +130,6 @@ class TestProblemFiles:
         }
         assert prob.pullback.map.target == ChartSpec((("z", "w"),))
         assert prob.pullback.map.comps == (p1 * 2, q1)
-        assert prob.polarisation is not None
 
     def test_load_from_json_text_and_file(self, tmp_path):
         data = {"chart": {"pairs": [["a1", "b1"]]}, "observables": {"x": "b1^2"}}

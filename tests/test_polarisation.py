@@ -5,7 +5,6 @@ import pytest
 from pseudoquant.polarisation import (
     FlatSectionAction,
     Polarisation,
-    PreservationReport,
     classify_monomials,
     cohomologous_residual_operator,
     flat_action,
@@ -56,6 +55,8 @@ class TestFlatAction:
         theta = OneForm.from_dict(ab1, {"da1": Poly.var(ab1, "b1")})
         with pytest.raises(ChartError):
             Polarisation(ab1, ConnectionData(theta))
+        with pytest.raises(ChartError, match="not adapted"):  # preserves checks the gauge itself
+            preserves(Poly.var(ab1, "b1"), ConnectionData(theta))
 
 
 class TestPreserves:
@@ -68,12 +69,6 @@ class TestPreserves:
         alpha, beta = Poly.var(ab1, "a1"), Poly.var(ab1, "b1")
         for n in range(4):
             assert preserves(alpha * beta**n, conn).preserves
-
-    def test_report_case_defaults_to_standard(self, ab1, conn):
-        beta = Poly.var(ab1, "b1")
-        assert preserves(beta, conn).case == "standard"
-        assert PreservationReport(beta, True, ()).case == "standard"
-        assert PreservationReport(beta, True, (), "scaled").case == "scaled"
 
     def test_quadratic_momentum_fails(self, ab1, conn):
         alpha = Poly.var(ab1, "a1")
@@ -91,7 +86,7 @@ class TestPreserves:
         f = Poly.var(ab1, "b1") ** 2
         c = scaled_connection(ab1, f)
         P = Polarisation(ab1, c)
-        L = residual_operator(Poly.var(ab1, "a1"), c, P, 0)
+        L = residual_operator(Poly.var(ab1, "a1"), c, 0)
         fa = flat_action(L, P)
         assert fa.nonzero_coeffs() == [((0,), -f)]
 
@@ -107,7 +102,7 @@ class TestCohomologous:
                 Poly.var(ab1, "a1") ** 2,
                 Poly.var(ab1, "a1") * Poly.var(ab1, "b1"),
             ):
-                direct = residual_operator(A, c, P, 0)
+                direct = residual_operator(A, c, 0)
                 simplified = cohomologous_residual_operator(A, c, P, gamma, 0)
                 assert flat_action(direct, P) == flat_action(simplified, P)
 

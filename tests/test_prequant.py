@@ -150,6 +150,12 @@ class TestOperatorValidation:
         with pytest.raises(ChartError):
             op.scale(Poly.minus_i_hbar(pq2))
 
+    @pytest.mark.parametrize("c", [3, 0, Fraction(-1, 2), Scalar(Fraction(1, 3), 2)])
+    def test_scale_by_constant_is_coefficientwise_poly_scale(self, pq1, c):
+        op = quantise(Poly.var(pq1, "p1") ** 2 + Poly.var(pq1, "q1"), ConnectionData.standard(pq1))
+        want = FormalOperator(pq1, {idx: coeff.scale(c) for idx, coeff in op.terms.items()})
+        assert op.scale(c) == want
+
 
 class TestGaugeShift:
     def test_phase_conjugation_identity(self, pq2, rng):

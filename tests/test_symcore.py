@@ -13,6 +13,7 @@ from pseudoquant.symcore import (
     SmoothMap,
     TwoForm,
     VectorField,
+    _Record,
     contract,
     exterior_d,
     hamiltonian_vf,
@@ -321,3 +322,31 @@ class TestFormAndFieldRecords:
         assert cls(pq1, comps) == cls(pq1, comps)
         assert cls(pq1, comps) != other(pq1, comps)
         assert not cls(pq1, comps) == other(pq1, comps)
+
+
+@pytest.mark.parametrize("c", [3, 0, Fraction(-1, 2), Scalar(Fraction(1, 3), 2)])
+def test_one_form_scale_by_constant_is_componentwise_poly_scale(pq1, c):
+    form = OneForm(pq1, [Poly.var(pq1, "q1").scale(Fraction(1, 2)), Poly.var(pq1, "p1") + 1])
+    assert form.scale(c) == OneForm(pq1, [a.scale(c) for a in form.comps])
+
+
+def test_records_share_one_immutability_rule():
+    """Every exact-layer record takes ``__setattr__`` from one base and names itself."""
+    import pseudoquant.exprparse
+    import pseudoquant.verify  # noqa: F401  (defines CheckResult)
+
+    records, todo = set(), [_Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            records.add(sub)
+            todo.append(sub)
+    assert {cls.__name__ for cls in records} == {
+        "Scalar", "ChartSpec", "Poly", "OneForm", "VectorField", "TwoForm", "SmoothMap",
+        "_Components", "ConnectionData", "FormalOperator", "PullbackSetup", "Polarisation",
+        "FlatSectionAction", "PreservationReport", "ProblemFile", "CheckResult",
+    }
+    assert all("__setattr__" not in vars(cls) for cls in records)
+    for record in (Scalar(1), Poly.zero(standard_chart(1)),
+                   pseudoquant.exprparse.standard_problem()):
+        with pytest.raises(AttributeError, match=f"^{type(record).__name__} is immutable$"):
+            record.chart = None
