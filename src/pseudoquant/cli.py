@@ -125,7 +125,10 @@ def cmd_preserve(args) -> int:
         if args.deformation:
             deformation = parse_poly(args.deformation, chart)
         case = args.case or "standard"
-        table = classify_monomials(m_max, n_max, deformation, case, chart)
+        try:
+            table = classify_monomials(m_max, n_max, deformation, case, chart)
+        except ValueError as exc:  # every such error is about the case and its deformation
+            raise CliError(f"--case {case}: {exc}") from None
         lines = [f"# case={case} deformation={args.deformation or '0'}"]
         lines.append("m,n,preserves,residual_count")
         for (m, n), rep in sorted(table.items()):

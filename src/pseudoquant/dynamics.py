@@ -9,8 +9,10 @@ the owner the pairing reads too.  Time stepping is the implicit trapezoidal
 
 A grid's coordinates ``Grid1D.q`` and the conserved weight ``weighted_norm``
 reads are computed once per grid (and order n) and shared read-only: writing
-into them raises ValueError, so copy before modifying.  The per-step
-diagnostics then build no arrays but |psi|^2 and its products.
+into them raises ValueError, so copy before modifying.  A ``WaveState`` is
+immutable and owns a read-only copy of its amplitudes, so copy ``psi`` before
+modifying it too.  Its density |psi|^2, mass and mean position are computed
+once per state, by the first diagnostic that reads them, and never by a step.
 
 Plain L2 norm is not conserved for n > 0 because diag(1/c) H, not H, is
 symmetric; the weighted norm integral of |psi|^2 / c is conserved to roundoff.
@@ -76,18 +78,39 @@ class EvolutionConfig:
             raise ValueError("steps must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class WaveState:
-    """Complex amplitudes on a grid at a given time."""
+    """Complex amplitudes on a grid at a given time, read-only and owned by the state."""
 
     grid: Grid1D
     psi: np.ndarray
     t: float = 0.0
 
     def __post_init__(self):
-        self.psi = np.asarray(self.psi, dtype=np.complex128)
-        if self.psi.shape != (self.grid.nodes,):
+        psi = np.array(self.psi, dtype=np.complex128)
+        if psi.shape != (self.grid.nodes,):
             raise ValueError("amplitude array does not match the grid")
+        psi.flags.writeable = False
+        object.__setattr__(self, "psi", psi)
+
+    @functools.cached_property
+    def density(self) -> np.ndarray:
+        """|psi|^2, computed once and read-only."""
+        dens = np.abs(self.psi) ** 2
+        dens.flags.writeable = False
+        return dens
+
+    @functools.cached_property
+    def mass(self) -> float:
+        """The integral of |psi|^2 over the grid."""
+        return float(self.density.sum() * self.grid.dq)
+
+    @functools.cached_property
+    def mean_q(self) -> float:
+        """The mean position; a ValueError when the state has no mass."""
+        if self.mass == 0.0:
+            raise ValueError("the state is empty: with no mass on the grid, q moments are undefined")
+        return float((self.grid.q * self.density).sum() * self.grid.dq) / self.mass
 
 
 def kinetic_profile(q: np.ndarray, n: int) -> np.ndarray:
@@ -148,11 +171,16 @@ class Propagator:
         *self._lu, info = zgttrf(A[2, :-1], A[1], A[0, 1:])
         if info != 0:
             raise np.linalg.LinAlgError(f"Crank-Nicolson matrix is singular (zgttrf info={info})")
+        self._scratch = np.empty(grid.nodes, dtype=np.complex128)
 
     def _multiply_banded(self, M: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """M psi for banded M, in a new array; the off-diagonal products share one scratch buffer."""
         out = M[1] * psi
-        out[:-1] += M[0, 1:] * psi[1:]
-        out[1:] += M[2, :-1] * psi[:-1]
+        prod = self._scratch
+        np.multiply(M[0, 1:], psi[1:], out=prod[:-1])
+        out[:-1] += prod[:-1]
+        np.multiply(M[2, :-1], psi[:-1], out=prod[1:])
+        out[1:] += prod[1:]
         return out
 
     def step(self, state: WaveState) -> WaveState:
@@ -181,6 +209,9 @@ def evolve(state: WaveState, cfg: EvolutionConfig) -> WaveState:
 class BoundaryWatch:
     """Probability fraction within ``margin`` nodes of either grid edge, state by state.
 
+    Each node counts once, so on a grid of at most 2 * ``margin`` nodes every node is
+    an edge node and the fraction is 1.
+
     Step k is the k-th recorded state, the initial one being step 0.  ``report``
     names the first step over ``tol`` and the largest fraction seen, or is None.
     """
@@ -195,8 +226,10 @@ class BoundaryWatch:
 
     def record(self, state: WaveState) -> None:
         psi, m = state.psi, self.margin
-        total = np.vdot(psi, psi).real
-        edge = np.vdot(psi[:m], psi[:m]).real + np.vdot(psi[-m:], psi[-m:]).real
+        # head, inner and tail are disjoint also on grids of fewer than 2*m nodes
+        head, inner, tail = psi[:m], psi[m:-m], psi[max(m, psi.size - m):]
+        edge = np.vdot(head, head).real + np.vdot(tail, tail).real
+        total = edge + np.vdot(inner, inner).real
         frac = float(edge / total) if total > 0 else 0.0
         if frac > self.largest:
             self.largest = frac
@@ -218,7 +251,7 @@ class BoundaryWatch:
 
 
 def l2_norm(state: WaveState) -> float:
-    return math.sqrt(float(np.sum(np.abs(state.psi) ** 2) * state.grid.dq))
+    return math.sqrt(state.mass)
 
 
 @functools.lru_cache(maxsize=8)
@@ -231,29 +264,16 @@ def _conserved_weight(grid: Grid1D, n: int) -> np.ndarray:
 
 def weighted_norm(state: WaveState, n: int) -> float:
     w = _conserved_weight(state.grid, n)
-    return math.sqrt(float(np.sum(w * np.abs(state.psi) ** 2) * state.grid.dq))
-
-
-def _mass(dens: np.ndarray, grid: Grid1D) -> float:
-    """The integral of ``dens`` over ``grid``; a ValueError when it is 0."""
-    mass = float(np.sum(dens) * grid.dq)
-    if mass == 0.0:
-        raise ValueError("the state is empty: with no mass on the grid, q moments are undefined")
-    return mass
+    return math.sqrt(float((w * state.density).sum() * state.grid.dq))
 
 
 def expectation_q(state: WaveState) -> float:
-    dens = np.abs(state.psi) ** 2
-    mass = _mass(dens, state.grid)
-    return float(np.sum(state.grid.q * dens) * state.grid.dq) / mass
+    return state.mean_q
 
 
 def variance_q(state: WaveState) -> float:
-    q = state.grid.q
-    dens = np.abs(state.psi) ** 2
-    mass = _mass(dens, state.grid)
-    mean = float(np.sum(q * dens) * state.grid.dq) / mass
-    return float(np.sum((q - mean) ** 2 * dens) * state.grid.dq) / mass
+    mean = state.mean_q
+    return float(((state.grid.q - mean) ** 2 * state.density).sum() * state.grid.dq) / state.mass
 
 
 def width_q(state: WaveState) -> float:

@@ -187,9 +187,9 @@ def classify_monomials(
     """Preservation verdicts for the monomials alpha^m * beta^n, m<=m_max, n<=n_max.
 
     ``case`` selects the connection: 'standard' uses the undeformed
-    potential; the scaled cases use Theta = (1+f)*theta with f the given
-    deformation, which must be a function of beta only for
-    'polarised-scaled'.
+    potential and takes no deformation; the scaled cases use
+    Theta = (1+f)*theta with f the given deformation, which must be a
+    function of beta only for 'polarised-scaled'.
     """
     if case not in CASE_TAGS:
         raise ValueError(f"case must be one of {CASE_TAGS}")
@@ -197,6 +197,8 @@ def classify_monomials(
         chart = ChartSpec((("a1", "b1"),))
     alpha, beta = chart.pairs[0]
     if case == "standard":
+        if deformation is not None:
+            raise ValueError("the standard case takes no deformation; choose a scaled case")
         conn = ConnectionData.standard(chart)
     else:
         if deformation is None or deformation.chart != chart:

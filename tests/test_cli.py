@@ -134,6 +134,13 @@ class TestQuantiseAndPreserve:
         pytest.param(["preserve", "--grid", "2,2", "--observable", "p1"],
                      "--grid tabulates monomials and cannot take --observable",
                      id="grid-with-observable"),
+        # the standard connection would ignore a deformation, so it is an error, not dropped
+        pytest.param(["preserve", "--grid", "1,1", "--deformation", "b1^2"],
+                     "--case standard: the standard case takes no deformation",
+                     id="grid-default-case-with-deformation"),
+        pytest.param(["preserve", "--grid", "1,1", "--case", "standard", "--deformation", "b1^2"],
+                     "--case standard: the standard case takes no deformation",
+                     id="grid-standard-case-with-deformation"),
         pytest.param(["preserve", "--observable", "p1", "--csv", "out.csv"],
                      "--csv applies only to --grid", id="observable-with-csv"),
         pytest.param(["preserve", "--observable", "p1", "--case", "polarised-scaled"],

@@ -215,7 +215,7 @@ class TestStepper:
     def test_non_finite_state_rejected(self, bad):
         grid = Grid1D(-5.0, 5.0, 64)
         prop = Propagator(grid, EvolutionConfig(n=2, hbar=1.0, dt=1e-3))
-        psi = gaussian_state(grid, 0.0, 0.0, 1.0, 1.0).psi
+        psi = gaussian_state(grid, 0.0, 0.0, 1.0, 1.0).psi.copy()
         psi[20] = bad
         with pytest.raises(ValueError, match="must not contain infs or NaNs"):
             prop.step(WaveState(grid, psi))
@@ -263,6 +263,45 @@ class TestDiagnostics:
         assert l2_norm(state) == 0.0 and weighted_norm(state, 2) == 0.0
         with pytest.raises(ValueError, match="^the state is empty"):
             moment(state)
+
+
+class TestWaveState:
+    """A state owns read-only amplitudes and computes its density, mass and mean once."""
+
+    def test_psi_is_read_only_and_owned(self):
+        grid = Grid1D(-10.0, 10.0, 256)
+        psi = gaussian_state(grid, 0.5, 0.3, 1.0, 1.0).psi.copy()
+        kept = psi.copy()
+        state = WaveState(grid, psi)
+        psi[:] = 0.0
+        assert np.array_equal(state.psi, kept)
+        assert _diagnostics(state, 2) == _reference_diagnostics(grid, kept, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            state.psi[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            state.density[0] = 1.0
+        with pytest.raises(AttributeError):
+            state.t = 1.0
+
+    @pytest.mark.parametrize("first", range(4), ids=["l2", "weighted", "mean", "variance"])
+    @pytest.mark.parametrize("n", [0, 2, 3])
+    def test_diagnostics_bitwise_in_any_order(self, n, first):
+        state = _stepped_state(n)
+        diagnostics = [l2_norm, lambda s: weighted_norm(s, n), expectation_q, variance_q]
+        order = diagnostics[first:] + diagnostics[:first]
+        got = [d(state) for d in order]
+        want = _reference_diagnostics(state.grid, state.psi, n)
+        assert got == list(want[first:] + want[:first])
+
+    def test_step_leaves_its_input_untouched_and_undiagnosed(self):
+        grid = Grid1D(-10.0, 10.0, 256)
+        prop = Propagator(grid, EvolutionConfig(n=2, hbar=1.0, dt=1e-3))
+        state = gaussian_state(grid, 0.0, 0.5, 1.0, 1.0)
+        psi, t = state.psi.copy(), state.t
+        out = prop.step(state)
+        assert np.array_equal(state.psi, psi) and state.t == t
+        assert not np.shares_memory(out.psi, state.psi)
+        assert not {"density", "mass", "mean_q"} & set(vars(out))
 
 
 class TestGridCache:
@@ -314,6 +353,21 @@ class TestBoundaryGuard:
         psi = np.ones(g.nodes, dtype=complex)
         with pytest.warns(BoundaryLeakWarning, match="at step 0 "):
             evolve(WaveState(g, psi), EvolutionConfig(n=0, hbar=1.0, dt=1e-3, steps=1))
+
+    @pytest.mark.parametrize("nodes", [8, 9, 10, 11, 16])
+    def test_fraction_counts_each_node_once(self, nodes):
+        # under 2 * margin nodes the two edge windows would overlap
+        grid = Grid1D(-5.0, 5.0, nodes)
+        psi = np.random.default_rng(nodes).normal(size=nodes) + 0.5j
+        watch = BoundaryWatch()
+        watch.record(WaveState(grid, psi))
+        m = BoundaryWatch.margin
+        dens = np.abs(psi) ** 2
+        edge = [i for i in range(nodes) if i < m or i >= nodes - m]
+        assert watch.largest <= 1.0
+        assert watch.largest == pytest.approx(dens[edge].sum() / dens.sum(), rel=1e-12)
+        if nodes <= 2 * m:
+            assert watch.largest == 1.0
 
     def test_centered_packet_quiet(self):
         g = Grid1D(-20.0, 20.0, 512)

@@ -155,6 +155,12 @@ class TestClassifyMonomials:
                 1, 1, deformation=Poly.var(ab1, "a1"), case="polarised-scaled", chart=ab1
             )
 
+    def test_standard_case_rejects_deformation(self, ab1):
+        # the standard connection would silently ignore f
+        for f in (Poly.var(ab1, "b1") ** 2, Poly.zero(ab1)):
+            with pytest.raises(ValueError, match="standard case takes no deformation"):
+                classify_monomials(1, 1, deformation=f, case="standard", chart=ab1)
+
     def test_unknown_case_rejected(self):
         with pytest.raises(ValueError):
             classify_monomials(1, 1, case="bogus")
