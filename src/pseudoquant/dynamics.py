@@ -78,9 +78,12 @@ class EvolutionConfig:
             raise ValueError("steps must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveState:
-    """Complex amplitudes on a grid at a given time, read-only and owned by the state."""
+    """Complex amplitudes on a grid at a given time, read-only and owned by the state.
+
+    States compare and hash by identity: two states with equal amplitudes are distinct.
+    """
 
     grid: Grid1D
     psi: np.ndarray

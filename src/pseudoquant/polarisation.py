@@ -26,7 +26,7 @@ from .symcore import (
     poisson,
     standard_potential,
 )
-from .prequant import ConnectionData, FormalOperator, quantise
+from .prequant import ConnectionData, FormalOperator, _first_order, quantise
 
 
 class Polarisation(_Record):
@@ -145,10 +145,10 @@ def cohomologous_residual_operator(
     beta_i = Poly.var(chart, chart.pairs[i][1])
     g = poisson(A, beta_i)
     Xg = hamiltonian_vf(g)
-    nabla = FormalOperator.from_vector_field(Xg).scale(Poly.minus_i_hbar(chart))
-    nabla = nabla + FormalOperator.from_poly(-contract(c.theta, Xg))
     dg_pair = dgamma.pair(hamiltonian_vf(A), hamiltonian_vf(beta_i))
-    return nabla + FormalOperator.from_poly(dg_pair)
+    return _first_order(
+        chart, [x.times_minus_i_hbar() for x in Xg.comps], dg_pair - contract(c.theta, Xg)
+    )
 
 
 def preserves(A: Poly, c: ConnectionData) -> PreservationReport:

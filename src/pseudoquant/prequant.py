@@ -5,9 +5,12 @@ An observable A quantises to the first-order differential operator
     op(A) = -i*hbar*X_A + (A - Theta(X_A))
 
 where Theta is the connection potential of the curvature two-form
-Omega = d(Theta).  Commutators are computed structurally (Leibniz
-expansion of both products, skipping the k = 0 terms that cancel) and,
-independently, from the closed-form right-hand side
+Omega = d(Theta).  Commutators of such first-order operators are computed
+structurally, by the first-order bracket
+
+    [v.d + f, w.d + g] = (v.dw - w.dv).d + (v.dg - w.df)
+
+and, independently, from the closed-form right-hand side
 
     -i*hbar * [ -i*hbar*X_{A,B} - Theta(X_{A,B}) - Omega(X_A, X_B) + 2{A,B} ]
 
@@ -26,7 +29,6 @@ from .symcore import (
     OneForm,
     Poly,
     SmoothMap,
-    VectorField,
     _Record,
     _sum_products,
     contract,
@@ -89,11 +91,6 @@ class FormalOperator(_Record):
         """Multiplication operator."""
         return _op(p.chart, {(0,) * (2 * p.chart.n): p})
 
-    @staticmethod
-    def from_vector_field(X: VectorField) -> "FormalOperator":
-        m = len(X.comps)
-        return _op(X.chart, {(0,) * i + (1,) + (0,) * (m - 1 - i): c for i, c in enumerate(X.comps)})
-
     # -- structure ---------------------------------------------------------
 
     def __eq__(self, other):
@@ -150,7 +147,8 @@ class FormalOperator(_Record):
 
     def compose(self, other: "FormalOperator") -> "FormalOperator":
         """Operator product self . other with Leibniz expansion."""
-        return _sum_terms(self.chart, _add_leibniz({}, self, other))
+        triples = _add_leibniz(self, other)
+        return _op(self.chart, {idx: _sum_products(self.chart, ts) for idx, ts in triples.items()})
 
     def __str__(self):
         if not self.terms:
@@ -191,24 +189,38 @@ def _op(chart: ChartSpec, terms: dict) -> FormalOperator:
     return op
 
 
-def _sum_terms(chart: ChartSpec, triples: dict) -> FormalOperator:
-    """The operator whose coefficient at each multi-index is the sum of its triples."""
-    return _op(chart, {idx: _sum_products(chart, ts) for idx, ts in triples.items()})
+def _first_order(chart: ChartSpec, vec: list[Poly], mult: Poly) -> FormalOperator:
+    """The operator sum_i vec[i] * d/dx_i + mult, with ``vec`` in coordinate order."""
+    m = 2 * chart.n
+    terms = {(0,) * i + (1,) + (0,) * (m - 1 - i): c for i, c in enumerate(vec)}
+    terms[(0,) * m] = mult
+    return _op(chart, terms)
 
 
-def _add_leibniz(triples: dict, left: FormalOperator, right: FormalOperator, sign=1, skip_k0=False):
-    """Collect ``(sign * C(a,k), c, D^k d)`` per multi-index of left . right; ``skip_k0`` drops k = 0.
+def _first_order_parts(op: FormalOperator, what: str) -> list[Poly]:
+    """``vec + [mult]`` with ``op == _first_order(op.chart, vec, mult)``; ValueError above order 1."""
+    parts = [Poly.zero(op.chart)] * (2 * op.chart.n + 1)
+    for idx, c in op.terms.items():
+        if sum(idx) > 1:
+            raise ValueError(f"{what} implemented for order <= 1 operators")
+        parts[idx.index(1) if any(idx) else -1] = c
+    return parts
+
+
+def _add_leibniz(left: FormalOperator, right: FormalOperator) -> dict:
+    """Collect ``(C(a,k), c, D^k d)`` per multi-index of left . right.
 
     For c D^a in ``left`` and d D^b in ``right``,
     D^a (d D^b) = sum_{k <= a} C(a,k) (D^k d) D^{a-k+b}.
     """
     if right.chart != left.chart:
         raise ChartError("chart mismatch")
+    triples: dict = {}
     for a, c in left.terms.items():
-        ks = tuple(product(*(range(ai + 1) for ai in a)))[1 if skip_k0 else 0 :]  # k = 0 first
+        ks = tuple(product(*(range(ai + 1) for ai in a)))
         for b, d in right.terms.items():
             for k in ks:
-                factor = sign
+                factor = 1
                 for ai, ki in zip(a, k):
                     if ki:
                         factor *= comb(ai, ki)
@@ -225,37 +237,64 @@ def quantise(A: Poly, c: ConnectionData) -> FormalOperator:
     if A.chart != c.chart:
         raise ChartError("observable and connection live on different charts")
     X = hamiltonian_vf(A)
-    first = FormalOperator.from_vector_field(X).scale(Poly.minus_i_hbar(A.chart))
-    zeroth = FormalOperator.from_poly(A - contract(c.theta, X))
-    return first + zeroth
+    return _first_order(
+        A.chart, [x.times_minus_i_hbar() for x in X.comps], A - contract(c.theta, X)
+    )
 
 
 def commutator(op_a: FormalOperator, op_b: FormalOperator) -> FormalOperator:
-    """Structural commutator op_a . op_b - op_b . op_a.
+    """Structural commutator op_a . op_b - op_b . op_a of first-order operators.
 
-    Only the k >= 1 Leibniz terms of the two products are built: the k = 0
-    terms c d D^(a+b) agree in both orders and cancel exactly.
+    For P = v.d + f and Q = w.d + g it is the first-order bracket
+
+        [P, Q] = (v.dw - w.dv).d + (v.dg - w.df),
+
+    the Lie bracket of the vector parts plus the two derivatives of the
+    multipliers.  An operand of order above 1 raises ValueError.
     """
-    triples = _add_leibniz({}, op_a, op_b, skip_k0=True)
-    return _sum_terms(op_a.chart, _add_leibniz(triples, op_b, op_a, -1, skip_k0=True))
+    chart = op_a.chart
+    if op_b.chart != chart:
+        raise ChartError("chart mismatch")
+    v, w = _first_order_parts(op_a, "commutator"), _first_order_parts(op_b, "commutator")
+    vi = [(i, c) for i, c in enumerate(v[:-1], 1) if c.nums]  # variable index i = coordinate + 1
+    wi = [(i, c) for i, c in enumerate(w[:-1], 1) if c.nums]
+    *vec, mult = (
+        _sum_products(
+            chart,
+            [(1, c, q._partial(i)) for i, c in vi if q.nums]
+            + [(-1, c, p._partial(i)) for i, c in wi if p.nums],
+        )
+        for p, q in zip(v, w)
+    )
+    return _first_order(chart, vec, mult)
 
 
 def commutator_rhs(A: Poly, B: Poly, c: ConnectionData) -> FormalOperator:
-    """Closed-form commutator of the quantised observables; exact oracle."""
+    """Closed-form commutator of the quantised observables; exact oracle.
+
+    X_A and X_B are built once and give both {A,B} = omega(X_A, X_B) and
+    Omega(X_A, X_B).
+    """
     chart = A.chart
     if B.chart != chart or c.chart != chart:
         raise ChartError("chart mismatch")
-    P = poisson(A, B)
-    XP = hamiltonian_vf(P)
-    minus_ihbar = Poly.minus_i_hbar(chart)
-    inner = FormalOperator.from_vector_field(XP).scale(minus_ihbar)
-    zeroth = (
-        -contract(c.theta, XP)
-        - c.omega_curv.pair(hamiltonian_vf(A), hamiltonian_vf(B))
-        + P.scale(2)
+    n = chart.n
+    XA, XB = hamiltonian_vf(A), hamiltonian_vf(B)
+    xa, xb = XA.comps, XB.comps
+    P = _sum_products(
+        chart, [t for i in range(n) for t in ((1, xa[i], xb[n + i]), (-1, xa[n + i], xb[i]))]
     )
-    inner = inner + FormalOperator.from_poly(zeroth)
-    return inner.scale(minus_ihbar)
+    return _closed_form(P, c.theta, P.scale(2) - c.omega_curv.pair(XA, XB))
+
+
+def _closed_form(P: Poly, theta: OneForm, rest: Poly) -> FormalOperator:
+    """-i*hbar * (-i*hbar*X_P - theta(X_P) + rest), the shape of both closed-form commutators."""
+    XP = hamiltonian_vf(P)
+    return _first_order(
+        P.chart,
+        [x.times_minus_i_hbar().times_minus_i_hbar() for x in XP.comps],
+        (rest - contract(theta, XP)).times_minus_i_hbar(),
+    )
 
 
 def phase_conjugate(op: FormalOperator, g: Poly) -> FormalOperator:
@@ -264,21 +303,14 @@ def phase_conjugate(op: FormalOperator, g: Poly) -> FormalOperator:
     Requires every first-order coefficient to carry an explicit hbar factor,
     as every quantised observable (and commutator of two of them) does.
     """
-    chart = op.chart
-    if op.order() > 1:
-        raise ValueError("phase conjugation implemented for order <= 1 operators")
-    coords = chart.coords
-    zero_idx = (0,) * (2 * chart.n)
-    shift = Poly.zero(chart)
-    for idx, coeff in op.terms.items():
-        if sum(idx) != 1:
-            continue
-        i = idx.index(1)
-        # (coeff * d_i) picks up coeff * (i/hbar) * dg/dx_i on conjugation.
-        shift = shift + coeff.div_minus_i_hbar() * g.partial(coords[i])
-    terms = dict(op.terms)
-    terms[zero_idx] = terms.get(zero_idx, Poly.zero(chart)) + shift
-    return FormalOperator(chart, terms)
+    if g.chart != op.chart:
+        raise ChartError("chart mismatch")
+    *vec, mult = _first_order_parts(op, "phase conjugation")
+    # (c * d_i) picks up c * (i/hbar) * dg/dx_i on conjugation.
+    shift = _sum_products(
+        op.chart, [(1, c.div_minus_i_hbar(), g._partial(i)) for i, c in enumerate(vec, 1) if c.nums]
+    )
+    return _first_order(op.chart, vec, mult + shift)
 
 
 # -- pullback quantisation ----------------------------------------------------
@@ -330,12 +362,7 @@ def theorem_commutator(A: Poly, B: Poly, s: PullbackSetup) -> FormalOperator:
     c_sum = Poly.zero(src)
     for alpha, beta in tgt.pairs:
         c_sum = c_sum + poisson(mapping[alpha], mapping[beta])
-    Xp = hamiltonian_vf(p)
-    minus_ihbar = Poly.minus_i_hbar(src)
-    inner = FormalOperator.from_vector_field(Xp).scale(minus_ihbar)
-    zeroth = -contract(s.induced.theta, Xp) + p * (Poly.const(src, 2) - c_sum)
-    inner = inner + FormalOperator.from_poly(zeroth)
-    return inner.scale(minus_ihbar)
+    return _closed_form(p, s.induced.theta, p * (Poly.const(src, 2) - c_sum))
 
 
 __all__ = [

@@ -13,7 +13,9 @@ and the denominator is 1.  ``Poly`` does all exact arithmetic, on plain ints.
 Every sum of products (a product included) goes through one kernel,
 ``_sum_products``, which accumulates on a common denominator and normalises
 once.  ``Poly`` also owns the factor ``-i*hbar`` of every quantised
-first-order term and every commutator.  ``Scalar`` is a read-only
+first-order term and every commutator: ``minus_i_hbar`` builds it,
+``times_minus_i_hbar`` multiplies by it as an exponent shift and a rotation,
+and ``div_minus_i_hbar`` undoes that.  ``Scalar`` is a read-only
 ``(re, im)`` record of two ``Fraction``s with no arithmetic: it is accepted by
 the ``Poly`` constructor and ``scale`` and returned by ``constant_value`` and
 the ``Poly.terms`` view.
@@ -359,6 +361,14 @@ class Poly(_Record):
         else:
             nums = {}
         return _normal(self.chart, nums, self.den * d)
+
+    def times_minus_i_hbar(self) -> "Poly":
+        """Exact product with -i*hbar: one more hbar, (re + i*im) * -i = im - i*re; no gcd pass."""
+        return _make(
+            self.chart,
+            {(e[0] + 1,) + e[1:]: (im, -re) for e, (re, im) in self.nums.items()},
+            self.den,
+        )
 
     def div_minus_i_hbar(self) -> "Poly":
         """Exact division by -i*hbar; raises if any term lacks an hbar factor."""

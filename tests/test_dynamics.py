@@ -283,6 +283,12 @@ class TestWaveState:
         with pytest.raises(AttributeError):
             state.t = 1.0
 
+    def test_states_compare_and_hash_by_identity(self):
+        grid = Grid1D(-5.0, 5.0, 64)
+        a, b = WaveState(grid, np.ones(64)), WaveState(grid, np.ones(64))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
     @pytest.mark.parametrize("first", range(4), ids=["l2", "weighted", "mean", "variance"])
     @pytest.mark.parametrize("n", [0, 2, 3])
     def test_diagnostics_bitwise_in_any_order(self, n, first):

@@ -169,6 +169,15 @@ class TestGaugeShift:
                 a, ConnectionData(theta)
             )
 
+    def test_phase_conjugation_validation(self, pq1, pq2):
+        op = quantise(Poly.var(pq1, "p1"), ConnectionData.standard(pq1))
+        with pytest.raises(ChartError, match="chart mismatch"):
+            phase_conjugate(op, Poly.var(pq2, "q1"))
+        with pytest.raises(ValueError, match="phase conjugation implemented for order <= 1"):
+            phase_conjugate(op.compose(op), Poly.var(pq1, "q1"))
+        with pytest.raises(ValueError, match="not divisible by hbar"):
+            phase_conjugate(FormalOperator(pq1, {(1, 0): Poly.var(pq1, "q1")}), Poly.var(pq1, "p1"))
+
     def test_commutator_invariant_for_constant_bracket(self, pq1, rng):
         theta = standard_potential(pq1)
         p, q = Poly.var(pq1, "p1"), Poly.var(pq1, "q1")

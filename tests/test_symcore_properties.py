@@ -1,14 +1,20 @@
-"""Property tests for the exact symbolic core (Poly, FormalOperator, poisson, parser)."""
+"""Property tests for the exact symbolic core (Poly, FormalOperator, poisson, parser).
+
+``commutator_rhs`` is checked here as well: it is bilinear and antisymmetric
+in its two observables, as the closed form it evaluates is.
+"""
 
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pseudoquant.exprparse import parse_poly
-from pseudoquant.prequant import FormalOperator, commutator
+from pseudoquant.prequant import FormalOperator, commutator, commutator_rhs
 from pseudoquant.symcore import Poly, Scalar, _sum_products, poisson, standard_chart
+from pseudoquant.verify import example_connections
 
 CHART = standard_chart(2)
 NV = len(CHART.variables)
@@ -20,14 +26,19 @@ PROPS = settings(
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 scalars = st.builds(Scalar, fractions, fractions)
 nonzero_scalars = st.builds(Scalar, fractions.filter(bool), fractions)
-exponents = st.tuples(st.integers(0, 1), *[st.integers(0, 2)] * (NV - 1))
 
 
-def polys(max_terms: int = 4, min_terms: int = 0):
+def exponents_on(chart):
+    return st.tuples(st.integers(0, 1), *[st.integers(0, 2)] * (len(chart.variables) - 1))
+
+
+exponents = exponents_on(CHART)
+
+
+def polys(max_terms: int = 4, min_terms: int = 0, chart=CHART):
     coeffs = nonzero_scalars if min_terms else scalars
-    return st.dictionaries(exponents, coeffs, min_size=min_terms, max_size=max_terms).map(
-        lambda terms: Poly(CHART, terms)
-    )
+    terms = st.dictionaries(exponents_on(chart), coeffs, min_size=min_terms, max_size=max_terms)
+    return terms.map(lambda terms: Poly(chart, terms))
 
 
 coord_polys = st.dictionaries(
@@ -35,6 +46,12 @@ coord_polys = st.dictionaries(
 ).map(lambda terms: Poly(CHART, terms))
 multi_indices = st.tuples(*[st.integers(0, 2)] * (2 * CHART.n))
 operators = st.dictionaries(multi_indices, polys(2), max_size=3).map(
+    lambda terms: FormalOperator(CHART, terms)
+)
+first_order_indices = st.sampled_from(  # j = -1 is the multiplication index (0, ..., 0)
+    [tuple(int(i == j) for i in range(2 * CHART.n)) for j in range(-1, 2 * CHART.n)]
+)
+first_order_operators = st.dictionaries(first_order_indices, polys(2), max_size=3).map(
     lambda terms: FormalOperator(CHART, terms)
 )
 variables = st.sampled_from(CHART.variables)
@@ -126,14 +143,14 @@ def test_zero_operand_results_are_normal(p):
 
 
 @PROPS
-@given(operators, operators, polys())
-def test_operator_results_hold_no_zero_coefficient(op1, op2, p):
+@given(operators, operators, first_order_operators, first_order_operators, polys())
+def test_operator_results_hold_no_zero_coefficient(op1, op2, fo1, fo2, p):
     for result in (
-        op1 + op2, op1 - op1, op1.scale(p), op1.scale(0), op1.compose(op2), commutator(op1, op2)
+        op1 + op2, op1 - op1, op1.scale(p), op1.scale(0), op1.compose(op2), commutator(fo1, fo2)
     ):
         assert all(not c.is_zero() for c in result.terms.values())
     assert (op1 - op1).terms == {}
-    assert commutator(op1, op1).is_zero()
+    assert commutator(fo1, fo1).is_zero()
 
 
 @PROPS
@@ -153,9 +170,52 @@ def test_compose_is_application_in_sequence(op1, op2, f):
 
 
 @PROPS
-@given(operators, operators)
+@given(first_order_operators, first_order_operators)
 def test_commutator_is_difference_of_compositions(op1, op2):
     assert commutator(op1, op2) == op1.compose(op2) - op2.compose(op1)
+
+
+def test_commutator_rejects_an_order_two_operand():
+    first = FormalOperator(CHART, {(1, 0, 0, 0): Poly.var(CHART, "q1")})
+    second = FormalOperator(CHART, {(0, 1, 1, 0): Poly.const(CHART, 1)})
+    for args in ((first, second), (second, first), (second, second)):
+        with pytest.raises(ValueError, match="order <= 1"):
+            commutator(*args)
+
+
+@PROPS
+@given(polys())
+def test_times_minus_i_hbar_is_the_product(p):
+    minus_i_hbar = Poly.minus_i_hbar(CHART)
+    got = p.times_minus_i_hbar()
+    assert_normal_form(got)
+    assert_same_representation(got, p * minus_i_hbar)
+    assert_same_representation(got, fraction_sum_products([(1, p, minus_i_hbar)]))
+    assert_same_representation(got.div_minus_i_hbar(), p)
+
+
+CONNECTIONS = example_connections()
+
+
+@st.composite
+def oracle_inputs(draw):
+    """A connection of ``example_connections()``, three observables on its chart, a scalar."""
+    conn = CONNECTIONS[draw(st.sampled_from(sorted(CONNECTIONS)))]
+    chart = conn.chart
+    a, b, c = (draw(polys(3, chart=chart)) for _ in range(3))
+    k = draw(st.one_of(scalars.map(lambda z: Poly.const(chart, z)), st.just(Poly.hbar(chart))))
+    return conn, a, b, c, k
+
+
+@PROPS
+@given(oracle_inputs())
+def test_commutator_rhs_is_antisymmetric_and_bilinear(inputs):
+    conn, a, b, c, k = inputs
+    rhs = commutator_rhs(a, b, conn)
+    assert commutator_rhs(b, a, conn) == -rhs
+    assert commutator_rhs(a, a, conn).is_zero()
+    assert commutator_rhs(a + k * c, b, conn) == rhs + commutator_rhs(c, b, conn).scale(k)
+    assert commutator_rhs(a, b + k * c, conn) == rhs + commutator_rhs(a, c, conn).scale(k)
 
 
 @PROPS
