@@ -209,41 +209,35 @@ def _regulated_half_line(j: int, k: int, a: float, eps: float) -> complex:
     def damp(u):
         return math.exp(-eps * u**p)
 
+    out = []
     with warnings.catch_warnings():
         # The oscillatory tail extrapolation is noisy but its accuracy is
         # cross-validated against the closed form by the callers.
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        return _regulated_half_line_pieces(j, k, a, eps, c, damp)
-
-
-def _regulated_half_line_pieces(j, k, a, eps, c, damp) -> complex:
-    from scipy import integrate
-
-    out = []
-    for trig, weight in ((math.cos, "cos"), (math.sin, "sin")):
-        # [0, 1]: algebraic endpoint weight u^(c-1) handled by QAWS.
-        near, _ = integrate.quad(
-            lambda u: trig(a * u) * damp(u),
-            0.0,
-            1.0,
-            weight="alg",
-            wvar=(c - 1.0, 0.0),
-            epsabs=1e-12,
-            epsrel=1e-12,
-            limit=400,
-        )
-        # [1, inf): Fourier weight with decaying amplitude handled by QAWF.
-        far, _ = integrate.quad(
-            lambda u: u ** (c - 1.0) * damp(u),
-            1.0,
-            math.inf,
-            weight=weight,
-            wvar=a,
-            epsabs=1e-12,
-            limlst=400,
-            limit=400,
-        )
-        out.append(near + far)
+        for trig, weight in ((math.cos, "cos"), (math.sin, "sin")):
+            # [0, 1]: algebraic endpoint weight u^(c-1) handled by QAWS.
+            near, _ = integrate.quad(
+                lambda u: trig(a * u) * damp(u),
+                0.0,
+                1.0,
+                weight="alg",
+                wvar=(c - 1.0, 0.0),
+                epsabs=1e-12,
+                epsrel=1e-12,
+                limit=400,
+            )
+            # [1, inf): Fourier weight with decaying amplitude handled by QAWF.
+            far, _ = integrate.quad(
+                lambda u: u ** (c - 1.0) * damp(u),
+                1.0,
+                math.inf,
+                weight=weight,
+                wvar=a,
+                epsabs=1e-12,
+                limlst=400,
+                limit=400,
+            )
+            out.append(near + far)
     return (out[0] + 1j * out[1]) / k
 
 

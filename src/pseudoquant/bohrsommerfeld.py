@@ -13,15 +13,9 @@ import math
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class SphereSpec:
-    """Energy sphere at positive integer level E."""
-
-    E: int
-
-    def __post_init__(self):
-        if not isinstance(self.E, int) or self.E < 1:
-            raise ValueError("energy level E must be a positive integer")
+def _check_level(E: int) -> None:
+    if not isinstance(E, int) or E < 1:
+        raise ValueError("energy level E must be a positive integer")
 
 
 @dataclass(frozen=True, order=True)
@@ -59,7 +53,7 @@ class LatticeReport:
 
 def standard_dim(E: int) -> int:
     """Dimension 2E - 1 of the level-E space in the standard chart."""
-    SphereSpec(E)
+    _check_level(E)
     return 2 * E - 1
 
 
@@ -73,13 +67,13 @@ def folded_count(E: int) -> int:
     2k = E^2, total E^2 - 2 + 1 = E^2 - 1.  ``folded_points`` enumerates the
     same values one by one.
     """
-    SphereSpec(E)
+    _check_level(E)
     return E * E - 1
 
 
 def folded_points(E: int) -> tuple[FoldedPoint, ...]:
     """All admissible axis values for level E, sorted ascending."""
-    SphereSpec(E)
+    _check_level(E)
     pts: list[FoldedPoint] = []
     e2 = E * E
     for two_k in range(2, e2, 2):
@@ -98,7 +92,6 @@ def analyse(E: int) -> LatticeReport:
 __all__ = [
     "FoldedPoint",
     "LatticeReport",
-    "SphereSpec",
     "analyse",
     "folded_count",
     "folded_points",

@@ -25,6 +25,7 @@ from .symcore import (
     hamiltonian_vf,
     poisson,
     standard_potential,
+    standard_symplectic,
 )
 from .prequant import ConnectionData, FormalOperator, _first_order, quantise
 
@@ -135,12 +136,13 @@ def cohomologous_residual_operator(
 ) -> FormalOperator:
     """Residual from the simplified condition when omega - Omega = d(gamma).
 
-    Valid only when d(gamma) really equals base_omega - omega_curv; raises
-    otherwise.  Equals ``residual_operator`` identically in that case.
+    Valid only when d(gamma) really equals the chart's standard symplectic
+    form minus ``omega_curv``; raises otherwise.  Equals ``residual_operator``
+    identically in that case.
     """
     chart = c.chart
     dgamma = exterior_d(gamma)
-    if dgamma != c.base_omega - c.omega_curv:
+    if dgamma != standard_symplectic(chart) - c.omega_curv:
         raise ChartError("gamma is not a primitive of omega - Omega")
     beta_i = Poly.var(chart, chart.pairs[i][1])
     g = poisson(A, beta_i)

@@ -30,6 +30,7 @@ from .symcore import (
     Poly,
     SmoothMap,
     _Record,
+    _join_terms,
     _sum_products,
     contract,
     exterior_d,
@@ -37,25 +38,22 @@ from .symcore import (
     poisson,
     pullback_form,
     standard_potential,
-    standard_symplectic,
 )
 
 
 class ConnectionData(_Record):
     """A connection potential together with its cached curvature.
 
-    ``theta`` is the potential one-form, ``omega_curv = d(theta)`` the
-    curvature, and ``base_omega`` the chart's standard symplectic form.
+    ``theta`` is the potential one-form and ``omega_curv = d(theta)`` the
+    curvature.
     """
 
-    __slots__ = ("chart", "theta", "omega_curv", "base_omega")
+    __slots__ = ("chart", "theta", "omega_curv")
 
     def __init__(self, theta: OneForm):
-        chart = theta.chart
-        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "chart", theta.chart)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "omega_curv", exterior_d(theta))
-        object.__setattr__(self, "base_omega", standard_symplectic(chart))
 
     @staticmethod
     def standard(chart: ChartSpec) -> "ConnectionData":
@@ -151,8 +149,6 @@ class FormalOperator(_Record):
         return _op(self.chart, {idx: _sum_products(self.chart, ts) for idx, ts in triples.items()})
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         coords = self.chart.coords
         parts = []
         for idx, c in sorted(self.terms.items()):
@@ -165,10 +161,7 @@ class FormalOperator(_Record):
             if len(c.nums) > 1:
                 cs = f"({cs})"
             parts.append(f"{cs}*{dd}" if dd else cs)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _join_terms(parts)
 
     __repr__ = __str__
 

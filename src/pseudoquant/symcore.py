@@ -10,15 +10,16 @@ Coefficient representation (as in FLINT's ``fmpq_poly``): a Poly stores
 Gaussian-integer numerators ``(re, im)`` over one positive denominator
 shared by all its terms, normalised so that the gcd of every numerator part
 and the denominator is 1.  ``Poly`` does all exact arithmetic, on plain ints.
-Every sum of products (a product included) goes through one kernel,
-``_sum_products``, which accumulates on a common denominator and normalises
-once.  ``Poly`` also owns the factor ``-i*hbar`` of every quantised
-first-order term and every commutator: ``minus_i_hbar`` builds it,
-``times_minus_i_hbar`` multiplies by it as an exponent shift and a rotation,
-and ``div_minus_i_hbar`` undoes that.  ``Scalar`` is a read-only
-``(re, im)`` record of two ``Fraction``s with no arithmetic: it is accepted by
-the ``Poly`` constructor and ``scale`` and returned by ``constant_value`` and
-the ``Poly.terms`` view.
+Every plain sum (``+``, ``-``, the constructor and ``substitute``) goes
+through ``_sum``, and every sum of products (a product included) through
+``_sum_products``.  Both accumulate on one common denominator and end in
+``_normal``, the one place where the gcd is divided out.  ``Poly`` also owns
+the factor ``-i*hbar`` of every quantised first-order term and every
+commutator: ``minus_i_hbar`` builds it, ``times_minus_i_hbar`` multiplies by
+it as an exponent shift and a rotation, and ``div_minus_i_hbar`` undoes
+that.  ``Scalar`` is a read-only ``(re, im)`` record of two ``Fraction``s
+with no arithmetic: it is accepted by the ``Poly`` constructor and ``scale``
+and returned by ``constant_value`` and the ``Poly.terms`` view.
 
 Sign conventions, fixed once for the whole package:
 
@@ -38,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, perm
 from operator import add as _add
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -102,6 +103,16 @@ def _gaussian_str(re: int, im: int, den: int) -> str:
     if not re:
         return f"-{im_part}" if im < 0 else im_part
     return f"({_ratio_str(re, den)} {'-' if im < 0 else '+'} {im_part})"
+
+
+def _join_terms(parts: list[str]) -> str:
+    """Printed terms joined by `` + ``, or by `` - `` in place of a leading minus; "0" if none."""
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
 
 
 class ChartSpec(_Record):
@@ -182,8 +193,7 @@ class Poly(_Record):
         terms: Mapping[tuple[int, ...], Scalar | RationalLike] | None = None,
     ):
         nv = len(chart.variables)
-        parts = {}
-        den = 1
+        pieces = []
         for exp, c in (terms or {}).items():
             re, im, d = _gaussian(c)
             if not (re or im):
@@ -191,14 +201,11 @@ class Poly(_Record):
             exp = tuple(exp)
             if len(exp) != nv or any(e < 0 for e in exp):
                 raise ChartError(f"bad exponent tuple {exp} for chart with {nv} variables")
-            parts[exp] = (re, im, d)
-            den = lcm(den, d)
-        nums, den = _reduce(
-            {e: (re * (den // d), im * (den // d)) for e, (re, im, d) in parts.items()}, den
-        )
+            pieces.append((1, {exp: (re, im)}, d))
+        p = _sum(chart, pieces)
         _set_chart(self, chart)
-        _set_nums(self, nums)
-        _set_den(self, den)
+        _set_nums(self, p.nums)
+        _set_den(self, p.den)
 
     # -- constructors ------------------------------------------------------
 
@@ -290,27 +297,7 @@ class Poly(_Record):
             other = self._coerce(other)
         if not other.nums or not self.nums:
             return self if self.nums else other
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            den, nums, m2 = d1, dict(self.nums), 1
-        else:
-            den = lcm(d1, d2)
-            m1, m2 = den // d1, den // d2
-            nums = {e: (re * m1, im * m1) for e, (re, im) in self.nums.items()}
-        for e, (re, im) in other.nums.items():
-            if m2 != 1:
-                re, im = re * m2, im * m2
-            old = nums.get(e)
-            if old is None:
-                nums[e] = (re, im)
-            else:
-                re += old[0]
-                im += old[1]
-                if re or im:
-                    nums[e] = (re, im)
-                else:
-                    del nums[e]
-        return _normal(self.chart, nums, den)
+        return _sum(self.chart, ((1, self.nums, self.den), (1, other.nums, other.den)))
 
     __radd__ = __add__
 
@@ -318,10 +305,12 @@ class Poly(_Record):
         return _make(self.chart, {e: (-re, -im) for e, (re, im) in self.nums.items()}, self.den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return _sum(self.chart, ((1, self.nums, self.den), (-1, other.nums, other.den)))
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        other = self._coerce(other)
+        return _sum(self.chart, ((1, other.nums, other.den), (-1, self.nums, self.den)))
 
     def __mul__(self, other):
         if type(other) is not Poly or other.chart is not self.chart:
@@ -421,19 +410,9 @@ class Poly(_Record):
                         pw.append(pw[-1] * pw[0])
                     nums = _add_product({}, nums, pw[k - 1].nums, 1)
                     den *= pw[k - 1].den
-            pieces.append((nums, den))
-        den = lcm(*(d for _, d in pieces))
-        out: dict[tuple[int, ...], tuple[int, int]] = {}
-        for nums, d in pieces:
-            m = den // d
-            for e, (re, im) in nums.items():
-                old = out.get(e)
-                if old is None:
-                    out[e] = (re * m, im * m)
-                else:
-                    out[e] = (old[0] + re * m, old[1] + im * m)
-        out = {e: v for e, v in out.items() if v[0] or v[1]}
-        return _normal(new_chart, out, den * self.den)
+            nonzero = {x: v for x, v in nums.items() if v[0] or v[1]}  # products may cancel
+            pieces.append((1, nonzero, den * self.den))
+        return _sum(new_chart, pieces)
 
     def evaluate(self, values: Mapping[str, complex], hbar: complex = 1.0) -> complex:
         """Float shadow: evaluate at complex coordinate values."""
@@ -451,8 +430,6 @@ class Poly(_Record):
     # -- printing ----------------------------------------------------------
 
     def __str__(self):
-        if not self.nums:
-            return "0"
         names = self.chart.variables
         den = self.den
         units = {(den, 0): "", (-den, 0): "-", (0, den): "i*", (0, -den): "-i*"}
@@ -471,10 +448,7 @@ class Poly(_Record):
                 if "/" in cs and not cs.startswith("("):
                     cs = f"({cs})"
                 parts.append(f"{cs}*{mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _join_terms(parts)
 
     def __repr__(self):
         return f"Poly({self})"
@@ -484,16 +458,6 @@ _new = object.__new__
 _set_chart = Poly.chart.__set__
 _set_nums = Poly.nums.__set__
 _set_den = Poly.den.__set__
-
-
-def _reduce(nums: dict, den: int) -> tuple[dict, int]:
-    """Divide ``nums`` and ``den`` by their common gcd."""
-    g = den
-    for re, im in nums.values():
-        g = gcd(g, re, im)
-        if g == 1:
-            return nums, den
-    return {e: (re // g, im // g) for e, (re, im) in nums.items()}, den // g
 
 
 def _make(chart: ChartSpec, nums: dict, den: int) -> Poly:
@@ -506,10 +470,47 @@ def _make(chart: ChartSpec, nums: dict, den: int) -> Poly:
 
 
 def _normal(chart: ChartSpec, nums: dict, den: int) -> Poly:
-    """A Poly from nonzero numerators over a positive ``den``, normalised."""
+    """A Poly from nonzero numerators over a positive ``den``, their common gcd divided out."""
     if den != 1:
-        nums, den = _reduce(nums, den)
+        g = den
+        for re, im in nums.values():
+            g = gcd(g, re, im)
+            if g == 1:
+                break
+        else:
+            nums = {e: (re // g, im // g) for e, (re, im) in nums.items()}
+            den //= g
     return _make(chart, nums, den)
+
+
+def _sum(chart: ChartSpec, pieces: Sequence[tuple[int, dict, int]]) -> Poly:
+    """The sum of ``k * nums / den`` over ``(k, nums, den)``, on one denominator, normalised once.
+
+    Every ``nums`` holds nonzero numerators only; entries that cancel are deleted.
+    """
+    den = 1
+    for _, _, d in pieces:
+        den = lcm(den, d)
+    acc: dict[tuple[int, ...], tuple[int, int]] = {}
+    for k, nums, d in pieces:
+        m = k * (den // d)
+        if not acc:
+            acc = dict(nums) if m == 1 else {e: (re * m, im * m) for e, (re, im) in nums.items()}
+            continue
+        for e, (re, im) in nums.items():
+            if m != 1:
+                re, im = re * m, im * m
+            old = acc.get(e)
+            if old is None:
+                acc[e] = (re, im)
+            else:
+                re += old[0]
+                im += old[1]
+                if re or im:
+                    acc[e] = (re, im)
+                else:
+                    del acc[e]
+    return _normal(chart, acc, den)
 
 
 def _add_product(acc: dict, n1: dict, n2: dict, f: int) -> dict:

@@ -10,8 +10,8 @@ and reports one line per check.  Statuses:
   printed, neither is altered.
 - ``fail``: anything else.
 
-Each check declares its id and anchor once, through ``_check``; its body
-returns ``(status, details)``.  Checks of the numeric layers import ``bks``,
+Each check declares its id and anchor once, through ``_check``, which also
+registers it in ``ALL_CHECKS``; its body returns ``(status, details)``.  Checks of the numeric layers import ``bks``,
 ``bohrsommerfeld`` and ``dynamics`` in their bodies, keeping this import light.
 """
 
@@ -74,14 +74,21 @@ class CheckResult(_Record):
         return f"[{self.status:>20}] {self.check_id}: {self.anchor} -- {self.details}"
 
 
+ALL_CHECKS = []  # every check, in definition order, which is the report order
+
+
 def _check(check_id: str, anchor: str):
-    """Turn a body returning ``(status, details)`` into a check returning a CheckResult."""
+    """Turn a body returning ``(status, details)`` into a check returning a CheckResult.
+
+    The check is appended to ``ALL_CHECKS``.
+    """
 
     def decorate(body):
         @functools.wraps(body)
         def check(*args, **kwargs) -> CheckResult:
             return CheckResult(check_id, anchor, *body(*args, **kwargs))
 
+        ALL_CHECKS.append(check)
         return check
 
     return decorate
@@ -454,30 +461,6 @@ def flag_exponent_cross_check():
     )
     return (FLAG if agree_at_2 and differs_elsewhere and verdict_stable else FAIL,
             "; ".join(diffs) + "; formulas agree only at n = 2, divergence verdict holds for both")
-
-
-ALL_CHECKS = [
-    check_canonical,
-    check_folded,
-    check_cylinder_rational,
-    check_cylinder_irrational,
-    check_structural_vs_closed_form,
-    check_gauge_shift,
-    check_preservation_standard,
-    check_preservation_basics,
-    check_general_scaled_failure,
-    check_cohomologous,
-    check_divergence,
-    check_exponent_identity,
-    check_oscillatory_oracle,
-    check_position_pairing,
-    check_prefactor,
-    check_dynamics,
-    check_lattice_counts,
-    flag_position_coupling,
-    flag_paired_shift_example,
-    flag_exponent_cross_check,
-]
 
 
 def run_all(seed: int | None = None) -> list[CheckResult]:

@@ -2,7 +2,6 @@ import pytest
 
 from pseudoquant.bohrsommerfeld import (
     FoldedPoint,
-    SphereSpec,
     analyse,
     folded_count,
     folded_points,
@@ -17,8 +16,8 @@ class TestStandardDim:
     def test_validation(self):
         with pytest.raises(ValueError):
             standard_dim(0)
-        with pytest.raises(ValueError):
-            SphereSpec(-3)
+        with pytest.raises(ValueError, match="energy level E must be a positive integer"):
+            folded_points(-3)
 
 
 class TestFoldedPoints:

@@ -235,9 +235,15 @@ def test_parse_round_trip(p):
 @PROPS
 @given(polys(), polys(), scalars, st.integers(1, 5))
 def test_normal_form_is_canonical(p, q, c, k):
-    for result in (p + q, p * q, p.scale(c), p.partial("p1"), p**2, p - p):
+    mapping = {name: Poly.var(CHART, name) for name in CHART.coords} | {"p1": q, "q2": q.scale(c)}
+    substituted = p.substitute(CHART, mapping)
+    for result in (
+        p + q, p * q, p.scale(c), p.partial("p1"), p**2, p - p, p - q, 3 - p, substituted
+    ):
         assert_normal_form(result)
     assert_same_representation((p + q) - q, p)
+    assert_same_representation(p - q, p + (-q))
+    assert_same_representation(3 - p, -(p - 3))
     assert_same_representation(Poly(CHART, p.terms), p)
     assert_same_representation(p * q, q * p)
     summed = Poly.zero(CHART)
@@ -250,3 +256,13 @@ def test_normal_form_is_canonical(p, q, c, k):
         assert_same_representation(p.scale(c).scale(inverse), p)
     half = p.scale(Fraction(1, 2))
     assert_same_representation(half + half, p)
+
+
+@PROPS
+@given(polys(4, min_terms=1), st.integers(2, 9))
+def test_substitution_whose_terms_cancel_is_the_zero_poly(q, d):
+    image = q.scale(Fraction(1, d))  # a denominator above 1 on both cancelling pieces
+    mapping = {name: Poly.var(CHART, name) for name in CHART.coords} | {"p1": image, "q1": image}
+    result = (Poly.var(CHART, "p1") - Poly.var(CHART, "q1")).substitute(CHART, mapping)
+    assert_same_representation(result, Poly.zero(CHART))
+    assert result.den == 1
