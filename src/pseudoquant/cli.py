@@ -19,7 +19,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .exprparse import ExprSyntaxError, ProblemFile, load_problem, parse_poly, standard_problem
+from .exprparse import ExprSyntaxError, ProblemFile, load_problem, parse_poly
 from .polarisation import CASE_TAGS, classify_monomials, preserves
 from .prequant import FormalOperator, commutator, pullback_quantise, quantise
 from .symcore import ChartError, ChartSpec
@@ -28,6 +28,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VERIFY = 2
 EXIT_FLAGS = 3
+BETA_SAMPLES_MAX = 10**6  # bks pair --beta: samples in [start, stop + 1e-12] at most
 
 
 class CliError(Exception):
@@ -65,9 +66,7 @@ def _emit(lines: list[str], path: str | None):
 
 
 def _load(args) -> ProblemFile:
-    if getattr(args, "problem", None):
-        return load_problem(args.problem)
-    return standard_problem()
+    return load_problem(args.problem or {})
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -170,6 +169,8 @@ def _parse_range(spec: str) -> list[float]:
         raise CliError(
             "--beta expects a finite number or 'start:stop:step' with step > 0"
         ) from None
+    if (stop + 1e-12 - start) / step >= BETA_SAMPLES_MAX:  # the sampling loop's own bound
+        raise CliError(f"--beta gives more than {BETA_SAMPLES_MAX} samples; use a larger step")
     out, k = [], 0
     while (v := start + k * step) <= stop + 1e-12:
         out.append(round(v, 12))

@@ -252,12 +252,6 @@ def _chart_from_dict(data, key: str) -> ChartSpec:
     return ChartSpec(tuple((str(a), str(b)) for a, b in pairs))
 
 
-def standard_problem() -> ProblemFile:
-    """The default 1-dof chart p1/q1 with the standard potential."""
-    chart = ChartSpec((("p1", "q1"),))
-    return ProblemFile(chart, ConnectionData.standard(chart), {})
-
-
 def load_problem(source) -> ProblemFile:
     """Build a ProblemFile from a dict, JSON object text, or a path to a JSON file."""
     if isinstance(source, dict):
@@ -306,5 +300,4 @@ __all__ = [
     "load_problem",
     "parse_one_form",
     "parse_poly",
-    "standard_problem",
 ]

@@ -20,10 +20,10 @@ from .symcore import (
     OneForm,
     Poly,
     _Record,
+    _omega,
     contract,
     exterior_d,
     hamiltonian_vf,
-    poisson,
     standard_potential,
     standard_symplectic,
 )
@@ -43,18 +43,12 @@ class Polarisation(_Record):
     def __init__(self, chart: ChartSpec, connection: ConnectionData):
         if connection.chart != chart:
             raise ChartError("connection lives on a different chart")
-        if not is_adapted(connection.theta):
+        if any(connection.theta.comps[: chart.n]):  # a d(alpha) component
             raise ChartError(
                 "connection is not adapted: the potential must have no "
                 "d(alpha) components so that flat sections are F(beta)"
             )
         object.__setattr__(self, "chart", chart)
-
-
-def is_adapted(theta: OneForm) -> bool:
-    """True when theta annihilates every X_{beta_i} (no d(alpha) components)."""
-    n = theta.chart.n
-    return all(theta.comps[i].is_zero() for i in range(n))
 
 
 class FlatSectionAction(_Record):
@@ -123,12 +117,11 @@ class PreservationReport(_Record):
 
 
 def residual_operator(A: Poly, c: ConnectionData, i: int) -> FormalOperator:
-    """L_i = op({A, beta_i}) - multiplication by Omega(X_A, X_{beta_i})."""
+    """L_i = op({A, beta_i}) - multiplication by Omega(X_A, X_{beta_i}); one X_A, X_{beta_i} for both."""
     chart = c.chart
-    beta_i = Poly.var(chart, chart.pairs[i][1])
-    g = poisson(A, beta_i)
-    rhs = c.omega_curv.pair(hamiltonian_vf(A), hamiltonian_vf(beta_i))
-    return quantise(g, c) - FormalOperator.from_poly(rhs)
+    XA, Xb = hamiltonian_vf(A), hamiltonian_vf(Poly.var(chart, chart.pairs[i][1]))
+    rhs = c.omega_curv.pair(XA, Xb)  # before _omega: a chart mismatch raises here
+    return quantise(_omega(XA, Xb), c) - FormalOperator.from_poly(rhs)
 
 
 def cohomologous_residual_operator(
@@ -138,16 +131,16 @@ def cohomologous_residual_operator(
 
     Valid only when d(gamma) really equals the chart's standard symplectic
     form minus ``omega_curv``; raises otherwise.  Equals ``residual_operator``
-    identically in that case.
+    identically in that case.  One X_A and X_{beta_i} give g = {A, beta_i} and
+    the multiplier d(gamma)(X_A, X_{beta_i}) - Theta(X_g).
     """
     chart = c.chart
     dgamma = exterior_d(gamma)
     if dgamma != standard_symplectic(chart) - c.omega_curv:
         raise ChartError("gamma is not a primitive of omega - Omega")
-    beta_i = Poly.var(chart, chart.pairs[i][1])
-    g = poisson(A, beta_i)
-    Xg = hamiltonian_vf(g)
-    dg_pair = dgamma.pair(hamiltonian_vf(A), hamiltonian_vf(beta_i))
+    XA, Xb = hamiltonian_vf(A), hamiltonian_vf(Poly.var(chart, chart.pairs[i][1]))
+    dg_pair = dgamma.pair(XA, Xb)  # before _omega: a chart mismatch raises here
+    Xg = hamiltonian_vf(_omega(XA, Xb))
     return _first_order(
         chart, [x.times_minus_i_hbar() for x in Xg.comps], dg_pair - contract(c.theta, Xg)
     )
@@ -225,7 +218,6 @@ __all__ = [
     "classify_monomials",
     "cohomologous_residual_operator",
     "flat_action",
-    "is_adapted",
     "preserves",
     "residual_operator",
     "scaled_connection",

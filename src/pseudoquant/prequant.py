@@ -31,6 +31,7 @@ from .symcore import (
     SmoothMap,
     _Record,
     _join_terms,
+    _omega,
     _sum_products,
     contract,
     exterior_d,
@@ -167,10 +168,10 @@ class FormalOperator(_Record):
 
 
 def _derive(p: Poly, idx: tuple[int, ...]) -> Poly:
-    """D^idx p, with idx a derivative multi-index over the chart coordinates."""
-    for i, k in enumerate(idx):
-        if k:
-            p = p._partial(i + 1, k)
+    """D^idx p for a derivative multi-index over the chart coordinates, as repeated first derivatives."""
+    for i, k in enumerate(idx, 1):
+        for _ in range(k):
+            p = p._partial(i)
     return p
 
 
@@ -271,12 +272,8 @@ def commutator_rhs(A: Poly, B: Poly, c: ConnectionData) -> FormalOperator:
     chart = A.chart
     if B.chart != chart or c.chart != chart:
         raise ChartError("chart mismatch")
-    n = chart.n
     XA, XB = hamiltonian_vf(A), hamiltonian_vf(B)
-    xa, xb = XA.comps, XB.comps
-    P = _sum_products(
-        chart, [t for i in range(n) for t in ((1, xa[i], xb[n + i]), (-1, xa[n + i], xb[i]))]
-    )
+    P = _omega(XA, XB)
     return _closed_form(P, c.theta, P.scale(2) - c.omega_curv.pair(XA, XB))
 
 

@@ -13,13 +13,15 @@ and the denominator is 1.  ``Poly`` does all exact arithmetic, on plain ints.
 Every plain sum (``+``, ``-``, the constructor and ``substitute``) goes
 through ``_sum``, and every sum of products (a product included) through
 ``_sum_products``.  Both accumulate on one common denominator and end in
-``_normal``, the one place where the gcd is divided out.  ``Poly`` also owns
-the factor ``-i*hbar`` of every quantised first-order term and every
-commutator: ``minus_i_hbar`` builds it, ``times_minus_i_hbar`` multiplies by
-it as an exponent shift and a rotation, and ``div_minus_i_hbar`` undoes
-that.  ``Scalar`` is a read-only ``(re, im)`` record of two ``Fraction``s
-with no arithmetic: it is accepted by the ``Poly`` constructor and ``scale``
-and returned by ``constant_value`` and the ``Poly.terms`` view.
+``_normal``, the one place where the gcd is divided out.  ``_omega`` is the
+one symplectic pairing omega(X, Y): every Poisson bracket is read from the
+two Hamiltonian fields through it.  ``Poly`` also owns the factor
+``-i*hbar`` of every quantised first-order term and every commutator:
+``minus_i_hbar`` builds it, ``times_minus_i_hbar`` multiplies by it as an
+exponent shift and a rotation, and ``div_minus_i_hbar`` undoes that.
+``Scalar`` is a read-only ``(re, im)`` record of two ``Fraction``s with no
+arithmetic: it is accepted by the ``Poly`` constructor and ``scale`` and
+returned by ``constant_value`` and the ``Poly.terms`` view.
 
 Sign conventions, fixed once for the whole package:
 
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, perm
+from math import gcd, lcm
 from operator import add as _add
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -374,14 +376,13 @@ class Poly(_Record):
         """Exact partial derivative with respect to a coordinate or hbar."""
         return self._partial(self.chart.var_index(name))
 
-    def _partial(self, i: int, k: int = 1) -> "Poly":
-        """k-th partial derivative by the variable at index ``i`` of ``chart.variables``."""
+    def _partial(self, i: int) -> "Poly":
+        """First partial derivative by the variable at index ``i`` of ``chart.variables``."""
         nums = {}
         for e, (re, im) in self.nums.items():
             m = e[i]
-            if m >= k:
-                f = m if k == 1 else perm(m, k)
-                nums[e[:i] + (m - k,) + e[i + 1 :]] = (re * f, im * f)
+            if m:
+                nums[e[:i] + (m - 1,) + e[i + 1 :]] = (re * m, im * m)
         return _normal(self.chart, nums, self.den)
 
     def substitute(self, new_chart: ChartSpec, mapping: Mapping[str, "Poly"]) -> "Poly":
@@ -733,7 +734,7 @@ class SmoothMap(_Record):
 
 
 def hamiltonian_vf(A: Poly) -> VectorField:
-    """Hamiltonian vector field of A under the package sign convention."""
+    """Hamiltonian vector field of A, the one statement of the package sign convention."""
     chart = A.chart
     n = chart.n
     # d/dalpha_i component -dA/dbeta_i, d/dbeta_i component dA/dalpha_i
@@ -741,15 +742,19 @@ def hamiltonian_vf(A: Poly) -> VectorField:
     return VectorField(chart, comps)
 
 
+def _omega(X: VectorField, Y: VectorField) -> Poly:
+    """omega(X, Y) = sum_i X[alpha_i] Y[beta_i] - X[beta_i] Y[alpha_i], in one sum of products."""
+    x, y, n = X.comps, Y.comps, X.chart.n
+    return _sum_products(
+        X.chart, [t for i in range(n) for t in ((1, x[i], y[n + i]), (-1, x[n + i], y[i]))]
+    )
+
+
 def poisson(A: Poly, B: Poly) -> Poly:
-    """{A, B} = omega(X_A, X_B)."""
+    """{A, B} = omega(X_A, X_B), read from the two Hamiltonian fields."""
     if A.chart != B.chart:
         raise ChartError("chart mismatch in Poisson bracket")
-    n = A.chart.n
-    triples = []
-    for i in range(1, n + 1):  # variable indices of alpha_i and beta_i: i and n + i
-        triples += ((1, A._partial(i), B._partial(n + i)), (-1, A._partial(n + i), B._partial(i)))
-    return _sum_products(A.chart, triples)
+    return _omega(hamiltonian_vf(A), hamiltonian_vf(B))
 
 
 def exterior_d(phi: Union[Poly, OneForm]) -> Union[OneForm, TwoForm]:

@@ -264,6 +264,12 @@ class TestBks:
         pytest.param(["pair", "--n", "2", "--beta", "0:inf:1"],
                      "--beta expects a finite number or 'start:stop:step' with step > 0",
                      id="beta-infinite"),
+        pytest.param(["pair", "--n", "2", "--beta", "0:1:1e-300"],
+                     "--beta gives more than 1000000 samples; use a larger step",
+                     id="beta-too-many-samples"),
+        pytest.param(["pair", "--n", "2", "--beta", "0:0:1e-300"],
+                     "--beta gives more than 1000000 samples; use a larger step",
+                     id="beta-too-many-samples-within-tolerance"),
         pytest.param(["pair", "--n", "2", "--hbar", "0"], "hbar must be positive and finite",
                      id="pair-hbar-zero"),
         pytest.param(["pair", "--n", "2", "--hbar", "-1"], "hbar must be positive and finite",

@@ -9,7 +9,6 @@ from pseudoquant.exprparse import (
     load_problem,
     parse_one_form,
     parse_poly,
-    standard_problem,
 )
 from pseudoquant.prequant import ConnectionData
 from pseudoquant.symcore import ChartError, ChartSpec, OneForm, Poly, Scalar, standard_potential
@@ -101,7 +100,7 @@ class TestOneForm:
 
 class TestProblemFiles:
     def test_standard_problem(self):
-        prob = standard_problem()
+        prob = load_problem({})
         assert prob.chart.coords == ("p1", "q1")
         assert prob.connection.theta == standard_potential(prob.chart)
 

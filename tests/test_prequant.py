@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -28,7 +29,7 @@ from pseudoquant.symcore import (
     standard_chart,
     standard_potential,
 )
-from pseudoquant.verify import cylinder_setup, folded_connection
+from pseudoquant.verify import cylinder_setup, example_connections, folded_connection
 
 from conftest import random_poly
 
@@ -134,6 +135,38 @@ class TestCommutator:
         assert max(c.den for c in got.terms.values()) > 10**6
         assert got == commutator_rhs(a, b, conn)
         assert got == op_a.compose(op_b) - op_b.compose(op_a)
+
+
+def coordinate_monomials(chart, degree):
+    """Every monomial in the chart coordinates (not hbar) of total degree <= degree, 1 included."""
+    one = Poly.const(chart, 1)
+    return [
+        math.prod((Poly.var(chart, x) for x in xs), start=one)
+        for k in range(degree + 1)
+        for xs in combinations_with_replacement(chart.coords, k)
+    ]
+
+
+@pytest.mark.parametrize("name, degree", [
+    ("standard-2dof", 4), ("position-coupled", 4), ("beta-scaled", 4), ("folded-3dof", 3),
+])
+def test_commutator_identity_on_every_monomial_pair(name, degree):
+    """The closed form equals the structural commutator for all observables up to ``degree``.
+
+    Both sides are bilinear over the Gaussian rationals and over hbar, which is
+    not a chart direction: ``quantise`` is linear, ``commutator`` is bilinear by
+    construction and ``commutator_rhs`` is bilinear (the hypothesis properties
+    ``test_quantise_is_linear`` and ``test_commutator_rhs_is_antisymmetric_and_bilinear``).
+    Both are antisymmetric, so they vanish on equal arguments.  Agreement on
+    every unordered pair of distinct coordinate monomials of degree <= ``degree``
+    therefore proves the identity for every pair of observables of coordinate
+    degree <= ``degree``, whatever their powers of hbar.
+    """
+    conn = example_connections()[name]
+    monomials = coordinate_monomials(conn.chart, degree)
+    quantised = [quantise(m, conn) for m in monomials]
+    for (a, qa), (b, qb) in combinations(zip(monomials, quantised), 2):
+        assert commutator(qa, qb) == commutator_rhs(a, b, conn), (str(a), str(b))
 
 
 class TestOperatorValidation:

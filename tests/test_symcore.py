@@ -347,6 +347,6 @@ def test_records_share_one_immutability_rule():
     }
     assert all("__setattr__" not in vars(cls) for cls in records)
     for record in (Scalar(1), Poly.zero(standard_chart(1)),
-                   pseudoquant.exprparse.standard_problem()):
+                   pseudoquant.exprparse.load_problem({})):
         with pytest.raises(AttributeError, match=f"^{type(record).__name__} is immutable$"):
             record.chart = None
