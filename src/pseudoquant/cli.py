@@ -28,7 +28,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VERIFY = 2
 EXIT_FLAGS = 3
-BETA_SAMPLES_MAX = 10**6  # bks pair --beta: samples in [start, stop + 1e-12] at most
+BETA_SAMPLES_MAX = 10**6  # bks pair --beta: samples in [start, stop + step * 1e-9] at most
 
 
 class CliError(Exception):
@@ -169,13 +169,14 @@ def _parse_range(spec: str) -> list[float]:
         raise CliError(
             "--beta expects a finite number or 'start:stop:step' with step > 0"
         ) from None
-    if (stop + 1e-12 - start) / step >= BETA_SAMPLES_MAX:  # the sampling loop's own bound
+    # a sample up to 1e-9 of a step beyond stop counts; each is rounded 10 digits below the
+    # step's leading digit, which drops the float error of start + k*step on any scale
+    span = (stop - start) / step + 1e-9
+    if span >= BETA_SAMPLES_MAX:
         raise CliError(f"--beta gives more than {BETA_SAMPLES_MAX} samples; use a larger step")
-    out, k = [], 0
-    while (v := start + k * step) <= stop + 1e-12:
-        out.append(round(v, 12))
-        k += 1
-    return out
+    count = math.floor(max(span, -1)) + 1  # 0 when stop lies before start, even by -inf
+    digits = 10 - math.floor(math.log10(step))
+    return [round(start + k * step, digits) for k in range(count)]
 
 
 def cmd_bks_classify(args) -> int:

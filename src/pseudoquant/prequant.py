@@ -32,6 +32,7 @@ from .symcore import (
     _Record,
     _join_terms,
     _omega,
+    _sum_derivations,
     _sum_products,
     contract,
     exterior_d,
@@ -228,7 +229,7 @@ def _add_leibniz(left: FormalOperator, right: FormalOperator) -> dict:
 
 def quantise(A: Poly, c: ConnectionData) -> FormalOperator:
     """Pseudo-prequantum operator of an observable A for connection data c."""
-    if A.chart != c.chart:
+    if A.chart is not c.chart and A.chart != c.chart:
         raise ChartError("observable and connection live on different charts")
     X = hamiltonian_vf(A)
     return _first_order(
@@ -244,7 +245,9 @@ def commutator(op_a: FormalOperator, op_b: FormalOperator) -> FormalOperator:
         [P, Q] = (v.dw - w.dv).d + (v.dg - w.df),
 
     the Lie bracket of the vector parts plus the two derivatives of the
-    multipliers.  An operand of order above 1 raises ValueError.
+    multipliers, each coefficient one ``_sum_derivations`` (``compose`` and
+    ``apply`` stay on ``Poly._partial`` as independent oracles).  An operand of
+    order above 1 raises ValueError.
     """
     chart = op_a.chart
     if op_b.chart != chart:
@@ -253,11 +256,7 @@ def commutator(op_a: FormalOperator, op_b: FormalOperator) -> FormalOperator:
     vi = [(i, c) for i, c in enumerate(v[:-1], 1) if c.nums]  # variable index i = coordinate + 1
     wi = [(i, c) for i, c in enumerate(w[:-1], 1) if c.nums]
     *vec, mult = (
-        _sum_products(
-            chart,
-            [(1, c, q._partial(i)) for i, c in vi if q.nums]
-            + [(-1, c, p._partial(i)) for i, c in wi if p.nums],
-        )
+        _sum_derivations(chart, [(1, c, i, q) for i, c in vi] + [(-1, c, i, p) for i, c in wi])
         for p, q in zip(v, w)
     )
     return _first_order(chart, vec, mult)
@@ -282,7 +281,7 @@ def _closed_form(P: Poly, theta: OneForm, rest: Poly) -> FormalOperator:
     XP = hamiltonian_vf(P)
     return _first_order(
         P.chart,
-        [x.times_minus_i_hbar().times_minus_i_hbar() for x in XP.comps],
+        [x._times_minus_hbar_squared() for x in XP.comps],
         (rest - contract(theta, XP)).times_minus_i_hbar(),
     )
 
@@ -297,8 +296,8 @@ def phase_conjugate(op: FormalOperator, g: Poly) -> FormalOperator:
         raise ChartError("chart mismatch")
     *vec, mult = _first_order_parts(op, "phase conjugation")
     # (c * d_i) picks up c * (i/hbar) * dg/dx_i on conjugation.
-    shift = _sum_products(
-        op.chart, [(1, c.div_minus_i_hbar(), g._partial(i)) for i, c in enumerate(vec, 1) if c.nums]
+    shift = _sum_derivations(
+        op.chart, [(1, c.div_minus_i_hbar(), i, g) for i, c in enumerate(vec, 1) if c.nums]
     )
     return _first_order(op.chart, vec, mult + shift)
 

@@ -11,11 +11,13 @@ Gaussian-integer numerators ``(re, im)`` over one positive denominator
 shared by all its terms, normalised so that the gcd of every numerator part
 and the denominator is 1.  ``Poly`` does all exact arithmetic, on plain ints.
 Every plain sum (``+``, ``-``, the constructor and ``substitute``) goes
-through ``_sum``, and every sum of products (a product included) through
-``_sum_products``.  Both accumulate on one common denominator and end in
-``_normal``, the one place where the gcd is divided out.  ``_omega`` is the
-one symplectic pairing omega(X, Y): every Poisson bracket is read from the
-two Hamiltonian fields through it.  ``Poly`` also owns the factor
+through ``_sum``, every sum of products through ``_sum_products``, and every
+sum of k * p * dq/dx_i through ``_sum_derivations``, which derives inside the
+kernel (``VectorField.apply`` and the operator oracles use ``Poly._partial``).
+All three accumulate on one common denominator and end in ``_normal``, the
+one place where the gcd is divided out.  ``_omega`` is the one symplectic
+pairing omega(X, Y): every Poisson bracket is read from the two Hamiltonian
+fields through it.  ``Poly`` also owns the factor
 ``-i*hbar`` of every quantised first-order term and every commutator:
 ``minus_i_hbar`` builds it, ``times_minus_i_hbar`` multiplies by it as an
 exponent shift and a rotation, and ``div_minus_i_hbar`` undoes that.
@@ -361,6 +363,11 @@ class Poly(_Record):
             self.den,
         )
 
+    def _times_minus_hbar_squared(self) -> "Poly":
+        """Exact product with (-i*hbar)**2 = -hbar**2: two more hbar, a sign flip; no gcd pass."""
+        nums = {(e[0] + 2,) + e[1:]: (-re, -im) for e, (re, im) in self.nums.items()}
+        return _make(self.chart, nums, self.den)
+
     def div_minus_i_hbar(self) -> "Poly":
         """Exact division by -i*hbar; raises if any term lacks an hbar factor."""
         nums = {}
@@ -532,14 +539,30 @@ def _add_product(acc: dict, n1: dict, n2: dict, f: int) -> dict:
 
 def _sum_products(chart: ChartSpec, triples: Iterable[tuple[int, Poly, Poly]]) -> Poly:
     """The sum of ``k * p * q`` over ``(k, p, q)``, on one common denominator, normalised once."""
-    triples = [t for t in triples if t[0] and t[1].nums and t[2].nums]
-    if not triples:
-        return _make(chart, {}, 1)
-    den = lcm(*(p.den * q.den for _, p, q in triples))
+    terms = [(k, p.nums, q.nums, p.den * q.den) for k, p, q in triples if k and p.nums and q.nums]
+    return _sum_raw_products(chart, terms)
+
+
+def _sum_derivations(chart: ChartSpec, quads: Iterable[tuple[int, Poly, int, Poly]]) -> Poly:
+    """The sum of ``k * p * dq/dx_i`` over ``(k, p, i, q)``; each dq is raw numerators, no Poly."""
+    terms = []
+    for k, p, i, q in quads:
+        dq = {}
+        for e, (re, im) in q.nums.items():
+            if m := e[i]:
+                dq[e[:i] + (m - 1,) + e[i + 1 :]] = (re * m, im * m)
+        if k and p.nums and dq:
+            terms.append((k, p.nums, dq, p.den * q.den))
+    return _sum_raw_products(chart, terms)
+
+
+def _sum_raw_products(chart: ChartSpec, terms: list[tuple[int, dict, dict, int]]) -> Poly:
+    """The sum of ``k * n1 * n2 / d`` over ``(k, n1, n2, d)``, ``k``, ``n1`` and ``n2`` nonzero."""
+    den = lcm(*[t[3] for t in terms])
     acc: dict[tuple[int, ...], tuple[int, int]] = {}
-    for k, p, q in triples:
-        _add_product(acc, p.nums, q.nums, k * (den // (p.den * q.den)))
-    if len(acc) < sum(len(p.nums) * len(q.nums) for _, p, q in triples):  # an exponent recurred
+    for k, n1, n2, d in terms:
+        _add_product(acc, n1, n2, k * (den // d))
+    if len(acc) < sum([len(n1) * len(n2) for _, n1, n2, _ in terms]):  # an exponent recurred
         acc = {e: v for e, v in acc.items() if v[0] or v[1]}
     return _normal(chart, acc, den)
 
@@ -567,7 +590,7 @@ class _Components(_Record):
         if len(comps) != 2 * chart.n:
             raise ChartError(f"{self._noun} needs 2n coefficient polynomials")
         for c in comps:
-            if c.chart != chart:
+            if c.chart is not chart and c.chart != chart:
                 raise ChartError(f"{self._noun} coefficient on the wrong chart")
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "comps", comps)
@@ -735,11 +758,17 @@ class SmoothMap(_Record):
 
 def hamiltonian_vf(A: Poly) -> VectorField:
     """Hamiltonian vector field of A, the one statement of the package sign convention."""
-    chart = A.chart
-    n = chart.n
-    # d/dalpha_i component -dA/dbeta_i, d/dbeta_i component dA/dalpha_i
-    comps = [-A._partial(1 + n + i) for i in range(n)] + [A._partial(1 + i) for i in range(n)]
-    return VectorField(chart, comps)
+    chart, n, den = A.chart, A.chart.n, A.den
+    comps = [{} for _ in range(2 * n)]
+    for e, (re, im) in A.nums.items():  # one pass over A's terms
+        for j in range(1, 2 * n + 1):
+            if m := e[j]:
+                d = e[:j] + (m - 1,) + e[j + 1 :]
+                if j > n:  # beta_i: the d/dalpha_i component is -dA/dbeta_i
+                    comps[j - 1 - n][d] = (-re * m, -im * m)
+                else:  # alpha_i: the d/dbeta_i component is dA/dalpha_i
+                    comps[j - 1 + n][d] = (re * m, im * m)
+    return VectorField(chart, [_normal(chart, c, den) if c else _make(chart, c, 1) for c in comps])
 
 
 def _omega(X: VectorField, Y: VectorField) -> Poly:

@@ -240,6 +240,25 @@ class TestBks:
         for row in rows:
             assert float(row.split(",")[3]) == pytest.approx(-0.5, abs=1e-6)
 
+    @staticmethod
+    def _pair_rows(capsys, beta):
+        assert run(["bks", "pair", "--n", "2", "--beta", beta]) == EXIT_OK
+        return out_of(capsys).splitlines()[3:]
+
+    @pytest.mark.parametrize("spec, betas", [
+        pytest.param("0:1e-13:1e-14", [f"{k}e-14" for k in range(11)], id="small-scale"),
+        pytest.param("0:2:0.25", ["0", "0.25", "0.5", "0.75", "1", "1.25", "1.5", "1.75", "2"],
+                     id="quarters"),
+        pytest.param("0:0.3:0.1", ["0", "0.1", "0.2", "0.3"], id="tenths"),
+        pytest.param("0:0:1e-300", ["0"], id="one-sample"),
+        pytest.param("1e308:-1e308:1", [], id="stop-before-start"),
+    ])
+    def test_pair_range_prints_each_decimal_sample(self, capsys, spec, betas):
+        """A range prints, for each of its decimal samples, the row that sample prints alone."""
+        rows = self._pair_rows(capsys, spec)
+        assert rows == [self._pair_rows(capsys, b)[0] for b in betas]
+        assert len({row.split(",")[0] for row in rows}) == len(betas)
+
     def test_pair_rejects_momentum(self, capsys):
         assert run(["bks", "pair", "--n", "1", "--kind", "momentum"]) == EXIT_INPUT
         capsys.readouterr()
@@ -267,7 +286,8 @@ class TestBks:
         pytest.param(["pair", "--n", "2", "--beta", "0:1:1e-300"],
                      "--beta gives more than 1000000 samples; use a larger step",
                      id="beta-too-many-samples"),
-        pytest.param(["pair", "--n", "2", "--beta", "0:0:1e-300"],
+        # 10**6 + 1 samples: the last one lies within the tolerance of a step beyond stop
+        pytest.param(["pair", "--n", "2", "--beta", "0:999999.9999999999:1"],
                      "--beta gives more than 1000000 samples; use a larger step",
                      id="beta-too-many-samples-within-tolerance"),
         pytest.param(["pair", "--n", "2", "--hbar", "0"], "hbar must be positive and finite",

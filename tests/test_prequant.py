@@ -18,6 +18,7 @@ from pseudoquant.prequant import (
 )
 from pseudoquant.symcore import (
     ChartError,
+    ChartSpec,
     Poly,
     Scalar,
     SmoothMap,
@@ -167,6 +168,68 @@ def test_commutator_identity_on_every_monomial_pair(name, degree):
     quantised = [quantise(m, conn) for m in monomials]
     for (a, qa), (b, qb) in combinations(zip(monomials, quantised), 2):
         assert commutator(qa, qb) == commutator_rhs(a, b, conn), (str(a), str(b))
+
+
+def nonlinear_setup():
+    """z = 2/3*l - 3/2*l^2 + 5/4*phi_l^2, phi_z = phi_l + 1/3*l*phi_l: a degree-2 map into the
+    standard target, shaped like the benchmark's pullback operations."""
+    src, tgt = ChartSpec((("l", "phi_l"),)), ChartSpec((("z", "phi_z"),))
+    l, phi = Poly.var(src, "l"), Poly.var(src, "phi_l")
+    z = l.scale(Fraction(2, 3)) + (l * l).scale(Fraction(-3, 2)) + (phi * phi).scale(Fraction(5, 4))
+    return PullbackSetup(SmoothMap(src, tgt, [z, phi + (l * phi).scale(Fraction(1, 3))]),
+                         ConnectionData.standard(tgt))
+
+
+PULLBACK_SETUPS = {
+    "cylinder-1/2": lambda: cylinder_setup(Fraction(1, 2)),
+    "cylinder-3": lambda: cylinder_setup(Fraction(3)),
+    "nonlinear": nonlinear_setup,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PULLBACK_SETUPS))
+def test_pullback_theorem_on_every_monomial_pair(name):
+    """``theorem_commutator`` equals the structural commutator of pulled-back quantisations
+    for all target observables of degree <= 4.
+
+    Both sides are bilinear over the Gaussian rationals and over hbar.  Pulling back is
+    ``substitute``, a ring homomorphism that sends hbar to hbar, so it is linear;
+    ``quantise`` is linear (``test_quantise_is_linear``) and ``commutator`` bilinear, so the
+    structural side is bilinear.  ``theorem_commutator`` pulls both observables back, takes
+    their Poisson bracket p (bilinear) and returns ``_closed_form(p, theta, p*(2 - c))`` with
+    c independent of the observables, which is linear in p.  Both sides are antisymmetric,
+    so they vanish on equal arguments, and agreement on every unordered pair of distinct
+    target coordinate monomials of degree <= 4 proves the identity for every pair of
+    target observables of coordinate degree <= 4, whatever their powers of hbar.
+    """
+    s = PULLBACK_SETUPS[name]()
+    monomials = coordinate_monomials(s.map.target, 4)
+    quantised = [pullback_quantise(m, s) for m in monomials]
+    for (a, qa), (b, qb) in combinations(zip(monomials, quantised), 2):
+        assert commutator(qa, qb) == theorem_commutator(a, b, s), (str(a), str(b))
+
+
+def test_exact_commutator_path_builds_no_derivative_or_negated_poly(monkeypatch):
+    """quantise, commutator and commutator_rhs take first derivatives inside their kernels.
+
+    The operator oracles (``compose``, ``apply``) still derive through ``Poly._partial``,
+    which shows that the counting hooks are live.
+    """
+    conn = example_connections()["folded-3dof"]
+    a, b = (random_poly(conn.chart, random.Random(seed), 4, 4) for seed in (5, 6))
+    calls = {"_partial": 0, "__neg__": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(Poly, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(Poly, name, counted)
+    op_a, op_b = quantise(a, conn), quantise(b, conn)
+    got = commutator(op_a, op_b)
+    assert got == commutator_rhs(a, b, conn) and not got.is_zero()
+    assert calls == {"_partial": 0, "__neg__": 0}
+    assert got == op_a.compose(op_b) - op_b.compose(op_a)
+    assert calls["_partial"] > 0
 
 
 class TestOperatorValidation:

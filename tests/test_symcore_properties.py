@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pseudoquant.exprparse import parse_poly
@@ -21,6 +21,7 @@ from pseudoquant.symcore import (
     Scalar,
     VectorField,
     _omega,
+    _sum_derivations,
     _sum_products,
     hamiltonian_vf,
     poisson,
@@ -135,6 +136,38 @@ def test_sum_products_is_the_term_by_term_sum(triples, q, r, d):
     assert_same_representation(got, fraction_sum_products(triples))
 
 
+variable_indices = st.integers(0, NV - 1)
+
+
+@PROPS
+@given(
+    st.lists(st.tuples(factors, polys_or_zero, variable_indices, polys_or_zero), max_size=5),
+    polys(4, min_terms=1),
+    polys(4, min_terms=1),
+    variable_indices,
+    st.integers(2, 9),
+)
+def test_sum_derivations_is_the_sum_of_products_of_partials(quads, q, r, i, d):
+    # x_i^d / d, whose derivative x_i^(d-1) has denominator 1, and two terms that cancel exactly
+    x = Poly(CHART, {tuple(d * (j == i) for j in range(NV)): Fraction(1, d)})
+    quads = quads + [(1, q, i, x), (1, r, i, q), (-1, r, i, q)]
+    got = _sum_derivations(CHART, quads)
+    assert_normal_form(got)
+    want = _sum_products(CHART, [(k, p, f._partial(j)) for k, p, j, f in quads])
+    assert_same_representation(got, want)
+
+
+@PROPS
+@given(polys())
+@example(Poly(CHART, {(0, 2, 0, 1, 0): Fraction(1, 2)}))  # d/dp1 of p1^2*q1/2 has denominator 1
+def test_hamiltonian_field_is_the_signed_partial_derivatives(a):
+    n = CHART.n
+    want = [-a._partial(1 + n + i) for i in range(n)] + [a._partial(1 + i) for i in range(n)]
+    for got, w in zip(hamiltonian_vf(a).comps, want, strict=True):
+        assert_normal_form(got)
+        assert_same_representation(got, w)
+
+
 @PROPS
 @given(polys(), units, exponents)
 def test_unit_monomial_product_is_the_general_product(p, unit, exp):
@@ -202,6 +235,10 @@ def test_times_minus_i_hbar_is_the_product(p):
     assert_same_representation(got, p * minus_i_hbar)
     assert_same_representation(got, fraction_sum_products([(1, p, minus_i_hbar)]))
     assert_same_representation(got.div_minus_i_hbar(), p)
+    squared = p._times_minus_hbar_squared()
+    assert_normal_form(squared)
+    assert_same_representation(squared, got.times_minus_i_hbar())
+    assert_same_representation(squared, fraction_sum_products([(-1, p, Poly.hbar(CHART) ** 2)]))
 
 
 CONNECTIONS = example_connections()
