@@ -29,6 +29,7 @@ EXIT_INPUT = 1
 EXIT_VERIFY = 2
 EXIT_FLAGS = 3
 BETA_SAMPLES_MAX = 10**6  # bks pair --beta: samples in [start, stop + step * 1e-9] at most
+GRID_CELLS_MAX = 10**6  # preserve --grid m,n: (m + 1) * (n + 1) monomials at most
 
 
 class CliError(Exception):
@@ -119,6 +120,8 @@ def cmd_preserve(args) -> int:
                 raise ValueError
         except ValueError:
             raise CliError("--grid expects 'm,n' with non-negative integers") from None
+        if (m_max + 1) * (n_max + 1) > GRID_CELLS_MAX:
+            raise CliError(f"--grid gives more than {GRID_CELLS_MAX} cells; use smaller bounds")
         deformation = None
         chart = ChartSpec((("a1", "b1"),))
         if args.deformation:

@@ -10,6 +10,10 @@ the residual operator
 annihilates every flat section; since the flat-section action of L_i is a
 finite sum sum_k c_k * d^k/dbeta^k, that holds iff every coefficient c_k
 vanishes identically as a polynomial.
+
+``preserves`` computes only those flat-section coefficients and builds no
+operator.  ``residual_operator`` builds the whole L_i and ``flat_action``
+reads its flat terms: that operator route is the oracle of ``preserves``.
 """
 
 from __future__ import annotations
@@ -20,12 +24,13 @@ from .symcore import (
     OneForm,
     Poly,
     _Record,
+    _make,
     _omega,
+    _sum,
     contract,
     exterior_d,
     hamiltonian_vf,
     standard_potential,
-    standard_symplectic,
 )
 from .prequant import ConnectionData, FormalOperator, _first_order, quantise
 
@@ -41,7 +46,7 @@ class Polarisation(_Record):
     __slots__ = ("chart",)
 
     def __init__(self, chart: ChartSpec, connection: ConnectionData):
-        if connection.chart != chart:
+        if connection.chart is not chart and connection.chart != chart:
             raise ChartError("connection lives on a different chart")
         if any(connection.theta.comps[: chart.n]):  # a d(alpha) component
             raise ChartError(
@@ -117,7 +122,11 @@ class PreservationReport(_Record):
 
 
 def residual_operator(A: Poly, c: ConnectionData, i: int) -> FormalOperator:
-    """L_i = op({A, beta_i}) - multiplication by Omega(X_A, X_{beta_i}); one X_A, X_{beta_i} for both."""
+    """L_i = op({A, beta_i}) - multiplication by Omega(X_A, X_{beta_i}); one X_A, X_{beta_i} for both.
+
+    The whole operator, alpha-derivative terms included; with ``flat_action``
+    it is the operator-level oracle of ``preserves``.
+    """
     chart = c.chart
     XA, Xb = hamiltonian_vf(A), hamiltonian_vf(Poly.var(chart, chart.pairs[i][1]))
     rhs = c.omega_curv.pair(XA, Xb)  # before _omega: a chart mismatch raises here
@@ -130,13 +139,19 @@ def cohomologous_residual_operator(
     """Residual from the simplified condition when omega - Omega = d(gamma).
 
     Valid only when d(gamma) really equals the chart's standard symplectic
-    form minus ``omega_curv``; raises otherwise.  Equals ``residual_operator``
-    identically in that case.  One X_A and X_{beta_i} give g = {A, beta_i} and
+    form minus ``omega_curv``: on every index pair of d(gamma), Omega or
+    omega, d(gamma)_ij + Omega_ij must equal omega_ij (1 on (k, n + k), else
+    0); raises otherwise.  Equals ``residual_operator`` identically in that
+    case.  One X_A and X_{beta_i} give g = {A, beta_i} and
     the multiplier d(gamma)(X_A, X_{beta_i}) - Theta(X_g).
     """
-    chart = c.chart
-    dgamma = exterior_d(gamma)
-    if dgamma != standard_symplectic(chart) - c.omega_curv:
+    chart, n = c.chart, c.chart.n
+    dgamma, zero = exterior_d(gamma), Poly.zero(chart)
+    dg, Om = dgamma.comps, c.omega_curv.comps
+    pairs = {*dg, *Om, *((k, n + k) for k in range(n))}
+    if (gamma.chart is not chart and gamma.chart != chart) or any(
+        dg.get(ij, zero) + Om.get(ij, zero) != int(ij[1] - ij[0] == n) for ij in pairs
+    ):
         raise ChartError("gamma is not a primitive of omega - Omega")
     XA, Xb = hamiltonian_vf(A), hamiltonian_vf(Poly.var(chart, chart.pairs[i][1]))
     dg_pair = dgamma.pair(XA, Xb)  # before _omega: a chart mismatch raises here
@@ -149,15 +164,28 @@ def cohomologous_residual_operator(
 def preserves(A: Poly, c: ConnectionData) -> PreservationReport:
     """Decide direct quantisability of A; exact residual polynomials included.
 
-    A connection outside the adapted gauge is a ChartError.
+    Computes only the terms of L_i that act on flat sections: X_A once, and
+    for each i, with g = {A, beta_i}, the multiplier g - Theta(X_g) -
+    Omega(X_A, X_{beta_i}) and the beta_j-derivative coefficients
+    -i*hbar*X_g[beta_j], in flat multi-index order.  ``flat_action`` of
+    ``residual_operator`` is its operator-level oracle.  A connection outside
+    the adapted gauge is a ChartError.
     """
-    P = Polarisation(c.chart, c)
+    chart, n = c.chart, c.chart.n
+    Polarisation(chart, c)  # the adapted-gauge check
+    XA = hamiltonian_vf(A)
     residuals: list[tuple[int, tuple[int, ...], Poly]] = []
-    for i in range(c.chart.n):
-        L = residual_operator(A, c, i)
-        fa = flat_action(L, P)
-        for k, coeff in fa.nonzero_coeffs():
-            residuals.append((i, k, coeff))
+    for i in range(n):
+        Xb = hamiltonian_vf(Poly.var(chart, chart.pairs[i][1]))
+        rhs = c.omega_curv.pair(XA, Xb)  # before _omega: a chart mismatch raises here
+        g = _omega(XA, Xb)
+        Xg = hamiltonian_vf(g)
+        th = contract(c.theta, Xg)
+        mult = _sum(chart, [(1, g.nums, g.den), (-1, th.nums, th.den), (-1, rhs.nums, rhs.den)])
+        flat = {(0,) * n: mult}
+        for j, x in enumerate(Xg.comps[n:]):
+            flat[(0,) * j + (1,) + (0,) * (n - 1 - j)] = x.times_minus_i_hbar()
+        residuals += [(i, k, p) for k, p in sorted(flat.items()) if p.nums]
     return PreservationReport(A, not residuals, tuple(residuals))
 
 
@@ -203,11 +231,12 @@ def classify_monomials(
                 if deformation.depends_on(a_name):
                     raise ChartError("polarised deformation must depend on beta only")
         conn = scaled_connection(chart, deformation)
+    ia, ib, exp = chart.var_index(alpha), chart.var_index(beta), [0] * len(chart.variables)
     table: dict[tuple[int, int], PreservationReport] = {}
     for m in range(m_max + 1):
         for n in range(n_max + 1):
-            A = Poly.var(chart, alpha) ** m * Poly.var(chart, beta) ** n
-            table[(m, n)] = preserves(A, conn)
+            exp[ia], exp[ib] = m, n
+            table[(m, n)] = preserves(_make(chart, {tuple(exp): (1, 0)}, 1), conn)
     return table
 
 

@@ -96,7 +96,7 @@ class FormalOperator(_Record):
     def __eq__(self, other):
         return (
             isinstance(other, FormalOperator)
-            and self.chart == other.chart
+            and (self.chart is other.chart or self.chart == other.chart)
             and self.terms == other.terms
         )
 
@@ -250,7 +250,7 @@ def commutator(op_a: FormalOperator, op_b: FormalOperator) -> FormalOperator:
     order above 1 raises ValueError.
     """
     chart = op_a.chart
-    if op_b.chart != chart:
+    if op_b.chart is not chart and op_b.chart != chart:
         raise ChartError("chart mismatch")
     v, w = _first_order_parts(op_a, "commutator"), _first_order_parts(op_b, "commutator")
     vi = [(i, c) for i, c in enumerate(v[:-1], 1) if c.nums]  # variable index i = coordinate + 1
@@ -269,7 +269,9 @@ def commutator_rhs(A: Poly, B: Poly, c: ConnectionData) -> FormalOperator:
     Omega(X_A, X_B).
     """
     chart = A.chart
-    if B.chart != chart or c.chart != chart:
+    if (B.chart is not chart and B.chart != chart) or (
+        c.chart is not chart and c.chart != chart
+    ):
         raise ChartError("chart mismatch")
     XA, XB = hamiltonian_vf(A), hamiltonian_vf(B)
     P = _omega(XA, XB)

@@ -635,7 +635,7 @@ class TwoForm(_Record):
         for (i, j), p in (comps or {}).items():
             if not (0 <= i < j < 2 * chart.n):
                 raise ChartError(f"two-form index pair {(i, j)} not in canonical order")
-            if p.chart != chart:
+            if p.chart is not chart and p.chart != chart:
                 raise ChartError("two-form coefficient on the wrong chart")
             if not p.is_zero():
                 clean[(i, j)] = p
@@ -686,9 +686,12 @@ class TwoForm(_Record):
 
     def pair(self, X: "VectorField", Y: "VectorField") -> Poly:
         """Evaluate on two vector fields."""
-        if X.chart != self.chart or Y.chart != self.chart:
+        chart = self.chart
+        if (X.chart is not chart and X.chart != chart) or (
+            Y.chart is not chart and Y.chart != chart
+        ):
             raise ChartError("chart mismatch")
-        x, y, chart = X.comps, Y.comps, self.chart
+        x, y = X.comps, Y.comps
         return _sum_products(
             chart,
             [
@@ -805,7 +808,7 @@ def exterior_d(phi: Union[Poly, OneForm]) -> Union[OneForm, TwoForm]:
 
 def contract(theta: OneForm, X: VectorField) -> Poly:
     """Pointwise pairing theta(X)."""
-    if theta.chart != X.chart:
+    if theta.chart is not X.chart and theta.chart != X.chart:
         raise ChartError("chart mismatch in contraction")
     return _sum_products(theta.chart, [(1, a, b) for a, b in zip(theta.comps, X.comps)])
 

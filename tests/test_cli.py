@@ -131,6 +131,13 @@ class TestQuantiseAndPreserve:
                      id="grid-with-problem"),
         pytest.param(["preserve", "--grid", "-1,2"], "--grid expects", id="grid-negative-m"),
         pytest.param(["preserve", "--grid", "2,-1"], "--grid expects", id="grid-negative-n"),
+        # (m + 1) * (n + 1) monomials, each a preservation test: bounded like --beta
+        pytest.param(["preserve", "--grid", "1000,1000"],
+                     "--grid gives more than 1000000 cells; use smaller bounds",
+                     id="grid-too-many-cells"),
+        pytest.param(["preserve", "--grid", "0,1000000"],
+                     "--grid gives more than 1000000 cells; use smaller bounds",
+                     id="grid-too-many-cells-one-row"),
         pytest.param(["preserve", "--grid", "2,2", "--observable", "p1"],
                      "--grid tabulates monomials and cannot take --observable",
                      id="grid-with-observable"),
@@ -175,6 +182,14 @@ class TestQuantiseAndPreserve:
             m, n, ok, cnt = row.split(",")
             table[(int(m), int(n))] = ok == "true"
         assert all(table[(m, n)] == (m <= 1) for (m, n) in table)
+
+    def test_preserve_grid_8x8_stdout(self, capsys):
+        # the full text: header, then m <= 1 preserves and m >= 2 leaves two residuals
+        assert run(["preserve", "--grid", "8,8"]) == EXIT_OK
+        rows = [f"{m},{n},true,0" if m <= 1 else f"{m},{n},false,2"
+                for m in range(9) for n in range(9)]
+        head = ["# case=standard deformation=0", "m,n,preserves,residual_count"]
+        assert capsys.readouterr().out == "\n".join(head + rows) + "\n"
 
     def test_preserve_grid_polarised_scaled(self, capsys):
         code = run(

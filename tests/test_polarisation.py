@@ -12,6 +12,7 @@ from pseudoquant.polarisation import (
     residual_operator,
     scaled_connection,
 )
+from pseudoquant.exprparse import parse_one_form, parse_poly
 from pseudoquant.prequant import ConnectionData, FormalOperator, quantise
 from pseudoquant.symcore import (
     ChartError,
@@ -91,6 +92,58 @@ class TestPreserves:
         assert fa.nonzero_coeffs() == [((0,), -f)]
 
 
+def _ab2():
+    return ChartSpec((("a1", "b1"), ("a2", "b2")))
+
+
+def _oracle_residuals(A, c):
+    """The flat-section terms read from the full residual operators, one i at a time."""
+    P = Polarisation(c.chart, c)
+    return tuple(
+        (i, k, p)
+        for i in range(c.chart.n)
+        for k, p in flat_action(residual_operator(A, c, i), P).nonzero_coeffs()
+    )
+
+
+class TestPreservesMatchesOperatorRoute:
+    """``preserves`` builds only the flat terms; the full operators are its oracle."""
+
+    @pytest.mark.parametrize("case, deformation", [
+        ("standard", None),
+        ("polarised-scaled", "2/3*b1^3 - b1"),
+        ("general-scaled", "a1*b1 - 3/2*b1^2 + a1"),
+    ])
+    def test_every_grid_cell(self, ab1, case, deformation):
+        f = None if deformation is None else parse_poly(deformation, ab1)
+        c = ConnectionData.standard(ab1) if f is None else scaled_connection(ab1, f)
+        table = classify_monomials(6, 6, f, case, ab1)
+        assert len(table) == 49
+        for (m, n), rep in table.items():
+            assert rep.observable == Poly.var(ab1, "a1") ** m * Poly.var(ab1, "b1") ** n
+            assert rep.residuals == _oracle_residuals(rep.observable, c), (m, n)
+            assert rep.preserves == (not rep.residuals)
+
+    @pytest.mark.parametrize("theta", [
+        "scaled",  # (1 + f) * theta_standard with f depending on both betas
+        [["a1 + a1*b1*b2 - 1/3*a1*b2^2", "db1"], ["a2 + 2*a2*b1^2*b2 + i*a2", "db2"]],
+    ])
+    def test_two_degrees_of_freedom(self, theta):
+        ab2 = _ab2()
+        if theta == "scaled":
+            c = scaled_connection(ab2, parse_poly("b1*b2 - 2*b2^2 + 1/2*b1", ab2))
+        else:
+            c = ConnectionData(parse_one_form(theta, ab2))
+        seen_both_indices = False
+        for text in ("a1^2*b2", "a1*a2*b1 + a2^2", "a1*b1*b2^2 - 1/2*a2*b2", "a2",
+                     "b1*b2", "a1^3*a2*b1", "a1*a2 + i*a2^2*b1"):
+            A = parse_poly(text, ab2)
+            rep = preserves(A, c)
+            assert rep.residuals == _oracle_residuals(A, c), text
+            seen_both_indices |= {i for i, _, _ in rep.residuals} == {0, 1}
+        assert seen_both_indices
+
+
 class TestCohomologous:
     def test_matches_direct_residual(self, ab1):
         for f in (Poly.var(ab1, "b1"), Poly.var(ab1, "b1") ** 2):
@@ -106,13 +159,55 @@ class TestCohomologous:
                 simplified = cohomologous_residual_operator(A, c, P, gamma, 0)
                 assert flat_action(direct, P) == flat_action(simplified, P)
 
+    NOT_PRIMITIVE = "gamma is not a primitive of omega - Omega"
+
     def test_wrong_primitive_rejected(self, ab1):
         c = scaled_connection(ab1, Poly.var(ab1, "b1"))
         bad_gamma = standard_potential(ab1)
-        with pytest.raises(ChartError):
+        with pytest.raises(ChartError, match=self.NOT_PRIMITIVE):
             cohomologous_residual_operator(
                 Poly.var(ab1, "a1"), c, Polarisation(ab1, c), bad_gamma, 0
             )
+
+    def _two_dof(self):
+        ab2 = _ab2()
+        f = parse_poly("b1*b2 - 2*b2^2", ab2)
+        c = scaled_connection(ab2, f)
+        return ab2, c, standard_potential(ab2).scale(-f)
+
+    def _check(self, c, gamma):
+        A = parse_poly("a1^2*a2 + a2*b1", c.chart)
+        return cohomologous_residual_operator(A, c, Polarisation(c.chart, c), gamma, 1)
+
+    def test_right_primitive_accepted_on_two_dof(self):
+        ab2, c, gamma = self._two_dof()
+        A = parse_poly("a1^2*a2 + a2*b1", ab2)
+        P = Polarisation(ab2, c)
+        for i in range(2):
+            simplified = cohomologous_residual_operator(A, c, P, gamma, i)
+            assert flat_action(simplified, P) == flat_action(residual_operator(A, c, i), P)
+
+    def test_extra_component_rejected(self):
+        # d(a1 * d(a2)) = d(a1)^d(a2): a pair that neither omega nor Omega has
+        ab2, c, gamma = self._two_dof()
+        extra = OneForm.from_dict(ab2, {"da2": Poly.var(ab2, "a1")})
+        with pytest.raises(ChartError, match=self.NOT_PRIMITIVE):
+            self._check(c, gamma + extra)
+
+    def test_wrong_on_one_pair_rejected(self):
+        # d(a2 * d(b2)) adds 1 on (a2, b2) only; the (a1, b1) pair stays right
+        ab2, c, gamma = self._two_dof()
+        off = OneForm.from_dict(ab2, {"db2": Poly.var(ab2, "a2")})
+        with pytest.raises(ChartError, match=self.NOT_PRIMITIVE):
+            self._check(c, gamma + off)
+
+    def test_primitive_on_another_chart_rejected(self):
+        # the right gamma, with the coordinates renamed
+        _, c, _ = self._two_dof()
+        other = ChartSpec((("x1", "y1"), ("x2", "y2")))
+        renamed = standard_potential(other).scale(-parse_poly("y1*y2 - 2*y2^2", other))
+        with pytest.raises(ChartError, match=self.NOT_PRIMITIVE):
+            self._check(c, renamed)
 
 
 class TestClassifyMonomials:
