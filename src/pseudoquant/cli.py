@@ -14,15 +14,18 @@ imported inside the subcommand that uses it.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from .exprparse import ExprSyntaxError, ProblemFile, load_problem, parse_poly
-from .polarisation import CASE_TAGS, classify_monomials, preserves
+from .polarisation import CASE_TAGS, _grid_connection, _monomial_cells, preserves
 from .prequant import FormalOperator, commutator, pullback_quantise, quantise
-from .symcore import ChartError, ChartSpec
+from .symcore import EXP_LIMIT, ChartError, ChartSpec
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -57,13 +60,11 @@ def _formal_divide(op: FormalOperator) -> FormalOperator:
     return FormalOperator(op.chart, {idx: c.div_minus_i_hbar() for idx, c in op.terms.items()})
 
 
-def _emit(lines: list[str], path: str | None):
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(lines: Iterable[str], path: str | None):
+    """Write each line as it is drawn, to ``path`` or to stdout."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _load(args) -> ProblemFile:
@@ -122,20 +123,24 @@ def cmd_preserve(args) -> int:
             raise CliError("--grid expects 'm,n' with non-negative integers") from None
         if (m_max + 1) * (n_max + 1) > GRID_CELLS_MAX:
             raise CliError(f"--grid gives more than {GRID_CELLS_MAX} cells; use smaller bounds")
+        if max(m_max, n_max) >= EXP_LIMIT:
+            raise CliError(f"--grid exponents must be below {EXP_LIMIT}")
         deformation = None
         chart = ChartSpec((("a1", "b1"),))
         if args.deformation:
             deformation = parse_poly(args.deformation, chart)
         case = args.case or "standard"
         try:
-            table = classify_monomials(m_max, n_max, deformation, case, chart)
+            conn = _grid_connection(deformation, case, chart)
         except ValueError as exc:  # every such error is about the case and its deformation
             raise CliError(f"--case {case}: {exc}") from None
-        lines = [f"# case={case} deformation={args.deformation or '0'}"]
-        lines.append("m,n,preserves,residual_count")
-        for (m, n), rep in sorted(table.items()):
-            lines.append(f"{m},{n},{str(rep.preserves).lower()},{len(rep.residuals)}")
-        _emit(lines, args.csv)
+        header = [f"# case={case} deformation={args.deformation or '0'}"]
+        header.append("m,n,preserves,residual_count")
+        rows = (
+            f"{m},{n},{str(rep.preserves).lower()},{len(rep.residuals)}"
+            for (m, n), rep in _monomial_cells(m_max, n_max, conn)
+        )
+        _emit(itertools.chain(header, rows), args.csv)  # each row written as its cell is done
         return EXIT_OK
     if not args.observable:
         raise CliError("preserve needs --observable or --grid")

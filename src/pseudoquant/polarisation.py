@@ -18,13 +18,14 @@ reads its flat terms: that operator route is the oracle of ``preserves``.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .symcore import (
     ChartError,
     ChartSpec,
     OneForm,
     Poly,
     _Record,
-    _make,
     _omega,
     _sum,
     contract,
@@ -214,30 +215,44 @@ def classify_monomials(
     Theta = (1+f)*theta with f the given deformation, which must be a
     function of beta only for 'polarised-scaled'.
     """
+    return dict(_monomial_cells(m_max, n_max, _grid_connection(deformation, case, chart)))
+
+
+def _grid_connection(
+    deformation: Poly | None, case: str, chart: ChartSpec | None
+) -> ConnectionData:
+    """The connection of a monomial grid's case, on the a1/b1 chart by default."""
     if case not in CASE_TAGS:
         raise ValueError(f"case must be one of {CASE_TAGS}")
     if chart is None:
         chart = ChartSpec((("a1", "b1"),))
-    alpha, beta = chart.pairs[0]
     if case == "standard":
         if deformation is not None:
             raise ValueError("the standard case takes no deformation; choose a scaled case")
-        conn = ConnectionData.standard(chart)
-    else:
-        if deformation is None or deformation.chart != chart:
-            raise ChartError("scaled cases need a deformation Poly on the chart")
-        if case == "polarised-scaled":
-            for a_name, _ in chart.pairs:
-                if deformation.depends_on(a_name):
-                    raise ChartError("polarised deformation must depend on beta only")
-        conn = scaled_connection(chart, deformation)
-    ia, ib, exp = chart.var_index(alpha), chart.var_index(beta), [0] * len(chart.variables)
-    table: dict[tuple[int, int], PreservationReport] = {}
+        return ConnectionData.standard(chart)
+    if deformation is None or deformation.chart != chart:
+        raise ChartError("scaled cases need a deformation Poly on the chart")
+    if case == "polarised-scaled":
+        for a_name, _ in chart.pairs:
+            if deformation.depends_on(a_name):
+                raise ChartError("polarised deformation must depend on beta only")
+    return scaled_connection(chart, deformation)
+
+
+def _monomial_cells(
+    m_max: int, n_max: int, conn: ConnectionData
+) -> Iterator[tuple[tuple[int, int], PreservationReport]]:
+    """The grid's cells ``((m, n), preserves(alpha^m * beta^n))``, each computed when drawn.
+
+    Cells come in sorted order, over the chart's first pair (alpha, beta).
+    """
+    chart = conn.chart
+    ia, ib = (chart.var_index(name) for name in chart.pairs[0])
+    exp = [0] * len(chart.variables)
     for m in range(m_max + 1):
         for n in range(n_max + 1):
             exp[ia], exp[ib] = m, n
-            table[(m, n)] = preserves(_make(chart, {tuple(exp): (1, 0)}, 1), conn)
-    return table
+            yield (m, n), preserves(Poly(chart, {tuple(exp): 1}), conn)
 
 
 __all__ = [

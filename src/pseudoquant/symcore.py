@@ -25,6 +25,18 @@ exponent shift and a rotation, and ``div_minus_i_hbar`` undoes that.
 arithmetic: it is accepted by the ``Poly`` constructor and ``scale`` and
 returned by ``constant_value`` and the ``Poly.terms`` view.
 
+Monomial keys are packed exponent vectors (Monagan and Pearce, CASC 2007):
+one int with a ``FIELD_BITS`` = 16-bit field per variable, ``hbar`` in the
+top field and the coordinates below it in ``chart.variables`` order
+(``chart.shifts``).  A product's key is the sum of its factors' keys, a
+derivative's key a difference, and packed keys sort as their exponent
+tuples do, so printing is unchanged.  Every coordinate exponent stays below
+``EXP_LIMIT`` = 32768, half a field, so a sum of two keys never carries: the
+constructor rejects larger exponents, and every product tests its keys
+against ``chart.top``, the fields' top bits, raising ``ChartError`` on
+overflow.  ``hbar``'s top field is unbounded.  The constructor takes
+exponent tuples and ``Poly.terms`` is the exponent-tuple view.
+
 Sign conventions, fixed once for the whole package:
 
     omega = sum_i d(alpha_i) ^ d(beta_i)
@@ -39,13 +51,20 @@ floats appear only through the explicit ``evaluate`` shadow.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import gcd, lcm
-from operator import add as _add
+from operator import lshift as _lshift
 from typing import Iterable, Mapping, Sequence, Union
 
 RationalLike = Union[int, Fraction]
+
+FIELD_BITS = 16  # width of each variable's field in a packed exponent key
+EXP_LIMIT = 1 << (FIELD_BITS - 1)  # every coordinate exponent stays below this
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+_OVERFLOW = f"every coordinate exponent must stay below {EXP_LIMIT}"
 
 
 class ChartError(ValueError):
@@ -128,7 +147,7 @@ class ChartSpec(_Record):
     coordinate order.  Charts compare and hash by ``pairs``.
     """
 
-    __slots__ = ("pairs", "__dict__")  # __dict__ holds the cached name tuples
+    __slots__ = ("pairs", "__dict__")  # __dict__ holds the cached names and key layout
 
     def __init__(self, pairs: tuple[tuple[str, str], ...]):
         if len(pairs) < 1:
@@ -160,6 +179,17 @@ class ChartSpec(_Record):
     def variables(self) -> tuple[str, ...]:
         return ("hbar",) + self.coords
 
+    @cached_property
+    def shifts(self) -> tuple[int, ...]:
+        """Bit offset of each variable's field in a packed key, hbar's (the top field) first."""
+        last = 2 * len(self.pairs)
+        return tuple(FIELD_BITS * (last - v) for v in range(last + 1))
+
+    @cached_property
+    def top(self) -> int:
+        """The top bit of every coordinate field: a key with one set has an exponent too large."""
+        return sum(1 << (s + FIELD_BITS - 1) for s in self.shifts[1:])
+
     def coord_index(self, name: str) -> int:
         try:
             return self.coords.index(name)
@@ -180,13 +210,15 @@ def standard_chart(n: int = 1) -> ChartSpec:
 class Poly(_Record):
     """Exact multivariate polynomial over the Gaussian rationals.
 
-    ``nums`` maps an exponent tuple over ``chart.variables`` to a nonzero
-    Gaussian-integer numerator ``(re, im)``; every coefficient shares the
-    positive denominator ``den``.  The pair is kept in the normal form
+    ``nums`` maps a packed exponent key (see the module docstring) to a
+    nonzero Gaussian-integer numerator ``(re, im)``; every coefficient shares
+    the positive denominator ``den``.  The pair is kept in the normal form
     ``gcd(every re, every im, den) == 1`` (``den == 1`` for the zero Poly),
     so Polys over the same chart compare equal iff ``nums`` and ``den`` are
-    equal.  Every exact operation on coefficients is a Poly operation;
-    ``terms`` is a read-only ``{exponent: Scalar}`` view.
+    equal.  Every exact operation on coefficients is a Poly operation.  The
+    constructor takes exponent tuples over ``chart.variables``, each
+    coordinate exponent below ``EXP_LIMIT`` (32768); ``terms`` is the
+    read-only ``{exponent tuple: Scalar}`` view.
     """
 
     __slots__ = ("chart", "nums", "den")
@@ -205,7 +237,9 @@ class Poly(_Record):
             exp = tuple(exp)
             if len(exp) != nv or any(e < 0 for e in exp):
                 raise ChartError(f"bad exponent tuple {exp} for chart with {nv} variables")
-            pieces.append((1, {exp: (re, im)}, d))
+            if any(e >= EXP_LIMIT for e in exp[1:]):
+                raise ChartError(f"exponent tuple {exp}: {_OVERFLOW}")
+            pieces.append((1, {sum(map(_lshift, exp, chart.shifts)): (re, im)}, d))
         p = _sum(chart, pieces)
         _set_chart(self, chart)
         _set_nums(self, p.nums)
@@ -222,13 +256,11 @@ class Poly(_Record):
         re, im, d = _gaussian(c)
         if not (re or im):
             return _make(chart, {}, 1)
-        return _make(chart, {(0,) * len(chart.variables): (re, im)}, d)
+        return _make(chart, {0: (re, im)}, d)
 
     @staticmethod
     def var(chart: ChartSpec, name: str) -> "Poly":
-        exp = [0] * len(chart.variables)
-        exp[chart.var_index(name)] = 1
-        return _make(chart, {tuple(exp): (1, 0)}, 1)
+        return _make(chart, {1 << chart.shifts[chart.var_index(name)]: (1, 0)}, 1)
 
     @staticmethod
     def hbar(chart: ChartSpec) -> "Poly":
@@ -237,23 +269,26 @@ class Poly(_Record):
     @staticmethod
     def minus_i_hbar(chart: ChartSpec) -> "Poly":
         """-i*hbar, the factor of op(A)'s first-order part and of every commutator."""
-        return _make(chart, {(1,) + (0,) * (len(chart.variables) - 1): (0, -1)}, 1)
+        return _make(chart, {1 << chart.shifts[0]: (0, -1)}, 1)
 
     # -- queries -----------------------------------------------------------
 
     @property
     def terms(self) -> dict[tuple[int, ...], Scalar]:
-        """The coefficients as Scalars, built on each access."""
+        """The coefficients as Scalars keyed by exponent tuples, built on each access."""
         den = self.den
-        return {
-            e: Scalar(Fraction(re, den), Fraction(im, den)) for e, (re, im) in self.nums.items()
-        }
+        return dict(
+            zip(
+                _unpack(self.chart, self.nums),
+                [Scalar(Fraction(re, den), Fraction(im, den)) for re, im in self.nums.values()],
+            )
+        )
 
     def is_zero(self) -> bool:
         return not self.nums
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.nums)
+        return not any(self.nums)  # the constant monomial's key is 0
 
     def constant_value(self) -> Scalar:
         if not self.nums:
@@ -265,7 +300,7 @@ class Poly(_Record):
 
     def depends_on(self, name: str) -> bool:
         i = self.chart.var_index(name)
-        return any(e[i] for e in self.nums)
+        return any(exp[i] for exp in _unpack(self.chart, self.nums))
 
     def __bool__(self):
         return bool(self.nums)
@@ -324,9 +359,11 @@ class Poly(_Record):
                 ((eu, (ur, ui)),) = u.nums.items()
                 if abs(ur) + abs(ui) == 1:  # a unit monomial: shift and rotate, no gcd pass
                     nums = {
-                        tuple(map(_add, e, eu)): (re * ur - im * ui, re * ui + im * ur)
+                        e + eu: (re * ur - im * ui, re * ui + im * ur)
                         for e, (re, im) in p.nums.items()
                     }
+                    if any(map(self.chart.top.__and__, nums)):
+                        raise ChartError(_OVERFLOW)
                     return _make(self.chart, nums, p.den)
         return _sum_products(self.chart, ((1, self, other),))
 
@@ -357,24 +394,23 @@ class Poly(_Record):
 
     def times_minus_i_hbar(self) -> "Poly":
         """Exact product with -i*hbar: one more hbar, (re + i*im) * -i = im - i*re; no gcd pass."""
-        return _make(
-            self.chart,
-            {(e[0] + 1,) + e[1:]: (im, -re) for e, (re, im) in self.nums.items()},
-            self.den,
-        )
+        h = 1 << self.chart.shifts[0]
+        return _make(self.chart, {e + h: (im, -re) for e, (re, im) in self.nums.items()}, self.den)
 
     def _times_minus_hbar_squared(self) -> "Poly":
         """Exact product with (-i*hbar)**2 = -hbar**2: two more hbar, a sign flip; no gcd pass."""
-        nums = {(e[0] + 2,) + e[1:]: (-re, -im) for e, (re, im) in self.nums.items()}
+        h2 = 2 << self.chart.shifts[0]
+        nums = {e + h2: (-re, -im) for e, (re, im) in self.nums.items()}
         return _make(self.chart, nums, self.den)
 
     def div_minus_i_hbar(self) -> "Poly":
         """Exact division by -i*hbar; raises if any term lacks an hbar factor."""
+        h = 1 << self.chart.shifts[0]
         nums = {}
         for e, (re, im) in self.nums.items():
-            if e[0] < 1:
+            if e < h:  # hbar's field is on top, so a key below h has no hbar
                 raise ValueError("polynomial is not divisible by hbar")
-            nums[(e[0] - 1,) + e[1:]] = (-im, re)  # (re + i*im) * i
+            nums[e - h] = (-im, re)  # (re + i*im) * i
         return _make(self.chart, nums, self.den)
 
     # -- calculus ----------------------------------------------------------
@@ -385,11 +421,10 @@ class Poly(_Record):
 
     def _partial(self, i: int) -> "Poly":
         """First partial derivative by the variable at index ``i`` of ``chart.variables``."""
-        nums = {}
-        for e, (re, im) in self.nums.items():
-            m = e[i]
-            if m:
-                nums[e[:i] + (m - 1,) + e[i + 1 :]] = (re * m, im * m)
+        u, nums = 1 << self.chart.shifts[i], {}
+        for (e, (re, im)), exp in zip(self.nums.items(), _unpack(self.chart, self.nums)):
+            if m := exp[i]:
+                nums[e - u] = (re * m, im * m)
         return _normal(self.chart, nums, self.den)
 
     def substitute(self, new_chart: ChartSpec, mapping: Mapping[str, "Poly"]) -> "Poly":
@@ -408,15 +443,17 @@ class Poly(_Record):
                 raise ChartError("substitution image lives on the wrong chart")
             images.append(img)
         powers = [[img] for img in images]  # powers[i][k - 1] == images[i] ** k
-        const = (0,) * len(new_chart.variables)
+        top = new_chart.top
         pieces = []
-        for e, c in self.nums.items():
-            nums, den = {const: c}, 1
-            for pw, k in zip(powers, e):
+        for c, exp in zip(self.nums.values(), _unpack(self.chart, self.nums)):
+            nums, den = {0: c}, 1
+            for pw, k in zip(powers, exp):
                 if k:
                     while len(pw) < k:
                         pw.append(pw[-1] * pw[0])
                     nums = _add_product({}, nums, pw[k - 1].nums, 1)
+                    if any(map(top.__and__, nums)):  # before the next product can carry
+                        raise ChartError(_OVERFLOW)
                     den *= pw[k - 1].den
             nonzero = {x: v for x, v in nums.items() if v[0] or v[1]}  # products may cancel
             pieces.append((1, nonzero, den * self.den))
@@ -427,9 +464,9 @@ class Poly(_Record):
         vals = [complex(hbar)] + [complex(values[name]) for name in self.chart.coords]
         den = self.den
         total = 0j
-        for e, (re, im) in self.nums.items():
+        for (re, im), exp in zip(self.nums.values(), _unpack(self.chart, self.nums)):
             t = complex(re / den, im / den)
-            for v, k in zip(vals, e):
+            for v, k in zip(vals, exp):
                 if k:
                     t *= v**k
             total += t
@@ -442,11 +479,10 @@ class Poly(_Record):
         den = self.den
         units = {(den, 0): "", (-den, 0): "-", (0, den): "i*", (0, -den): "-i*"}
         parts = []
-        for e in sorted(self.nums):
+        keys = sorted(self.nums)  # packed keys sort as their exponent tuples
+        for e, exp in zip(keys, _unpack(self.chart, keys)):
             re, im = self.nums[e]
-            mono = "*".join(
-                name if k == 1 else f"{name}^{k}" for name, k in zip(names, e) if k
-            )
+            mono = "*".join(name if k == 1 else f"{name}^{k}" for name, k in zip(names, exp) if k)
             cs = _gaussian_str(re, im, den)
             if not mono:
                 parts.append(cs)
@@ -466,6 +502,16 @@ _new = object.__new__
 _set_chart = Poly.chart.__set__
 _set_nums = Poly.nums.__set__
 _set_den = Poly.den.__set__
+
+
+def _unpack(chart: ChartSpec, keys: Iterable[int]) -> list[tuple[int, ...]]:
+    """The exponent tuple of each packed key: hbar's top field, then the coordinate fields."""
+    fields = struct.Struct(f">{2 * chart.n}H")  # FIELD_BITS == 16: one "H" per coordinate
+    unpack, size = fields.unpack, fields.size
+    return [
+        (hbar, *unpack(low.to_bytes(size, "big")))
+        for hbar, low in map(divmod, keys, repeat(1 << chart.shifts[0]))
+    ]
 
 
 def _make(chart: ChartSpec, nums: dict, den: int) -> Poly:
@@ -499,7 +545,7 @@ def _sum(chart: ChartSpec, pieces: Sequence[tuple[int, dict, int]]) -> Poly:
     den = 1
     for _, _, d in pieces:
         den = lcm(den, d)
-    acc: dict[tuple[int, ...], tuple[int, int]] = {}
+    acc: dict[int, tuple[int, int]] = {}
     for k, nums, d in pieces:
         m = k * (den // d)
         if not acc:
@@ -528,7 +574,7 @@ def _add_product(acc: dict, n1: dict, n2: dict, f: int) -> dict:
         if f != 1:
             a, b = a * f, b * f
         for e2, (c, d) in n2.items():
-            e = tuple(map(_add, e1, e2))
+            e = e1 + e2
             old = get(e)
             if old is None:
                 acc[e] = (a * c - b * d, a * d + b * c)
@@ -545,12 +591,13 @@ def _sum_products(chart: ChartSpec, triples: Iterable[tuple[int, Poly, Poly]]) -
 
 def _sum_derivations(chart: ChartSpec, quads: Iterable[tuple[int, Poly, int, Poly]]) -> Poly:
     """The sum of ``k * p * dq/dx_i`` over ``(k, p, i, q)``; each dq is raw numerators, no Poly."""
-    terms = []
+    shifts, terms = chart.shifts, []
     for k, p, i, q in quads:
-        dq = {}
+        s, mask, dq = shifts[i], _FIELD_MASK if i else -1, {}  # hbar's top field has no mask
+        u = 1 << s
         for e, (re, im) in q.nums.items():
-            if m := e[i]:
-                dq[e[:i] + (m - 1,) + e[i + 1 :]] = (re * m, im * m)
+            if m := (e >> s) & mask:
+                dq[e - u] = (re * m, im * m)
         if k and p.nums and dq:
             terms.append((k, p.nums, dq, p.den * q.den))
     return _sum_raw_products(chart, terms)
@@ -559,11 +606,13 @@ def _sum_derivations(chart: ChartSpec, quads: Iterable[tuple[int, Poly, int, Pol
 def _sum_raw_products(chart: ChartSpec, terms: list[tuple[int, dict, dict, int]]) -> Poly:
     """The sum of ``k * n1 * n2 / d`` over ``(k, n1, n2, d)``, ``k``, ``n1`` and ``n2`` nonzero."""
     den = lcm(*[t[3] for t in terms])
-    acc: dict[tuple[int, ...], tuple[int, int]] = {}
+    acc: dict[int, tuple[int, int]] = {}
     for k, n1, n2, d in terms:
         _add_product(acc, n1, n2, k * (den // d))
     if len(acc) < sum([len(n1) * len(n2) for _, n1, n2, _ in terms]):  # an exponent recurred
         acc = {e: v for e, v in acc.items() if v[0] or v[1]}
+    if any(map(chart.top.__and__, acc)):
+        raise ChartError(_OVERFLOW)
     return _normal(chart, acc, den)
 
 
@@ -762,11 +811,11 @@ class SmoothMap(_Record):
 def hamiltonian_vf(A: Poly) -> VectorField:
     """Hamiltonian vector field of A, the one statement of the package sign convention."""
     chart, n, den = A.chart, A.chart.n, A.den
-    comps = [{} for _ in range(2 * n)]
+    comps, shifts = [{} for _ in range(2 * n)], chart.shifts
     for e, (re, im) in A.nums.items():  # one pass over A's terms
         for j in range(1, 2 * n + 1):
-            if m := e[j]:
-                d = e[:j] + (m - 1,) + e[j + 1 :]
+            if m := (e >> shifts[j]) & _FIELD_MASK:
+                d = e - (1 << shifts[j])
                 if j > n:  # beta_i: the d/dalpha_i component is -dA/dbeta_i
                     comps[j - 1 - n][d] = (-re * m, -im * m)
                 else:  # alpha_i: the d/dbeta_i component is dA/dalpha_i

@@ -87,6 +87,14 @@ class TestErrors:
         assert run(["commutator", "--a", "p1"]) == EXIT_INPUT
         capsys.readouterr()
 
+    def test_exponent_overflow_is_a_one_line_error(self, capsys):
+        # each coordinate exponent stays below 2**15, so p1^40000 is refused, never wrapped
+        assert run(["commutator", "--a", "p1^40000", "--b", "q1"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert line == "error: every coordinate exponent must stay below 32768"
+
     def test_no_subcommand_prints_help(self, capsys):
         assert run([]) == EXIT_INPUT
         assert "usage" in capsys.readouterr().out.lower()
@@ -138,6 +146,8 @@ class TestQuantiseAndPreserve:
         pytest.param(["preserve", "--grid", "0,1000000"],
                      "--grid gives more than 1000000 cells; use smaller bounds",
                      id="grid-too-many-cells-one-row"),
+        pytest.param(["preserve", "--grid", "32768,0"], "--grid exponents must be below 32768",
+                     id="grid-exponent-overflow"),
         pytest.param(["preserve", "--grid", "2,2", "--observable", "p1"],
                      "--grid tabulates monomials and cannot take --observable",
                      id="grid-with-observable"),
@@ -190,6 +200,13 @@ class TestQuantiseAndPreserve:
                 for m in range(9) for n in range(9)]
         head = ["# case=standard deformation=0", "m,n,preserves,residual_count"]
         assert capsys.readouterr().out == "\n".join(head + rows) + "\n"
+
+    def test_preserve_grid_csv_file_matches_stdout(self, capsys, tmp_path):
+        argv = ["preserve", "--grid", "3,2", "--case", "general-scaled", "--deformation", "a1*b1"]
+        assert run(argv) == EXIT_OK
+        path = tmp_path / "grid.csv"
+        assert run(argv + ["--csv", str(path)]) == EXIT_OK
+        assert path.read_text() == capsys.readouterr().out
 
     def test_preserve_grid_polarised_scaled(self, capsys):
         code = run(

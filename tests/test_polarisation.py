@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,10 @@ from pseudoquant.symcore import (
     ChartSpec,
     OneForm,
     Poly,
+    Scalar,
     standard_potential,
 )
+from pseudoquant.verify import example_connections, random_poly
 
 
 @pytest.fixture
@@ -142,6 +145,36 @@ class TestPreservesMatchesOperatorRoute:
             assert rep.residuals == _oracle_residuals(A, c), text
             seen_both_indices |= {i for i, _, _ in rep.residuals} == {0, 1}
         assert seen_both_indices
+
+
+@pytest.mark.parametrize("name", sorted(example_connections()))
+def test_preserves_residuals_are_linear_in_the_observable(name):
+    """residual(A + c*B) = residual(A) + c*residual(B) at every (i, k), a missing entry being 0.
+
+    Every step of ``preserves`` is linear in A over the Gaussian rationals:
+    A -> X_A takes partial derivatives; g = {A, beta_i} = omega(X_A, X_{beta_i})
+    and Omega(X_A, X_{beta_i}) pair X_A with a field that does not depend on
+    A; X_g, Theta(X_g) and -i*hbar*X_g[beta_j] are linear in g.  So the
+    multiplier g - Theta(X_g) - Omega(X_A, X_{beta_i}) and each
+    beta_j-derivative coefficient are linear in A, and so is the map from A to
+    the residual polynomials, indexed by (i, k).
+    """
+    c = example_connections()[name]
+    chart, rng = c.chart, random.Random(f"linearity/{name}")
+    zero, nonzero = Poly.zero(chart), 0
+    for _ in range(8):
+        A, B = random_poly(chart, rng, max_degree=4), random_poly(chart, rng, max_degree=4)
+        B = B + Poly.hbar(chart) * random_poly(chart, rng, max_degree=2, terms=2)
+        k = Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), Fraction(rng.randint(1, 3), 2))
+        res = [
+            {(i, idx): p for i, idx, p in preserves(X, c).residuals}
+            for X in (A, B, A + B.scale(k))
+        ]
+        for key in res[0].keys() | res[1].keys() | res[2].keys():
+            want = res[0].get(key, zero) + res[1].get(key, zero).scale(k)
+            assert res[2].get(key, zero) == want, (name, key, A, B, k)
+        nonzero += bool(res[0]) + bool(res[1])
+    assert nonzero >= 8  # the residuals compared are mostly not all zero
 
 
 class TestCohomologous:

@@ -5,6 +5,7 @@ import pytest
 
 from pseudoquant.exprparse import parse_poly
 from pseudoquant.symcore import (
+    EXP_LIMIT,
     ChartError,
     ChartSpec,
     OneForm,
@@ -14,6 +15,7 @@ from pseudoquant.symcore import (
     TwoForm,
     VectorField,
     _Record,
+    _sum_derivations,
     contract,
     exterior_d,
     hamiltonian_vf,
@@ -96,6 +98,44 @@ class TestPoly:
         assert Poly.minus_i_hbar(ab1).div_minus_i_hbar() == Poly.const(ab1, 1)
         with pytest.raises(ValueError):
             Poly.var(ab1, "a1").div_minus_i_hbar()
+
+
+class TestExponentFields:
+    """Each coordinate exponent stays below EXP_LIMIT = 2**15; hbar's exponent is unbounded."""
+
+    def test_constructor_rejects_a_coordinate_exponent_at_the_limit(self, pq1):
+        assert EXP_LIMIT == 2**15
+        assert Poly(pq1, {(0, 2**15 - 1, 0): 1}).terms.keys() == {(0, 2**15 - 1, 0)}
+        for exp in [(0, 2**15, 0), (0, 0, 2**15), (0, 2**16, 0)]:
+            with pytest.raises(ChartError, match="below 32768"):
+                Poly(pq1, {exp: 1})
+
+    def test_every_product_raises_on_overflow(self, pq1):
+        p, q = Poly.var(pq1, "p1"), Poly.var(pq1, "q1")
+        half = p ** (2**14)
+        assert str(half * p ** (2**14 - 1)) == "p1^32767"
+        with pytest.raises(ChartError, match="below 32768"):  # unit monomials: the shift path
+            half * half
+        with pytest.raises(ChartError, match="below 32768"):  # the sum-of-products kernel
+            half.scale(2) * (half.scale(3) + q)
+        with pytest.raises(ChartError, match="below 32768"):  # one field of several overflows
+            (q ** (2**15 - 1) * half) * (q + p.scale(Fraction(1, 2)) * half)
+        with pytest.raises(ChartError, match="below 32768"):  # the derivation kernel
+            _sum_derivations(pq1, [(1, half, 2, half * q * q)])  # half * d(half * q1^2)/dq1
+        with pytest.raises(ChartError, match="below 32768"):  # substitute's image products
+            (p * q).substitute(pq1, {"p1": half.scale(5) + q, "q1": half})
+
+    def test_hbar_field_is_unbounded(self, pq1):
+        exp = (70000, 3, 2**15 - 1)
+        p = Poly(pq1, {exp: Fraction(2, 3)})
+        assert list(p.terms) == [exp] and str(p.terms[exp]) == "2/3"
+        assert Poly(pq1, p.terms) == p
+        big = p * Poly.hbar(pq1) ** 70000 * Poly.var(pq1, "p1")
+        assert list(big.terms) == [(140000, 4, 2**15 - 1)]
+        assert str(big) == "(2/3)*hbar^140000*p1^4*q1^32767"
+        assert big.times_minus_i_hbar().div_minus_i_hbar() == big
+        assert big.partial("hbar").terms.keys() == {(139999, 4, 2**15 - 1)}
+        assert big.depends_on("hbar") and not Poly.var(pq1, "q1").depends_on("hbar")
 
 
 @pytest.mark.parametrize("text, printed", [

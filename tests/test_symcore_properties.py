@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from pseudoquant.exprparse import parse_poly
 from pseudoquant.prequant import FormalOperator, commutator, commutator_rhs, quantise
 from pseudoquant.symcore import (
+    EXP_LIMIT,
     Poly,
     Scalar,
     VectorField,
@@ -100,6 +101,29 @@ def fraction_sum_products(triples) -> Poly:
                 re, im = acc.get(e, (0, 0))
                 acc[e] = (re + k * (a.re * b.re - a.im * b.im), im + k * (a.re * b.im + a.im * b.re))
     return Poly(CHART, {e: Scalar(re, im) for e, (re, im) in acc.items()})
+
+
+def wide_exponents_on(chart):
+    """Exponent tuples up to the field limit, hbar's past one 16-bit field."""
+    field = st.one_of(st.integers(0, 3), st.integers(0, EXP_LIMIT - 1))
+    hbar = st.one_of(st.integers(0, 3), st.integers(0, 2**20))
+    return st.tuples(hbar, *[field] * (2 * chart.n))
+
+
+@PROPS
+@given(st.data(), st.sampled_from([standard_chart(1), standard_chart(3)]))
+def test_packed_keys_round_trip_and_sort_as_exponent_tuples(data, chart):
+    p = data.draw(
+        st.one_of(
+            polys(6, chart=chart),
+            st.dictionaries(wide_exponents_on(chart), nonzero_scalars, max_size=8).map(
+                lambda terms: Poly(chart, terms)
+            ),
+        )
+    )
+    assert_same_representation(Poly(chart, p.terms), p)
+    pairs = list(zip(p.nums, p.terms))  # (packed key, exponent tuple), in nums order
+    assert sorted(pairs) == sorted(pairs, key=lambda pair: pair[1])
 
 
 @PROPS
