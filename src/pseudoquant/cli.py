@@ -415,19 +415,25 @@ def build_parser() -> _Parser:
     return parser
 
 
-_DASH_VALUE_FLAGS = {"--grid", "--beta", "--E", "--a", "--b", "--observable", "--deformation"}
+_DASH_VALUE_FLAGS = {
+    "--grid", "--beta", "--E", "--a", "--b", "--observable", "--deformation", "--lam", "--hbar",
+    "--dt",
+}
 
 
 def _fold_dash_values(argv: list[str]) -> list[str]:
-    """Join '--grid -10:10:2048' into '--grid=-10:10:2048' so argparse accepts it."""
+    """Join '--grid -10:10:2048' into '--grid=-10:10:2048' so argparse accepts it.
+
+    A next token that starts with '--' is an option, not a value, and stays apart.
+    """
     out = []
     skip = False
     for i, tok in enumerate(argv):
         if skip:
             skip = False
             continue
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok in _DASH_VALUE_FLAGS and nxt is not None and nxt.startswith("-"):
+        nxt = argv[i + 1] if i + 1 < len(argv) else ""
+        if tok in _DASH_VALUE_FLAGS and nxt.startswith("-") and not nxt.startswith("--"):
             out.append(f"{tok}={nxt}")
             skip = True
         else:

@@ -47,7 +47,7 @@ class Polarisation(_Record):
     __slots__ = ("chart",)
 
     def __init__(self, chart: ChartSpec, connection: ConnectionData):
-        if connection.chart is not chart and connection.chart != chart:
+        if connection.chart is not chart:
             raise ChartError("connection lives on a different chart")
         if any(connection.theta.comps[: chart.n]):  # a d(alpha) component
             raise ChartError(
@@ -81,7 +81,7 @@ class FlatSectionAction(_Record):
     def __eq__(self, other):
         return (
             isinstance(other, FlatSectionAction)
-            and self.chart == other.chart
+            and self.chart is other.chart
             and self.coeffs == other.coeffs
         )
 
@@ -95,7 +95,7 @@ def flat_action(op: FormalOperator, P: Polarisation) -> FlatSectionAction:
     Any term with an alpha-derivative annihilates F, so only the pure
     beta-derivative terms survive, coefficients untouched.
     """
-    if op.chart != P.chart:
+    if op.chart is not P.chart:
         raise ChartError("operator and polarisation live on different charts")
     n = op.chart.n
     coeffs: dict[tuple[int, ...], Poly] = {}
@@ -150,7 +150,7 @@ def cohomologous_residual_operator(
     dgamma, zero = exterior_d(gamma), Poly.zero(chart)
     dg, Om = dgamma.comps, c.omega_curv.comps
     pairs = {*dg, *Om, *((k, n + k) for k in range(n))}
-    if (gamma.chart is not chart and gamma.chart != chart) or any(
+    if gamma.chart is not chart or any(
         dg.get(ij, zero) + Om.get(ij, zero) != int(ij[1] - ij[0] == n) for ij in pairs
     ):
         raise ChartError("gamma is not a primitive of omega - Omega")
@@ -230,7 +230,7 @@ def _grid_connection(
         if deformation is not None:
             raise ValueError("the standard case takes no deformation; choose a scaled case")
         return ConnectionData.standard(chart)
-    if deformation is None or deformation.chart != chart:
+    if deformation is None or deformation.chart is not chart:
         raise ChartError("scaled cases need a deformation Poly on the chart")
     if case == "polarised-scaled":
         for a_name, _ in chart.pairs:

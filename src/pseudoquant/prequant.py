@@ -77,7 +77,7 @@ class FormalOperator(_Record):
             idx = tuple(idx)
             if len(idx) != 2 * chart.n or min(idx) < 0:
                 raise ChartError(f"bad derivative multi-index {idx}")
-            if coeff.chart is not chart and coeff.chart != chart:
+            if coeff.chart is not chart:
                 raise ChartError("operator coefficient on the wrong chart")
             if not coeff.is_zero():
                 clean[idx] = coeff
@@ -96,7 +96,7 @@ class FormalOperator(_Record):
     def __eq__(self, other):
         return (
             isinstance(other, FormalOperator)
-            and (self.chart is other.chart or self.chart == other.chart)
+            and self.chart is other.chart
             and self.terms == other.terms
         )
 
@@ -119,7 +119,7 @@ class FormalOperator(_Record):
         return None
 
     def __add__(self, other: "FormalOperator") -> "FormalOperator":
-        if other.chart != self.chart:
+        if other.chart is not self.chart:
             raise ChartError("chart mismatch")
         terms = dict(self.terms)
         for idx, c in other.terms.items():
@@ -141,7 +141,7 @@ class FormalOperator(_Record):
 
     def apply(self, p: Poly) -> Poly:
         """Apply to a polynomial section."""
-        if p.chart != self.chart:
+        if p.chart is not self.chart:
             raise ChartError("chart mismatch")
         return _sum_products(self.chart, [(1, c, _derive(p, i)) for i, c in self.terms.items()])
 
@@ -208,7 +208,7 @@ def _add_leibniz(left: FormalOperator, right: FormalOperator) -> dict:
     For c D^a in ``left`` and d D^b in ``right``,
     D^a (d D^b) = sum_{k <= a} C(a,k) (D^k d) D^{a-k+b}.
     """
-    if right.chart != left.chart:
+    if right.chart is not left.chart:
         raise ChartError("chart mismatch")
     triples: dict = {}
     for a, c in left.terms.items():
@@ -229,7 +229,7 @@ def _add_leibniz(left: FormalOperator, right: FormalOperator) -> dict:
 
 def quantise(A: Poly, c: ConnectionData) -> FormalOperator:
     """Pseudo-prequantum operator of an observable A for connection data c."""
-    if A.chart is not c.chart and A.chart != c.chart:
+    if A.chart is not c.chart:
         raise ChartError("observable and connection live on different charts")
     X = hamiltonian_vf(A)
     return _first_order(
@@ -250,7 +250,7 @@ def commutator(op_a: FormalOperator, op_b: FormalOperator) -> FormalOperator:
     order above 1 raises ValueError.
     """
     chart = op_a.chart
-    if op_b.chart is not chart and op_b.chart != chart:
+    if op_b.chart is not chart:
         raise ChartError("chart mismatch")
     v, w = _first_order_parts(op_a, "commutator"), _first_order_parts(op_b, "commutator")
     vi = [(i, c) for i, c in enumerate(v[:-1], 1) if c.nums]  # variable index i = coordinate + 1
@@ -269,9 +269,7 @@ def commutator_rhs(A: Poly, B: Poly, c: ConnectionData) -> FormalOperator:
     Omega(X_A, X_B).
     """
     chart = A.chart
-    if (B.chart is not chart and B.chart != chart) or (
-        c.chart is not chart and c.chart != chart
-    ):
+    if B.chart is not chart or c.chart is not chart:
         raise ChartError("chart mismatch")
     XA, XB = hamiltonian_vf(A), hamiltonian_vf(B)
     P = _omega(XA, XB)
@@ -294,7 +292,7 @@ def phase_conjugate(op: FormalOperator, g: Poly) -> FormalOperator:
     Requires every first-order coefficient to carry an explicit hbar factor,
     as every quantised observable (and commutator of two of them) does.
     """
-    if g.chart != op.chart:
+    if g.chart is not op.chart:
         raise ChartError("chart mismatch")
     *vec, mult = _first_order_parts(op, "phase conjugation")
     # (c * d_i) picks up c * (i/hbar) * dg/dx_i on conjugation.
@@ -319,7 +317,7 @@ class PullbackSetup(_Record):
     __slots__ = ("map", "target_connection", "induced")
 
     def __init__(self, m: SmoothMap, target_connection: ConnectionData):
-        if target_connection.chart != m.target:
+        if target_connection.chart is not m.target:
             raise ChartError("target connection must live on the map's target chart")
         object.__setattr__(self, "map", m)
         object.__setattr__(self, "target_connection", target_connection)
@@ -329,7 +327,7 @@ class PullbackSetup(_Record):
 
 def pullback_quantise(A: Poly, s: PullbackSetup) -> FormalOperator:
     """Quantise the pullback of a target-chart observable with the induced data."""
-    if A.chart != s.map.target:
+    if A.chart is not s.map.target:
         raise ChartError("observable must live on the target chart")
     return quantise(pullback_form(s.map, A), s.induced)
 
@@ -344,7 +342,7 @@ def theorem_commutator(A: Poly, B: Poly, s: PullbackSetup) -> FormalOperator:
     """
     src = s.map.source
     tgt = s.map.target
-    if A.chart != tgt or B.chart != tgt:
+    if A.chart is not tgt or B.chart is not tgt:
         raise ChartError("observables must live on the target chart")
     mapping = s.map.mapping()
     A_t = A.substitute(src, mapping)

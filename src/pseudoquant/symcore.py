@@ -4,7 +4,9 @@ Polynomials over the Gaussian rationals in the chart coordinates and the
 formal symbol ``hbar``, plus one-forms, two-forms, vector fields, Poisson
 brackets, the exterior derivative and pullbacks along polynomial maps.
 One-forms and vector fields share one record: a chart plus 2n coefficient
-Polys in coordinate order.
+Polys in coordinate order.  ``ChartSpec`` interns its charts: there is one
+chart object per ``pairs``, so chart equality is identity (``is``), and a
+chart hashes by ``pairs``.
 
 Coefficient representation (as in FLINT's ``fmpq_poly``): a Poly stores
 Gaussian-integer numerators ``(re, im)`` over one positive denominator
@@ -144,21 +146,25 @@ class ChartSpec(_Record):
     ``pairs[i] = (alpha_i, beta_i)`` names the i-th momentum/position pair.
     Polynomial variables are ordered ``(hbar, alpha_1..alpha_n,
     beta_1..beta_n)``; covector and vector components follow the same
-    coordinate order.  Charts compare and hash by ``pairs``.
+    coordinate order.  There is one chart object per ``pairs``: construction
+    returns the chart already made for them, so equality is identity, and
+    the hash is ``hash(pairs)``.
     """
 
     __slots__ = ("pairs", "__dict__")  # __dict__ holds the cached names and key layout
+    _charts: dict = {}  # pairs -> the one chart with them; only valid layouts are stored
 
-    def __init__(self, pairs: tuple[tuple[str, str], ...]):
-        if len(pairs) < 1:
-            raise ChartError("chart needs at least one coordinate pair")
-        names = [n for p in pairs for n in p]
-        if len(set(names)) != len(names) or "hbar" in names:
-            raise ChartError("coordinate labels must be distinct and not 'hbar'")
-        object.__setattr__(self, "pairs", pairs)
-
-    def __eq__(self, other):
-        return type(other) is ChartSpec and self.pairs == other.pairs
+    def __new__(cls, pairs: tuple[tuple[str, str], ...]):
+        chart = cls._charts.get(pairs)
+        if chart is None:
+            if len(pairs) < 1:
+                raise ChartError("chart needs at least one coordinate pair")
+            names = [n for p in pairs for n in p]
+            if len(set(names)) != len(names) or "hbar" in names:
+                raise ChartError("coordinate labels must be distinct and not 'hbar'")
+            chart = cls._charts[pairs] = object.__new__(cls)
+            object.__setattr__(chart, "pairs", pairs)
+        return chart
 
     def __hash__(self):
         return hash(self.pairs)
@@ -311,11 +317,7 @@ class Poly(_Record):
                 other = Poly.const(self.chart, other)
             else:
                 return NotImplemented
-        return (
-            self.den == other.den
-            and self.nums == other.nums
-            and (self.chart is other.chart or self.chart == other.chart)
-        )
+        return self.den == other.den and self.nums == other.nums and self.chart is other.chart
 
     def __hash__(self):
         return hash((self.chart, self.den, frozenset(self.nums.items())))
@@ -324,7 +326,7 @@ class Poly(_Record):
 
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
-            if other.chart is not self.chart and other.chart != self.chart:
+            if other.chart is not self.chart:
                 raise ChartError("chart mismatch in Poly arithmetic")
             return other
         if isinstance(other, (int, Fraction, Scalar)):
@@ -439,7 +441,7 @@ class Poly(_Record):
             if name not in mapping:
                 raise ChartError(f"substitution missing coordinate {name!r}")
             img = mapping[name]
-            if img.chart != new_chart:
+            if img.chart is not new_chart:
                 raise ChartError("substitution image lives on the wrong chart")
             images.append(img)
         powers = [[img] for img in images]  # powers[i][k - 1] == images[i] ** k
@@ -639,18 +641,16 @@ class _Components(_Record):
         if len(comps) != 2 * chart.n:
             raise ChartError(f"{self._noun} needs 2n coefficient polynomials")
         for c in comps:
-            if c.chart is not chart and c.chart != chart:
+            if c.chart is not chart:
                 raise ChartError(f"{self._noun} coefficient on the wrong chart")
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "comps", comps)
 
     def __eq__(self, other):
-        return (
-            type(other) is type(self) and self.chart == other.chart and self.comps == other.comps
-        )
+        return type(other) is type(self) and self.chart is other.chart and self.comps == other.comps
 
     def __add__(self, other):
-        if other.chart != self.chart:
+        if other.chart is not self.chart:
             raise ChartError("chart mismatch")
         return type(self)(self.chart, [a + b for a, b in zip(self.comps, other.comps)])
 
@@ -684,7 +684,7 @@ class TwoForm(_Record):
         for (i, j), p in (comps or {}).items():
             if not (0 <= i < j < 2 * chart.n):
                 raise ChartError(f"two-form index pair {(i, j)} not in canonical order")
-            if p.chart is not chart and p.chart != chart:
+            if p.chart is not chart:
                 raise ChartError("two-form coefficient on the wrong chart")
             if not p.is_zero():
                 clean[(i, j)] = p
@@ -705,16 +705,14 @@ class TwoForm(_Record):
 
     def __eq__(self, other):
         return (
-            isinstance(other, TwoForm)
-            and self.chart == other.chart
-            and self.comps == other.comps
+            isinstance(other, TwoForm) and self.chart is other.chart and self.comps == other.comps
         )
 
     def __hash__(self):
         return hash((self.chart, frozenset(self.comps.items())))
 
     def __add__(self, other):
-        if other.chart != self.chart:
+        if other.chart is not self.chart:
             raise ChartError("chart mismatch")
         out = dict(self.comps)
         for k, p in other.comps.items():
@@ -736,9 +734,7 @@ class TwoForm(_Record):
     def pair(self, X: "VectorField", Y: "VectorField") -> Poly:
         """Evaluate on two vector fields."""
         chart = self.chart
-        if (X.chart is not chart and X.chart != chart) or (
-            Y.chart is not chart and Y.chart != chart
-        ):
+        if X.chart is not chart or Y.chart is not chart:
             raise ChartError("chart mismatch")
         x, y = X.comps, Y.comps
         return _sum_products(
@@ -751,11 +747,7 @@ class TwoForm(_Record):
 
     def __str__(self):
         names = covector_names(self.chart)
-        parts = [
-            f"({p})*{names[i]}^{names[j]}"
-            for (i, j), p in sorted(self.comps.items())
-            if not p.is_zero()
-        ]
+        parts = [f"({p})*{names[i]}^{names[j]}" for (i, j), p in sorted(self.comps.items())]
         return " + ".join(parts) if parts else "0"
 
     __repr__ = __str__
@@ -769,7 +761,7 @@ class VectorField(_Components):
 
     def apply(self, p: Poly) -> Poly:
         """Directional derivative of a function."""
-        if p.chart != self.chart:
+        if p.chart is not self.chart:
             raise ChartError("chart mismatch")
         return _sum_products(
             self.chart, [(1, c, p._partial(i + 1)) for i, c in enumerate(self.comps) if c.nums]
@@ -777,7 +769,7 @@ class VectorField(_Components):
 
     def lie_bracket(self, other: "VectorField") -> "VectorField":
         """[X, Y] by coefficient calculus."""
-        if other.chart != self.chart:
+        if other.chart is not self.chart:
             raise ChartError("chart mismatch")
         return VectorField(
             self.chart,
@@ -795,7 +787,7 @@ class SmoothMap(_Record):
         if len(comps) != 2 * target.n:
             raise ChartError("map needs one component per target coordinate")
         for c in comps:
-            if c.chart != source:
+            if c.chart is not source:
                 raise ChartError("map components must live on the source chart")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -833,7 +825,7 @@ def _omega(X: VectorField, Y: VectorField) -> Poly:
 
 def poisson(A: Poly, B: Poly) -> Poly:
     """{A, B} = omega(X_A, X_B), read from the two Hamiltonian fields."""
-    if A.chart != B.chart:
+    if A.chart is not B.chart:
         raise ChartError("chart mismatch in Poisson bracket")
     return _omega(hamiltonian_vf(A), hamiltonian_vf(B))
 
@@ -848,30 +840,28 @@ def exterior_d(phi: Union[Poly, OneForm]) -> Union[OneForm, TwoForm]:
         comps: dict[tuple[int, int], Poly] = {}
         for i in range(2 * chart.n):
             for j in range(i + 1, 2 * chart.n):
-                c = phi.comps[j]._partial(1 + i) - phi.comps[i]._partial(1 + j)
-                if not c.is_zero():
-                    comps[(i, j)] = c
+                comps[(i, j)] = phi.comps[j]._partial(1 + i) - phi.comps[i]._partial(1 + j)
         return TwoForm(chart, comps)
     raise TypeError("exterior_d expects a Poly or a OneForm")
 
 
 def contract(theta: OneForm, X: VectorField) -> Poly:
     """Pointwise pairing theta(X)."""
-    if theta.chart is not X.chart and theta.chart != X.chart:
+    if theta.chart is not X.chart:
         raise ChartError("chart mismatch in contraction")
     return _sum_products(theta.chart, [(1, a, b) for a, b in zip(theta.comps, X.comps)])
 
 
 def wedge(a: OneForm, b: OneForm) -> TwoForm:
-    if a.chart != b.chart:
+    if a.chart is not b.chart:
         raise ChartError("chart mismatch in wedge")
     chart = a.chart
     comps: dict[tuple[int, int], Poly] = {}
     for i in range(2 * chart.n):
         for j in range(i + 1, 2 * chart.n):
-            c = _sum_products(chart, ((1, a.comps[i], b.comps[j]), (-1, a.comps[j], b.comps[i])))
-            if not c.is_zero():
-                comps[(i, j)] = c
+            comps[(i, j)] = _sum_products(
+                chart, ((1, a.comps[i], b.comps[j]), (-1, a.comps[j], b.comps[i]))
+            )
     return TwoForm(chart, comps)
 
 
@@ -896,11 +886,11 @@ def pullback_form(m: SmoothMap, phi: Union[Poly, OneForm, TwoForm]):
     src, tgt = m.source, m.target
     mapping = m.mapping()
     if isinstance(phi, Poly):
-        if phi.chart != tgt:
+        if phi.chart is not tgt:
             raise ChartError("pullback argument must live on the target chart")
         return phi.substitute(src, mapping)
     if isinstance(phi, OneForm):
-        if phi.chart != tgt:
+        if phi.chart is not tgt:
             raise ChartError("pullback argument must live on the target chart")
         pulled = [
             (coeff.substitute(src, mapping), exterior_d(comp).comps)
@@ -911,7 +901,7 @@ def pullback_form(m: SmoothMap, phi: Union[Poly, OneForm, TwoForm]):
             src, [_sum_products(src, [(1, p, d[j]) for p, d in pulled]) for j in range(2 * src.n)]
         )
     if isinstance(phi, TwoForm):
-        if phi.chart != tgt:
+        if phi.chart is not tgt:
             raise ChartError("pullback argument must live on the target chart")
         out = TwoForm.zero(src)
         for (i, j), coeff in phi.comps.items():

@@ -148,6 +148,9 @@ class TestQuantiseAndPreserve:
                      id="grid-too-many-cells-one-row"),
         pytest.param(["preserve", "--grid", "32768,0"], "--grid exponents must be below 32768",
                      id="grid-exponent-overflow"),
+        # a next token that starts with '--' is an option, never a negative value
+        pytest.param(["preserve", "--grid", "--case", "standard"],
+                     "argument --grid: expected one argument", id="grid-then-option"),
         pytest.param(["preserve", "--grid", "2,2", "--observable", "p1"],
                      "--grid tabulates monomials and cannot take --observable",
                      id="grid-with-observable"),
@@ -291,6 +294,13 @@ class TestBks:
         assert rows == [self._pair_rows(capsys, b)[0] for b in betas]
         assert len({row.split(",")[0] for row in rows}) == len(betas)
 
+    def test_negative_lam_as_a_separate_token(self, capsys):
+        assert run(["bks", "classify", "--n", "2", "--lam=-1/2"]) == EXIT_OK
+        joined = capsys.readouterr()
+        assert run(["bks", "classify", "--n", "2", "--lam", "-1/2"]) == EXIT_OK
+        assert capsys.readouterr() == joined
+        assert "lam=-1/2" in joined.out
+
     def test_pair_rejects_momentum(self, capsys):
         assert run(["bks", "pair", "--n", "1", "--kind", "momentum"]) == EXIT_INPUT
         capsys.readouterr()
@@ -326,6 +336,12 @@ class TestBks:
                      id="pair-hbar-zero"),
         pytest.param(["pair", "--n", "2", "--hbar", "-1"], "hbar must be positive and finite",
                      id="pair-hbar-negative"),
+        pytest.param(["pair", "--n", "2", "--hbar", "-1e-3"], "hbar must be positive and finite",
+                     id="pair-hbar-negative-exponent"),
+        pytest.param(["classify", "--n", "2", "--hbar", "-1e-3", "--m-max", "0"],
+                     "hbar must be positive and finite", id="classify-hbar-negative-exponent"),
+        pytest.param(["classify", "--n", "2", "--lam", "--hbar", "2"],
+                     "argument --lam: expected one argument", id="lam-then-option"),
         pytest.param(["pair", "--n", "2", "--hbar", "nan"], "hbar must be positive and finite",
                      id="pair-hbar-nan"),
         pytest.param(["pair", "--n", "2", "--hbar", "inf"], "hbar must be positive and finite",
@@ -414,6 +430,8 @@ class TestEvolve:
         pytest.param(["--hbar", "inf"], FINITE_STEP, id="hbar-inf"),
         pytest.param(["--dt", "nan"], FINITE_STEP, id="dt-nan"),
         pytest.param(["--dt", "inf"], FINITE_STEP, id="dt-inf"),
+        pytest.param(["--hbar", "-1e-3"], FINITE_STEP, id="hbar-negative-exponent"),
+        pytest.param(["--dt", "-1e-3"], FINITE_STEP, id="dt-negative-exponent"),
     ])
     def test_rejects_input(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)

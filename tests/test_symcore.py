@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from pseudoquant.exprparse import parse_poly
+from pseudoquant.exprparse import load_problem, parse_poly
 from pseudoquant.symcore import (
     EXP_LIMIT,
     ChartError,
@@ -311,6 +311,21 @@ class TestChartValidation:
         assert a != ChartSpec((("a1", "b1"),))
         assert a != standard_chart(2)
         assert a != (("p1", "q1"),)
+
+    def test_one_chart_object_per_pairs(self):
+        p = (("p1", "q1"),)
+        assert ChartSpec(p) is ChartSpec(p)
+        assert standard_chart(1) is ChartSpec((("p1", "q1"),))
+        assert ChartSpec(pairs=p) is ChartSpec(p)
+        assert load_problem({}).chart is standard_chart(1)
+        c = ChartSpec((("a1", "b1"), ("a2", "b2")))
+        assert hash(c) == hash(c.pairs)
+        assert "__eq__" not in vars(ChartSpec)
+        for _ in range(2):  # a rejected layout is not stored, so it raises every time
+            with pytest.raises(
+                ChartError, match="^coordinate labels must be distinct and not 'hbar'$"
+            ):
+                ChartSpec((("x", "x"),))
 
     def test_repr(self):
         assert repr(ChartSpec((("p1", "q1"),))) == "ChartSpec(pairs=(('p1', 'q1'),))"
