@@ -144,9 +144,12 @@ def cohomologous_residual_operator(
     omega, d(gamma)_ij + Omega_ij must equal omega_ij (1 on (k, n + k), else
     0); raises otherwise.  Equals ``residual_operator`` identically in that
     case.  One X_A and X_{beta_i} give g = {A, beta_i} and
-    the multiplier d(gamma)(X_A, X_{beta_i}) - Theta(X_g).
+    the multiplier d(gamma)(X_A, X_{beta_i}) - Theta(X_g).  ``P`` must live
+    on the connection's chart.
     """
     chart, n = c.chart, c.chart.n
+    if P.chart is not chart:
+        raise ChartError("connection and polarisation live on different charts")
     dgamma, zero = exterior_d(gamma), Poly.zero(chart)
     dg, Om = dgamma.comps, c.omega_curv.comps
     pairs = {*dg, *Om, *((k, n + k) for k in range(n))}

@@ -10,12 +10,11 @@ linear-momentum monomials, so the corresponding grid prediction cannot hold.
 import math
 import sys
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pseudoquant import bks, bohrsommerfeld, dynamics, verify
+from pseudoquant import bks, dynamics, verify
 from pseudoquant.polarisation import classify_monomials, preserves, scaled_connection
 from pseudoquant.symcore import ChartSpec, Poly
 
@@ -117,41 +116,23 @@ def test_criterion_05_preservation_grid():
 def test_criterion_06_divergence_and_exponent_identity(battery):
     def body():
         _passed(battery, "check_divergence")
-        for n in range(1, 21):
-            for m in range(6):
-                jc = bks.critical_j(n, m)
-                val = Fraction(-1, 2) + m - Fraction(1, 2 * n) + jc * Fraction(n, n + 2)
-                assert val == 0, (n, m)
+        _passed(battery, "check_exponent_identity")
 
     _report(6, "leading pairing term diverges for n <= 50; critical-j identity exact for n <= 20", body)
 
 
-def test_criterion_07_position_pairing_coefficient():
+def test_criterion_07_position_pairing_coefficient(battery):
     def body():
-        t0 = time.perf_counter()
-        hbar = 1.0
-        betas = [k * 0.125 for k in range(17)]  # [0, 2] inclusive
-        res = bks.position_pairing(2, hbar=hbar)
-        assert res.converges
-        vals = [
-            res.effective_coefficient(b) * (1.0 + 2.0 * b**2) ** 1.5 for b in betas
-        ]
-        target = -(hbar**2) / 2.0
-        for v in vals:
-            assert abs(v - target) / abs(target) < 1e-6
-        assert abs(res.effective_coefficient(0.0) - target) / abs(target) < 1e-6
-        check = bks.standard_schrodinger_check(hbar=hbar)
-        want_prefactor = math.sqrt(2.0 * math.pi * hbar) * complex(
-            math.cos(math.pi / 4), math.sin(math.pi / 4)
-        )
-        assert abs(check.normalization - want_prefactor) < 1e-8
-        assert abs(check.details["potential_unit"] - 1.0) < 1e-8
-        assert time.perf_counter() - t0 < 30.0
+        seconds = _passed(battery, "check_position_pairing") + _passed(battery, "check_prefactor")
+        assert seconds < 30.0
 
     _report(7, "position-deformed pairing gives -hbar^2/2 * (1+2 beta^2)^(-3/2) and the standard prefactor", body)
 
 
 def test_criterion_08_oscillatory_oracle():
+    """Runs its own 60-case grid: in ``verify-paper`` it would add about 0.6 s to every run
+    and change the printed, digest-pinned case count."""
+
     def body():
         for j in range(4):
             for k in range(2, 7):
@@ -168,6 +149,9 @@ def test_criterion_08_oscillatory_oracle():
 
 
 def test_criterion_09_dynamics():
+    """Runs its own 2048-node, 1000-step evolutions: in ``verify-paper`` they would add
+    about 0.2 s to every run and change its printed, digest-pinned figures."""
+
     def body():
         t0 = time.perf_counter()
         hbar, sigma, q0, p0 = 1.0, 1.0, -2.0, 1.0
@@ -194,20 +178,9 @@ def test_criterion_09_dynamics():
     _report(9, "free Gaussian matches analytic spreading within 1e-4; deformed run conserves the weighted norm only", body)
 
 
-def test_criterion_10_lattice_counts():
+def test_criterion_10_lattice_counts(battery):
     def body():
-        for E in range(1, 11):
-            assert bohrsommerfeld.standard_dim(E) == 2 * E - 1
-        for E in range(1, 51):
-            want = set()
-            for ls in range(E * E):
-                diff = E * E - ls
-                if diff > 0 and diff % 2 == 0:
-                    want.add((0, 0) if ls == 0 else (1, ls))
-                    if ls:
-                        want.add((-1, ls))
-            got = {(p.sign, p.l_squared) for p in bohrsommerfeld.folded_points(E)}
-            assert got == want, E
+        _passed(battery, "check_lattice_counts")
 
     _report(10, "level dimensions 2E-1 and folded lattice points match brute-force enumeration", body)
 

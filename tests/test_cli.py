@@ -127,6 +127,15 @@ class TestQuantiseAndPreserve:
         assert run(["quantise", "--observable", "p1"]) == EXIT_OK
         assert "-i*hbar" in out_of(capsys)
 
+    def test_quantise_json_readme_example(self, capsys):
+        assert run(["quantise", "--observable", "p1^2"]) == EXIT_OK
+        plain = out_of(capsys)
+        assert run(["quantise", "--observable", "p1^2", "--json"]) == EXIT_OK
+        data = json.loads(out_of(capsys))
+        assert set(data) == {"text", "order", "terms"}
+        assert data["text"] == plain
+        assert data["order"] == 1
+
     def test_quantise_pullback_problem(self, capsys, cylinder):
         # z is read on the pullback's target chart and quantised as 2*l on the source
         assert run(["quantise", "--problem", cylinder, "--observable", "z"]) == EXIT_OK
@@ -173,6 +182,7 @@ class TestQuantiseAndPreserve:
                      "unrecognized arguments: --csv", id="quantise-csv"),
         pytest.param(["commutator", "--a", "p1", "--b", "q1", "--csv", "out.csv"],
                      "unrecognized arguments: --csv", id="commutator-csv"),
+        pytest.param(["preserve"], "preserve needs --observable or --grid", id="preserve-neither"),
     ])
     def test_rejects_options(self, capsys, cylinder, argv, message):
         assert run([a.format(cylinder=cylinder) for a in argv]) == EXIT_INPUT
@@ -325,6 +335,12 @@ class TestBks:
         pytest.param(["pair", "--n", "2", "--beta", "0:inf:1"],
                      "--beta expects a finite number or 'start:stop:step' with step > 0",
                      id="beta-infinite"),
+        pytest.param(["pair", "--n", "2", "--beta", "0:1:0"],
+                     "--beta expects a finite number or 'start:stop:step' with step > 0",
+                     id="beta-zero-step"),
+        pytest.param(["pair", "--n", "2", "--beta", "0:1:-0.5"],
+                     "--beta expects a finite number or 'start:stop:step' with step > 0",
+                     id="beta-negative-step"),
         pytest.param(["pair", "--n", "2", "--beta", "0:1:1e-300"],
                      "--beta gives more than 1000000 samples; use a larger step",
                      id="beta-too-many-samples"),

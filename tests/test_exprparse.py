@@ -64,6 +64,12 @@ class TestParsePoly:
             parse_poly("(a1", chart)
         with pytest.raises(ExprSyntaxError):
             parse_poly("1.2.3", chart)
+        with pytest.raises(ExprSyntaxError, match="malformed number") as e:
+            parse_poly(".", chart)
+        assert e.value.column == 1
+        with pytest.raises(ExprSyntaxError, match="unexpected trailing 'b1'") as e:
+            parse_poly("a1 b1", chart)
+        assert e.value.column == 4
 
     def test_division_rules(self, chart):
         assert parse_poly("a1/2", chart) == Poly.var(chart, "a1").scale(Scalar(Fraction(1, 2)))

@@ -242,6 +242,15 @@ class TestCohomologous:
         with pytest.raises(ChartError, match=self.NOT_PRIMITIVE):
             self._check(c, renamed)
 
+    def test_polarisation_on_another_chart_rejected(self, ab1):
+        # the right connection and primitive, with a polarisation of the 2-dof chart
+        c = scaled_connection(ab1, Poly.var(ab1, "b1"))
+        gamma = standard_potential(ab1).scale(-Poly.var(ab1, "b1"))
+        ab2 = _ab2()
+        P = Polarisation(ab2, ConnectionData.standard(ab2))
+        with pytest.raises(ChartError, match="connection and polarisation live on different charts"):
+            cohomologous_residual_operator(Poly.var(ab1, "a1"), c, P, gamma, 0)
+
 
 class TestClassifyMonomials:
     def test_standard_grid(self):
