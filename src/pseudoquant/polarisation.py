@@ -26,14 +26,16 @@ from .symcore import (
     OneForm,
     Poly,
     _Record,
+    _hamiltonian_raw,
     _omega,
+    _omega_raw,
+    _quantised_field,
     _sum,
-    contract,
     exterior_d,
     hamiltonian_vf,
     standard_potential,
 )
-from .prequant import ConnectionData, FormalOperator, _first_order, quantise
+from .prequant import ConnectionData, FormalOperator, _first_order, _first_order_indices, quantise
 
 
 class Polarisation(_Record):
@@ -143,13 +145,15 @@ def cohomologous_residual_operator(
     form minus ``omega_curv``: on every index pair of d(gamma), Omega or
     omega, d(gamma)_ij + Omega_ij must equal omega_ij (1 on (k, n + k), else
     0); raises otherwise.  Equals ``residual_operator`` identically in that
-    case.  One X_A and X_{beta_i} give g = {A, beta_i} and
-    the multiplier d(gamma)(X_A, X_{beta_i}) - Theta(X_g).  ``P`` must live
-    on the connection's chart.
+    case.  One raw X_A and X_{beta_i} give g = {A, beta_i} and
+    the multiplier d(gamma)(X_A, X_{beta_i}) - Theta(X_g).  ``P`` and ``A``
+    must live on the connection's chart.
     """
     chart, n = c.chart, c.chart.n
     if P.chart is not chart:
         raise ChartError("connection and polarisation live on different charts")
+    if A.chart is not chart:
+        raise ChartError("observable and connection live on different charts")
     dgamma, zero = exterior_d(gamma), Poly.zero(chart)
     dg, Om = dgamma.comps, c.omega_curv.comps
     pairs = {*dg, *Om, *((k, n + k) for k in range(n))}
@@ -157,12 +161,9 @@ def cohomologous_residual_operator(
         dg.get(ij, zero) + Om.get(ij, zero) != int(ij[1] - ij[0] == n) for ij in pairs
     ):
         raise ChartError("gamma is not a primitive of omega - Omega")
-    XA, Xb = hamiltonian_vf(A), hamiltonian_vf(Poly.var(chart, chart.pairs[i][1]))
-    dg_pair = dgamma.pair(XA, Xb)  # before _omega: a chart mismatch raises here
-    Xg = hamiltonian_vf(_omega(XA, Xb))
-    return _first_order(
-        chart, [x.times_minus_i_hbar() for x in Xg.comps], dg_pair - contract(c.theta, Xg)
-    )
+    XA, Xb = _hamiltonian_raw(A), _hamiltonian_raw(Poly.var(chart, chart.pairs[i][1]))
+    vec, theta_xg = _quantised_field(_omega_raw(chart, XA, Xb), c.theta, 1)
+    return _first_order(chart, vec, dgamma._pair_raw(XA, Xb) - theta_xg)
 
 
 def preserves(A: Poly, c: ConnectionData) -> PreservationReport:
@@ -176,19 +177,16 @@ def preserves(A: Poly, c: ConnectionData) -> PreservationReport:
     the adapted gauge is a ChartError.
     """
     chart, n = c.chart, c.chart.n
-    Polarisation(chart, c)  # the adapted-gauge check
-    XA = hamiltonian_vf(A)
+    Polarisation(A.chart, c)  # the adapted-gauge check, and A on the connection's chart
+    XA = _hamiltonian_raw(A)
     residuals: list[tuple[int, tuple[int, ...], Poly]] = []
     for i in range(n):
-        Xb = hamiltonian_vf(Poly.var(chart, chart.pairs[i][1]))
-        rhs = c.omega_curv.pair(XA, Xb)  # before _omega: a chart mismatch raises here
-        g = _omega(XA, Xb)
-        Xg = hamiltonian_vf(g)
-        th = contract(c.theta, Xg)
+        Xb = _hamiltonian_raw(Poly.var(chart, chart.pairs[i][1]))
+        rhs = c.omega_curv._pair_raw(XA, Xb)
+        g = _omega_raw(chart, XA, Xb)
+        vec, th = _quantised_field(g, c.theta, 1)
         mult = _sum(chart, [(1, g.nums, g.den), (-1, th.nums, th.den), (-1, rhs.nums, rhs.den)])
-        flat = {(0,) * n: mult}
-        for j, x in enumerate(Xg.comps[n:]):
-            flat[(0,) * j + (1,) + (0,) * (n - 1 - j)] = x.times_minus_i_hbar()
+        flat = dict(zip(_first_order_indices(n), [*vec[n:], mult]))
         residuals += [(i, k, p) for k, p in sorted(flat.items()) if p.nums]
     return PreservationReport(A, not residuals, tuple(residuals))
 

@@ -19,6 +19,7 @@ which serves as an exact oracle for the structural route.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from math import comb
 from typing import Mapping
@@ -30,13 +31,14 @@ from .symcore import (
     Poly,
     SmoothMap,
     _Record,
+    _hamiltonian_raw,
     _join_terms,
-    _omega,
+    _omega_raw,
+    _quantised_field,
+    _sum,
     _sum_derivations,
     _sum_products,
-    contract,
     exterior_d,
-    hamiltonian_vf,
     poisson,
     pullback_form,
     standard_potential,
@@ -186,10 +188,13 @@ def _op(chart: ChartSpec, terms: dict) -> FormalOperator:
 
 def _first_order(chart: ChartSpec, vec: list[Poly], mult: Poly) -> FormalOperator:
     """The operator sum_i vec[i] * d/dx_i + mult, with ``vec`` in coordinate order."""
-    m = 2 * chart.n
-    terms = {(0,) * i + (1,) + (0,) * (m - 1 - i): c for i, c in enumerate(vec)}
-    terms[(0,) * m] = mult
-    return _op(chart, terms)
+    return _op(chart, dict(zip(_first_order_indices(2 * chart.n), [*vec, mult])))
+
+
+@cache
+def _first_order_indices(m: int) -> tuple[tuple[int, ...], ...]:
+    """The m unit multi-indices in coordinate order, then the zero multi-index."""
+    return tuple(tuple(int(i == j) for i in range(m)) for j in range(m)) + ((0,) * m,)
 
 
 def _first_order_parts(op: FormalOperator, what: str) -> list[Poly]:
@@ -231,10 +236,8 @@ def quantise(A: Poly, c: ConnectionData) -> FormalOperator:
     """Pseudo-prequantum operator of an observable A for connection data c."""
     if A.chart is not c.chart:
         raise ChartError("observable and connection live on different charts")
-    X = hamiltonian_vf(A)
-    return _first_order(
-        A.chart, [x.times_minus_i_hbar() for x in X.comps], A - contract(c.theta, X)
-    )
+    vec, theta_x = _quantised_field(A, c.theta, 1)
+    return _first_order(A.chart, vec, A - theta_x)
 
 
 def commutator(op_a: FormalOperator, op_b: FormalOperator) -> FormalOperator:
@@ -265,25 +268,22 @@ def commutator(op_a: FormalOperator, op_b: FormalOperator) -> FormalOperator:
 def commutator_rhs(A: Poly, B: Poly, c: ConnectionData) -> FormalOperator:
     """Closed-form commutator of the quantised observables; exact oracle.
 
-    X_A and X_B are built once and give both {A,B} = omega(X_A, X_B) and
-    Omega(X_A, X_B).
+    X_A and X_B stay raw numerator maps (``_hamiltonian_raw``) and give both
+    {A,B} = omega(X_A, X_B) and Omega(X_A, X_B); no VectorField is built.
     """
     chart = A.chart
     if B.chart is not chart or c.chart is not chart:
         raise ChartError("chart mismatch")
-    XA, XB = hamiltonian_vf(A), hamiltonian_vf(B)
-    P = _omega(XA, XB)
-    return _closed_form(P, c.theta, P.scale(2) - c.omega_curv.pair(XA, XB))
+    XA, XB = _hamiltonian_raw(A), _hamiltonian_raw(B)
+    P = _omega_raw(chart, XA, XB)
+    return _closed_form(P, c.theta, [(2, P), (-1, c.omega_curv._pair_raw(XA, XB))])
 
 
-def _closed_form(P: Poly, theta: OneForm, rest: Poly) -> FormalOperator:
-    """-i*hbar * (-i*hbar*X_P - theta(X_P) + rest), the shape of both closed-form commutators."""
-    XP = hamiltonian_vf(P)
-    return _first_order(
-        P.chart,
-        [x._times_minus_hbar_squared() for x in XP.comps],
-        (rest - contract(theta, XP)).times_minus_i_hbar(),
-    )
+def _closed_form(P: Poly, theta: OneForm, rest: list[tuple[int, Poly]]) -> FormalOperator:
+    """-i*hbar * (-i*hbar*X_P - theta(X_P) + sum k*R over rest's (k, R)): both closed forms."""
+    vec, theta_x = _quantised_field(P, theta, 2)
+    mult = _sum(P.chart, [(k, R.nums, R.den) for k, R in [*rest, (-1, theta_x)]])
+    return _first_order(P.chart, vec, mult.times_minus_i_hbar())
 
 
 def phase_conjugate(op: FormalOperator, g: Poly) -> FormalOperator:
@@ -351,7 +351,7 @@ def theorem_commutator(A: Poly, B: Poly, s: PullbackSetup) -> FormalOperator:
     c_sum = Poly.zero(src)
     for alpha, beta in tgt.pairs:
         c_sum = c_sum + poisson(mapping[alpha], mapping[beta])
-    return _closed_form(p, s.induced.theta, p * (Poly.const(src, 2) - c_sum))
+    return _closed_form(p, s.induced.theta, [(1, p * (Poly.const(src, 2) - c_sum))])
 
 
 __all__ = [

@@ -17,12 +17,14 @@ through ``_sum``, every sum of products through ``_sum_products``, and every
 sum of k * p * dq/dx_i through ``_sum_derivations``, which derives inside the
 kernel (``VectorField.apply`` and the operator oracles use ``Poly._partial``).
 All three accumulate on one common denominator and end in ``_normal``, the
-one place where the gcd is divided out.  ``_omega`` is the one symplectic
-pairing omega(X, Y): every Poisson bracket is read from the two Hamiltonian
-fields through it.  ``Poly`` also owns the factor
-``-i*hbar`` of every quantised first-order term and every commutator:
-``minus_i_hbar`` builds it, ``times_minus_i_hbar`` multiplies by it as an
-exponent shift and a rotation, and ``div_minus_i_hbar`` undoes that.
+one place where the gcd is divided out.  Inside the exact layer Hamiltonian
+fields stay raw numerator maps: ``_hamiltonian_raw`` gives X_A's 2n maps over
+``A.den``, and ``hamiltonian_vf`` is the public wrapper that normalises them.
+``_omega_raw`` (every Poisson bracket) and ``TwoForm._pair_raw`` pair raw
+maps; ``_omega`` and ``TwoForm.pair`` wrap them for vector fields.  The factor
+``-i*hbar`` of every quantised first-order term and commutator is an exponent
+shift and a rotation: ``_quantised_field`` applies it to raw maps, and
+``Poly.times_minus_i_hbar`` to a Poly (``div_minus_i_hbar`` undoes that).
 ``Scalar`` is a read-only ``(re, im)`` record of two ``Fraction``s with no
 arithmetic: it is accepted by the ``Poly`` constructor and ``scale`` and
 returned by ``constant_value`` and the ``Poly.terms`` view.
@@ -399,12 +401,6 @@ class Poly(_Record):
         h = 1 << self.chart.shifts[0]
         return _make(self.chart, {e + h: (im, -re) for e, (re, im) in self.nums.items()}, self.den)
 
-    def _times_minus_hbar_squared(self) -> "Poly":
-        """Exact product with (-i*hbar)**2 = -hbar**2: two more hbar, a sign flip; no gcd pass."""
-        h2 = 2 << self.chart.shifts[0]
-        nums = {e + h2: (-re, -im) for e, (re, im) in self.nums.items()}
-        return _make(self.chart, nums, self.den)
-
     def div_minus_i_hbar(self) -> "Poly":
         """Exact division by -i*hbar; raises if any term lacks an hbar factor."""
         h = 1 << self.chart.shifts[0]
@@ -733,17 +729,19 @@ class TwoForm(_Record):
 
     def pair(self, X: "VectorField", Y: "VectorField") -> Poly:
         """Evaluate on two vector fields."""
-        chart = self.chart
-        if X.chart is not chart or Y.chart is not chart:
+        if X.chart is not self.chart or Y.chart is not self.chart:
             raise ChartError("chart mismatch")
-        x, y = X.comps, Y.comps
-        return _sum_products(
-            chart,
-            [
-                (1, c, _sum_products(chart, ((1, x[i], y[j]), (-1, x[j], y[i]))))
-                for (i, j), c in self.comps.items()
-            ],
-        )
+        return self._pair_raw(*[[(c.nums, c.den) for c in V.comps] for V in (X, Y)])
+
+    def _pair_raw(self, x: list, y: list) -> Poly:
+        """``pair``'s core on ``(nums, den)`` maps in coordinate order, in one sum of products."""
+        chart, terms = self.chart, []
+        for (i, j), c in self.comps.items():
+            for k, a, b in ((1, i, j), (-1, j, i)):
+                if x[a][0] and y[b][0]:  # c*x[a] over 1, cancelled, checked before y[b] can carry
+                    cx = _sum_raw_products(chart, [(1, c.nums, x[a][0], 1)]).nums
+                    terms.append((k, cx, y[b][0], c.den * x[a][1] * y[b][1]))
+        return _sum_raw_products(chart, terms)
 
     def __str__(self):
         names = covector_names(self.chart)
@@ -800,10 +798,9 @@ class SmoothMap(_Record):
 # -- operations --------------------------------------------------------------
 
 
-def hamiltonian_vf(A: Poly) -> VectorField:
-    """Hamiltonian vector field of A, the one statement of the package sign convention."""
-    chart, n, den = A.chart, A.chart.n, A.den
-    comps, shifts = [{} for _ in range(2 * n)], chart.shifts
+def _hamiltonian_raw(A: Poly) -> list[tuple[dict, int]]:
+    """X_A as 2n ``(nums, A.den)`` maps, not normalised: the package's sign convention."""
+    n, shifts, comps = A.chart.n, A.chart.shifts, [{} for _ in range(2 * A.chart.n)]
     for e, (re, im) in A.nums.items():  # one pass over A's terms
         for j in range(1, 2 * n + 1):
             if m := (e >> shifts[j]) & _FIELD_MASK:
@@ -812,22 +809,42 @@ def hamiltonian_vf(A: Poly) -> VectorField:
                     comps[j - 1 - n][d] = (-re * m, -im * m)
                 else:  # alpha_i: the d/dbeta_i component is dA/dalpha_i
                     comps[j - 1 + n][d] = (re * m, im * m)
-    return VectorField(chart, [_normal(chart, c, den) if c else _make(chart, c, 1) for c in comps])
+    return [(c, A.den) for c in comps]
+
+
+def hamiltonian_vf(A: Poly) -> VectorField:
+    """Hamiltonian vector field of A: the normalised components of ``_hamiltonian_raw``."""
+    return VectorField(A.chart, [_normal(A.chart, c, d) for c, d in _hamiltonian_raw(A)])
+
+
+def _quantised_field(A: Poly, theta: OneForm, k: int) -> tuple[list[Poly], Poly]:
+    """(-i*hbar)**k * X_A (k = 1, 2) as normalised Polys, and theta(X_A), from X_A's raw maps."""
+    chart, raw = A.chart, _hamiltonian_raw(A)
+    h, (u, v) = k << chart.shifts[0], ((0, -1), (-1, 0))[k - 1]  # k more hbar, times (-i)**k
+    rot = [({e + h: (u * a - v * b, v * a + u * b) for e, (a, b) in m.items()}, d) for m, d in raw]
+    pieces = [(1, t.nums, m, t.den * d) for t, (m, d) in zip(theta.comps, raw) if t.nums and m]
+    vec = [_normal(chart, m, d) if m else _make(chart, m, 1) for m, d in rot]
+    return vec, _sum_raw_products(chart, pieces)
+
+
+def _omega_raw(chart: ChartSpec, x: list, y: list) -> Poly:
+    """omega(X, Y) = sum_i X[alpha_i] Y[beta_i] - X[beta_i] Y[alpha_i], on ``(nums, den)`` maps."""
+    n = chart.n
+    kij = [t for i in range(n) for t in ((1, i, n + i), (-1, n + i, i))]
+    terms = [(k, x[i][0], y[j][0], x[i][1] * y[j][1]) for k, i, j in kij if x[i][0] and y[j][0]]
+    return _sum_raw_products(chart, terms)
 
 
 def _omega(X: VectorField, Y: VectorField) -> Poly:
-    """omega(X, Y) = sum_i X[alpha_i] Y[beta_i] - X[beta_i] Y[alpha_i], in one sum of products."""
-    x, y, n = X.comps, Y.comps, X.chart.n
-    return _sum_products(
-        X.chart, [t for i in range(n) for t in ((1, x[i], y[n + i]), (-1, x[n + i], y[i]))]
-    )
+    """omega(X, Y) of two vector fields, through ``_omega_raw``."""
+    return _omega_raw(X.chart, *[[(c.nums, c.den) for c in V.comps] for V in (X, Y)])
 
 
 def poisson(A: Poly, B: Poly) -> Poly:
-    """{A, B} = omega(X_A, X_B), read from the two Hamiltonian fields."""
+    """{A, B} = omega(X_A, X_B), read from the two raw Hamiltonian fields."""
     if A.chart is not B.chart:
         raise ChartError("chart mismatch in Poisson bracket")
-    return _omega(hamiltonian_vf(A), hamiltonian_vf(B))
+    return _omega_raw(A.chart, _hamiltonian_raw(A), _hamiltonian_raw(B))
 
 
 def exterior_d(phi: Union[Poly, OneForm]) -> Union[OneForm, TwoForm]:

@@ -177,6 +177,74 @@ def test_preserves_residuals_are_linear_in_the_observable(name):
     assert nonzero >= 8  # the residuals compared are mostly not all zero
 
 
+def _gaussian_rank(vectors: list[dict]) -> int:
+    """Rank over the Gaussian rationals of sparse vectors ``{key: (re, im)}`` of Fractions.
+
+    Plain Gaussian elimination: each nonzero vector in turn becomes a pivot on
+    one of its keys and is subtracted, scaled, from every later vector that
+    holds that key.
+    """
+    rows, rank = [dict(v) for v in vectors], 0
+    while rows:
+        pivot = rows.pop()
+        if not pivot:
+            continue
+        rank += 1
+        key, (pr, pi) = next(iter(pivot.items()))
+        norm = pr * pr + pi * pi
+        for row in rows:
+            if key in row:
+                r, i = row[key]  # factor f = row[key] / pivot[key]
+                fr, fi = (r * pr + i * pi) / norm, (i * pr - r * pi) / norm
+                for k, (a, b) in pivot.items():
+                    old = row.get(k, (0, 0))
+                    new = (old[0] - (fr * a - fi * b), old[1] - (fr * b + fi * a))
+                    if new[0] or new[1]:
+                        row[k] = new
+                    else:
+                        row.pop(k, None)
+    return rank
+
+
+@pytest.mark.parametrize(
+    "case, deformation, preserving",
+    [
+        ("standard", None, lambda m: m <= 1),
+        ("polarised-scaled", "b1^2", lambda m: m == 0),
+        ("general-scaled", "a1*b1", lambda m: m == 0),
+    ],
+)
+def test_preserving_observables_are_the_span_of_preserving_monomials(case, deformation, preserving):
+    """On 1 dof with m, n <= 4, the residuals of the other monomials have full rank.
+
+    The residual of ``preserves`` is linear in A (see
+    ``test_preserves_residuals_are_linear_in_the_observable``).  For
+    A = sum c_mn * alpha^m * beta^n it is therefore sum c_mn * r_mn, where r_mn
+    is the residual of the monomial, flattened to one vector indexed by
+    (flat index i, derivative k, exponent).  The preserving monomials have
+    r_mn = 0.  When the r_mn of all the others are linearly independent over
+    the Gaussian rationals, sum c_mn * r_mn = 0 forces c_mn = 0 for each of
+    them.  So an observable of this degree preserves the flat sections iff it
+    is a combination of the preserving monomials: no mixed observable
+    preserves where its monomials do not.
+    """
+    ab1 = ChartSpec((("a1", "b1"),))
+    f = None if deformation is None else parse_poly(deformation, ab1)
+    table = classify_monomials(4, 4, deformation=f, case=case, chart=ab1)
+    assert {mn for mn, rep in table.items() if rep.preserves} == {
+        (m, n) for m, n in table if preserving(m)
+    }
+    vectors = [
+        {(i, k, exp): (c.re, c.im) for i, k, p in rep.residuals for exp, c in p.terms.items()}
+        for rep in table.values()
+        if not rep.preserves
+    ]
+    assert _gaussian_rank(vectors) == len(vectors)
+    # the elimination sees dependence: (2 + i) times a vector already there adds no rank
+    scaled = {k: (2 * a - b, a + 2 * b) for k, (a, b) in vectors[0].items()}
+    assert _gaussian_rank(vectors + [scaled]) == len(vectors)
+
+
 class TestCohomologous:
     def test_matches_direct_residual(self, ab1):
         for f in (Poly.var(ab1, "b1"), Poly.var(ab1, "b1") ** 2):

@@ -22,6 +22,7 @@ from pseudoquant.symcore import (
     Poly,
     Scalar,
     SmoothMap,
+    VectorField,
     contract,
     exterior_d,
     hamiltonian_vf,
@@ -230,6 +231,30 @@ def test_exact_commutator_path_builds_no_derivative_or_negated_poly(monkeypatch)
     assert calls == {"_partial": 0, "__neg__": 0}
     assert got == op_a.compose(op_b) - op_b.compose(op_a)
     assert calls["_partial"] > 0
+
+
+def test_quantise_and_commutator_rhs_build_no_vector_field(monkeypatch):
+    """Hamiltonian fields stay raw numerator maps on the exact commutator path.
+
+    ``quantise`` and ``commutator_rhs`` read X_A, X_B and X_{A,B} as raw maps;
+    ``hamiltonian_vf``, the public wrapper, still builds a ``VectorField``,
+    which shows that the counting hook is live.
+    """
+    conn = example_connections()["folded-3dof"]
+    a, b = (random_poly(conn.chart, random.Random(seed), 4, 4) for seed in (5, 6))
+    built = []
+
+    def counted(self, *args, _original=VectorField.__init__):
+        built.append(type(self))
+        _original(self, *args)
+
+    monkeypatch.setattr(VectorField, "__init__", counted)
+    op_a, op_b = quantise(a, conn), quantise(b, conn)
+    got = commutator_rhs(a, b, conn)
+    assert built == []
+    assert commutator(op_a, op_b) == got and not got.is_zero()
+    hamiltonian_vf(a)
+    assert built == [VectorField]
 
 
 class TestOperatorValidation:

@@ -124,6 +124,10 @@ class TestExponentFields:
             _sum_derivations(pq1, [(1, half, 2, half * q * q)])  # half * d(half * q1^2)/dq1
         with pytest.raises(ChartError, match="below 32768"):  # substitute's image products
             (p * q).substitute(pq1, {"p1": half.scale(5) + q, "q1": half})
+        zero = Poly.zero(pq1)
+        x, y = VectorField(pq1, [p**20000, zero]), VectorField(pq1, [zero, p**30000])
+        with pytest.raises(ChartError, match="below 32768"):  # the pairing: 70000 would carry
+            TwoForm(pq1, {(0, 1): p**20000}).pair(x, y)
 
     def test_hbar_field_is_unbounded(self, pq1):
         exp = (70000, 3, 2**15 - 1)

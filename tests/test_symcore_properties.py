@@ -15,21 +15,30 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pseudoquant.exprparse import parse_poly
-from pseudoquant.prequant import FormalOperator, commutator, commutator_rhs, quantise
+from pseudoquant.prequant import (
+    FormalOperator,
+    _first_order,
+    commutator,
+    commutator_rhs,
+    quantise,
+)
 from pseudoquant.symcore import (
     EXP_LIMIT,
     Poly,
     Scalar,
     VectorField,
     _omega,
+    _quantised_field,
     _sum_derivations,
     _sum_products,
+    contract,
     hamiltonian_vf,
     poisson,
     standard_chart,
+    standard_potential,
     standard_symplectic,
 )
-from pseudoquant.verify import example_connections
+from pseudoquant.verify import cylinder_setup, example_connections
 
 CHART = standard_chart(2)
 NV = len(CHART.variables)
@@ -259,13 +268,16 @@ def test_times_minus_i_hbar_is_the_product(p):
     assert_same_representation(got, p * minus_i_hbar)
     assert_same_representation(got, fraction_sum_products([(1, p, minus_i_hbar)]))
     assert_same_representation(got.div_minus_i_hbar(), p)
-    squared = p._times_minus_hbar_squared()
-    assert_normal_form(squared)
-    assert_same_representation(squared, got.times_minus_i_hbar())
-    assert_same_representation(squared, fraction_sum_products([(-1, p, Poly.hbar(CHART) ** 2)]))
+    # (-i*hbar)**2 = -hbar**2, as the raw field kernel applies it to each component of X_p
+    squared, _ = _quantised_field(p, standard_potential(CHART), 2)
+    for s, x in zip(squared, hamiltonian_vf(p).comps, strict=True):
+        assert_normal_form(s)
+        assert_same_representation(s, x.times_minus_i_hbar().times_minus_i_hbar())
+        assert_same_representation(s, fraction_sum_products([(-1, x, Poly.hbar(CHART) ** 2)]))
 
 
-CONNECTIONS = example_connections()
+# the example connections, plus one induced by a pullback: Theta = (3/2) * l * dphi_l
+CONNECTIONS = example_connections() | {"cylinder-induced": cylinder_setup(Fraction(2, 3)).induced}
 
 
 @st.composite
@@ -294,6 +306,25 @@ def test_commutator_rhs_is_antisymmetric_and_bilinear(inputs):
 def test_quantise_is_linear(inputs):
     conn, a, b, _, k = inputs
     assert quantise(a + k * b, conn) == quantise(a, conn) + quantise(b, conn).scale(k)
+
+
+@PROPS
+@given(oracle_inputs())
+def test_raw_field_route_is_the_vector_field_route(inputs):
+    """quantise and commutator_rhs read Hamiltonian fields as raw maps; here through VectorField.
+
+    op(A) = -i*hbar*X_A + A - Theta(X_A), and [op(A), op(B)] =
+    -i*hbar * (-i*hbar*X_P - Theta(X_P) - Omega(X_A, X_B) + 2P) with P = {A, B}.
+    """
+    conn, a, b, _, _ = inputs
+    chart, theta, minus_i_hbar = conn.chart, conn.theta, Poly.minus_i_hbar(conn.chart)
+    X = hamiltonian_vf(a)
+    want = _first_order(chart, [x.times_minus_i_hbar() for x in X.comps], a - contract(theta, X))
+    assert quantise(a, conn) == want
+    P, XP = poisson(a, b), hamiltonian_vf(poisson(a, b))
+    rest = P.scale(2) - conn.omega_curv.pair(X, hamiltonian_vf(b)) - contract(theta, XP)
+    vec = [x * minus_i_hbar * minus_i_hbar for x in XP.comps]
+    assert commutator_rhs(a, b, conn) == _first_order(chart, vec, rest * minus_i_hbar)
 
 
 vector_fields = st.lists(polys(2), min_size=2 * CHART.n, max_size=2 * CHART.n).map(
