@@ -190,13 +190,16 @@ def oscillatory_moment(j: int, k: int, a: float) -> complex:
     s = 2 * j + 1
     mag = abs(a)
     half = (1.0 / k) * math.gamma(s / k) * mag ** (-s / k) * cmath.exp(1j * math.pi * s / (2 * k))
-    if k % 2 == 0:
-        full = 2.0 * half
-    else:
-        full = complex(2.0 * half.real, 0.0)
-    if a < 0:
-        full = full.conjugate()
-    return full
+    return _full_line(half, k, a)
+
+
+def _full_line(half: complex, k: int, a: float) -> complex:
+    """The full-line moment from the half-line one at |a|.
+
+    Even k doubles it, odd k takes twice its real part, and a < 0 conjugates.
+    """
+    full = 2.0 * half if k % 2 == 0 else complex(2.0 * half.real, 0.0)
+    return full.conjugate() if a < 0 else full
 
 
 def _regulated_half_line(j: int, k: int, a: float, eps: float) -> complex:
@@ -261,19 +264,9 @@ def oscillatory_moment_quadrature(j: int, k: int, a: float) -> complex:
     """
     if k < 2 or a == 0:
         raise ValueError("need k >= 2 and a != 0")
-    sign = 1.0
-    if a < 0:
-        a, sign = -a, -1.0
     eps_ladder = [0.3 / 3.0**i for i in range(8)]
-    vals = [_regulated_half_line(j, k, a, eps) for eps in eps_ladder]
-    half = _neville_to_zero(eps_ladder, vals)
-    if k % 2 == 0:
-        full = 2.0 * half
-    else:
-        full = complex(2.0 * half.real, 0.0)
-    if sign < 0:
-        full = full.conjugate()
-    return full
+    vals = [_regulated_half_line(j, k, abs(a), eps) for eps in eps_ladder]
+    return _full_line(_neville_to_zero(eps_ladder, vals), k, a)
 
 
 # -- position deformations: the surviving Schroedinger coefficient -------------

@@ -72,17 +72,20 @@ def folded_count(E: int) -> int:
 
 
 def folded_points(E: int) -> tuple[FoldedPoint, ...]:
-    """All admissible axis values for level E, sorted ascending."""
+    """All admissible axis values for level E, built in ascending order.
+
+    -l for l^2 = E^2 - 2k descending, then 0 when E is even, then +l for
+    l^2 ascending.
+    """
     _check_level(E)
-    pts: list[FoldedPoint] = []
     e2 = E * E
-    for two_k in range(2, e2, 2):
-        ls = e2 - two_k
-        pts.append(FoldedPoint(1, ls))
-        pts.append(FoldedPoint(-1, ls))
-    if e2 % 2 == 0:
-        pts.append(FoldedPoint(0, 0))
-    return tuple(sorted(pts, key=lambda p: p.value))
+    squares = range(e2 - 2, 0, -2)  # l^2 = E^2 - 2k > 0, descending
+    zero = [FoldedPoint(0, 0)] if e2 % 2 == 0 else []
+    return (
+        *[FoldedPoint(-1, ls) for ls in squares],
+        *zero,
+        *[FoldedPoint(1, ls) for ls in reversed(squares)],
+    )
 
 
 def analyse(E: int) -> LatticeReport:

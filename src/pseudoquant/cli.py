@@ -93,19 +93,16 @@ def cmd_commutator(args) -> int:
     op = commutator(*_quantise_all(args, args.a, args.b))
     if args.formal:
         op = _formal_divide(op)
-    if args.json:
-        print(json.dumps(_operator_json(op), sort_keys=True))
-    else:
-        print(str(op))
-    return EXIT_OK
+    return _print_operator(op, args.json)
 
 
 def cmd_quantise(args) -> int:
     (op,) = _quantise_all(args, args.observable)
-    if args.json:
-        print(json.dumps(_operator_json(op), sort_keys=True))
-    else:
-        print(str(op))
+    return _print_operator(op, args.json)
+
+
+def _print_operator(op: FormalOperator, as_json: bool) -> int:
+    print(json.dumps(_operator_json(op), sort_keys=True) if as_json else str(op))
     return EXIT_OK
 
 

@@ -27,13 +27,12 @@ from .symcore import (
     Poly,
     _Record,
     _hamiltonian_raw,
-    _omega,
-    _omega_raw,
     _quantised_field,
     _sum,
     exterior_d,
     hamiltonian_vf,
     standard_potential,
+    standard_symplectic,
 )
 from .prequant import ConnectionData, FormalOperator, _first_order, _first_order_indices, quantise
 
@@ -100,14 +99,8 @@ def flat_action(op: FormalOperator, P: Polarisation) -> FlatSectionAction:
     if op.chart is not P.chart:
         raise ChartError("operator and polarisation live on different charts")
     n = op.chart.n
-    coeffs: dict[tuple[int, ...], Poly] = {}
-    for idx, c in op.terms.items():
-        if any(idx[:n]):
-            continue
-        k = idx[n:]
-        prev = coeffs.get(k)
-        coeffs[k] = c if prev is None else prev + c
-    return FlatSectionAction(op.chart, coeffs)
+    pure_beta = {idx[n:]: c for idx, c in op.terms.items() if not any(idx[:n])}
+    return FlatSectionAction(op.chart, pure_beta)
 
 
 class PreservationReport(_Record):
@@ -132,8 +125,8 @@ def residual_operator(A: Poly, c: ConnectionData, i: int) -> FormalOperator:
     """
     chart = c.chart
     XA, Xb = hamiltonian_vf(A), hamiltonian_vf(Poly.var(chart, chart.pairs[i][1]))
-    rhs = c.omega_curv.pair(XA, Xb)  # before _omega: a chart mismatch raises here
-    return quantise(_omega(XA, Xb), c) - FormalOperator.from_poly(rhs)
+    rhs = c.omega_curv.pair(XA, Xb)
+    return quantise(standard_symplectic(chart).pair(XA, Xb), c) - FormalOperator.from_poly(rhs)
 
 
 def cohomologous_residual_operator(
@@ -141,28 +134,23 @@ def cohomologous_residual_operator(
 ) -> FormalOperator:
     """Residual from the simplified condition when omega - Omega = d(gamma).
 
-    Valid only when d(gamma) really equals the chart's standard symplectic
-    form minus ``omega_curv``: on every index pair of d(gamma), Omega or
-    omega, d(gamma)_ij + Omega_ij must equal omega_ij (1 on (k, n + k), else
-    0); raises otherwise.  Equals ``residual_operator`` identically in that
-    case.  One raw X_A and X_{beta_i} give g = {A, beta_i} and
-    the multiplier d(gamma)(X_A, X_{beta_i}) - Theta(X_g).  ``P`` and ``A``
-    must live on the connection's chart.
+    Valid only when d(gamma) + ``omega_curv`` really equals the chart's
+    ``standard_symplectic`` form; raises otherwise.  Equals
+    ``residual_operator`` identically in that case.  One raw X_A and
+    X_{beta_i} give g = {A, beta_i} and the multiplier
+    d(gamma)(X_A, X_{beta_i}) - Theta(X_g).  ``P`` and ``A`` must live on the
+    connection's chart.
     """
-    chart, n = c.chart, c.chart.n
+    chart, omega = c.chart, standard_symplectic(c.chart)
     if P.chart is not chart:
         raise ChartError("connection and polarisation live on different charts")
     if A.chart is not chart:
         raise ChartError("observable and connection live on different charts")
-    dgamma, zero = exterior_d(gamma), Poly.zero(chart)
-    dg, Om = dgamma.comps, c.omega_curv.comps
-    pairs = {*dg, *Om, *((k, n + k) for k in range(n))}
-    if gamma.chart is not chart or any(
-        dg.get(ij, zero) + Om.get(ij, zero) != int(ij[1] - ij[0] == n) for ij in pairs
-    ):
+    dgamma = exterior_d(gamma)
+    if gamma.chart is not chart or dgamma + c.omega_curv != omega:
         raise ChartError("gamma is not a primitive of omega - Omega")
     XA, Xb = _hamiltonian_raw(A), _hamiltonian_raw(Poly.var(chart, chart.pairs[i][1]))
-    vec, theta_xg = _quantised_field(_omega_raw(chart, XA, Xb), c.theta, 1)
+    vec, theta_xg = _quantised_field(omega._pair_raw(XA, Xb), c.theta, 1)
     return _first_order(chart, vec, dgamma._pair_raw(XA, Xb) - theta_xg)
 
 
@@ -183,7 +171,7 @@ def preserves(A: Poly, c: ConnectionData) -> PreservationReport:
     for i in range(n):
         Xb = _hamiltonian_raw(Poly.var(chart, chart.pairs[i][1]))
         rhs = c.omega_curv._pair_raw(XA, Xb)
-        g = _omega_raw(chart, XA, Xb)
+        g = standard_symplectic(chart)._pair_raw(XA, Xb)
         vec, th = _quantised_field(g, c.theta, 1)
         mult = _sum(chart, [(1, g.nums, g.den), (-1, th.nums, th.den), (-1, rhs.nums, rhs.den)])
         flat = dict(zip(_first_order_indices(n), [*vec[n:], mult]))

@@ -33,7 +33,6 @@ from .symcore import (
     _Record,
     _hamiltonian_raw,
     _join_terms,
-    _omega_raw,
     _quantised_field,
     _sum,
     _sum_derivations,
@@ -42,6 +41,7 @@ from .symcore import (
     poisson,
     pullback_form,
     standard_potential,
+    standard_symplectic,
 )
 
 
@@ -275,7 +275,7 @@ def commutator_rhs(A: Poly, B: Poly, c: ConnectionData) -> FormalOperator:
     if B.chart is not chart or c.chart is not chart:
         raise ChartError("chart mismatch")
     XA, XB = _hamiltonian_raw(A), _hamiltonian_raw(B)
-    P = _omega_raw(chart, XA, XB)
+    P = standard_symplectic(chart)._pair_raw(XA, XB)
     return _closed_form(P, c.theta, [(2, P), (-1, c.omega_curv._pair_raw(XA, XB))])
 
 

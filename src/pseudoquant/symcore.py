@@ -20,8 +20,11 @@ All three accumulate on one common denominator and end in ``_normal``, the
 one place where the gcd is divided out.  Inside the exact layer Hamiltonian
 fields stay raw numerator maps: ``_hamiltonian_raw`` gives X_A's 2n maps over
 ``A.den``, and ``hamiltonian_vf`` is the public wrapper that normalises them.
-``_omega_raw`` (every Poisson bracket) and ``TwoForm._pair_raw`` pair raw
-maps; ``_omega`` and ``TwoForm.pair`` wrap them for vector fields.  The factor
+omega is ``standard_symplectic(chart)``, built once per chart, and every
+two-form, omega and Omega alike, is paired by ``TwoForm._pair_raw`` on raw
+maps (``TwoForm.pair`` wraps it for vector fields); it folds a real constant
+coefficient into each term's multiplier and denominator, so a Poisson
+bracket is one sum of products.  The factor
 ``-i*hbar`` of every quantised first-order term and commutator is an exponent
 shift and a rotation: ``_quantised_field`` applies it to raw maps, and
 ``Poly.times_minus_i_hbar`` to a Poly (``div_minus_i_hbar`` undoes that).
@@ -57,7 +60,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import repeat
 from math import gcd, lcm
 from operator import lshift as _lshift
@@ -387,14 +390,7 @@ class Poly(_Record):
         return out
 
     def scale(self, c: Scalar | RationalLike) -> "Poly":
-        cr, ci, d = _gaussian(c)
-        if ci:
-            nums = {e: (re * cr - im * ci, re * ci + im * cr) for e, (re, im) in self.nums.items()}
-        elif cr:
-            nums = {e: (re * cr, im * cr) for e, (re, im) in self.nums.items()}
-        else:
-            nums = {}
-        return _normal(self.chart, nums, self.den * d)
+        return self * Poly.const(self.chart, c)
 
     def times_minus_i_hbar(self) -> "Poly":
         """Exact product with -i*hbar: one more hbar, (re + i*im) * -i = im - i*re; no gcd pass."""
@@ -734,13 +730,22 @@ class TwoForm(_Record):
         return self._pair_raw(*[[(c.nums, c.den) for c in V.comps] for V in (X, Y)])
 
     def _pair_raw(self, x: list, y: list) -> Poly:
-        """``pair``'s core on ``(nums, den)`` maps in coordinate order, in one sum of products."""
+        """``pair``'s core on ``(nums, den)`` maps in coordinate order, in one sum of products.
+
+        A real constant coefficient goes into each term's multiplier and
+        denominator; any other c is multiplied into x[a] first.
+        """
         chart, terms = self.chart, []
         for (i, j), c in self.comps.items():
+            cr, ci = c.nums[0] if c.nums.keys() == {0} else (0, 1)  # ci == 0: a real constant
             for k, a, b in ((1, i, j), (-1, j, i)):
-                if x[a][0] and y[b][0]:  # c*x[a] over 1, cancelled, checked before y[b] can carry
-                    cx = _sum_raw_products(chart, [(1, c.nums, x[a][0], 1)]).nums
-                    terms.append((k, cx, y[b][0], c.den * x[a][1] * y[b][1]))
+                if x[a][0] and y[b][0]:
+                    d = c.den * x[a][1] * y[b][1]
+                    if not ci:
+                        terms.append((k * cr, x[a][0], y[b][0], d))
+                    else:  # c*x[a] over 1, cancelled, checked before y[b] can carry
+                        cx = _sum_raw_products(chart, [(1, c.nums, x[a][0], 1)]).nums
+                        terms.append((k, cx, y[b][0], d))
         return _sum_raw_products(chart, terms)
 
     def __str__(self):
@@ -827,24 +832,11 @@ def _quantised_field(A: Poly, theta: OneForm, k: int) -> tuple[list[Poly], Poly]
     return vec, _sum_raw_products(chart, pieces)
 
 
-def _omega_raw(chart: ChartSpec, x: list, y: list) -> Poly:
-    """omega(X, Y) = sum_i X[alpha_i] Y[beta_i] - X[beta_i] Y[alpha_i], on ``(nums, den)`` maps."""
-    n = chart.n
-    kij = [t for i in range(n) for t in ((1, i, n + i), (-1, n + i, i))]
-    terms = [(k, x[i][0], y[j][0], x[i][1] * y[j][1]) for k, i, j in kij if x[i][0] and y[j][0]]
-    return _sum_raw_products(chart, terms)
-
-
-def _omega(X: VectorField, Y: VectorField) -> Poly:
-    """omega(X, Y) of two vector fields, through ``_omega_raw``."""
-    return _omega_raw(X.chart, *[[(c.nums, c.den) for c in V.comps] for V in (X, Y)])
-
-
 def poisson(A: Poly, B: Poly) -> Poly:
     """{A, B} = omega(X_A, X_B), read from the two raw Hamiltonian fields."""
     if A.chart is not B.chart:
         raise ChartError("chart mismatch in Poisson bracket")
-    return _omega_raw(A.chart, _hamiltonian_raw(A), _hamiltonian_raw(B))
+    return standard_symplectic(A.chart)._pair_raw(_hamiltonian_raw(A), _hamiltonian_raw(B))
 
 
 def exterior_d(phi: Union[Poly, OneForm]) -> Union[OneForm, TwoForm]:
@@ -882,8 +874,9 @@ def wedge(a: OneForm, b: OneForm) -> TwoForm:
     return TwoForm(chart, comps)
 
 
+@cache
 def standard_symplectic(chart: ChartSpec) -> TwoForm:
-    """omega = sum_i dalpha_i ^ dbeta_i."""
+    """omega = sum_i dalpha_i ^ dbeta_i, the one statement of omega; built once per chart."""
     n = chart.n
     one = Poly.const(chart, 1)
     return TwoForm(chart, {(i, n + i): one for i in range(n)})
@@ -902,13 +895,13 @@ def pullback_form(m: SmoothMap, phi: Union[Poly, OneForm, TwoForm]):
     """Pullback of a function, one-form or two-form along a polynomial map."""
     src, tgt = m.source, m.target
     mapping = m.mapping()
+    if not isinstance(phi, (Poly, OneForm, TwoForm)):
+        raise TypeError("pullback_form expects a Poly, OneForm or TwoForm")
+    if phi.chart is not tgt:
+        raise ChartError("pullback argument must live on the target chart")
     if isinstance(phi, Poly):
-        if phi.chart is not tgt:
-            raise ChartError("pullback argument must live on the target chart")
         return phi.substitute(src, mapping)
     if isinstance(phi, OneForm):
-        if phi.chart is not tgt:
-            raise ChartError("pullback argument must live on the target chart")
         pulled = [
             (coeff.substitute(src, mapping), exterior_d(comp).comps)
             for comp, coeff in zip(m.comps, phi.comps)
@@ -917,14 +910,10 @@ def pullback_form(m: SmoothMap, phi: Union[Poly, OneForm, TwoForm]):
         return OneForm(
             src, [_sum_products(src, [(1, p, d[j]) for p, d in pulled]) for j in range(2 * src.n)]
         )
-    if isinstance(phi, TwoForm):
-        if phi.chart is not tgt:
-            raise ChartError("pullback argument must live on the target chart")
-        out = TwoForm.zero(src)
-        for (i, j), coeff in phi.comps.items():
-            pulled = coeff.substitute(src, mapping)
-            dxi = exterior_d(m.comps[i])
-            dxj = exterior_d(m.comps[j])
-            out = out + wedge(dxi, dxj).scale(pulled)
-        return out
-    raise TypeError("pullback_form expects a Poly, OneForm or TwoForm")
+    out = TwoForm.zero(src)  # phi is a TwoForm
+    for (i, j), coeff in phi.comps.items():
+        pulled = coeff.substitute(src, mapping)
+        dxi = exterior_d(m.comps[i])
+        dxj = exterior_d(m.comps[j])
+        out = out + wedge(dxi, dxj).scale(pulled)
+    return out

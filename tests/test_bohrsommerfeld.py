@@ -38,6 +38,11 @@ class TestFoldedPoints:
             has_zero = any(p.l_squared == 0 for p in folded_points(E))
             assert has_zero == (E % 2 == 0)
 
+    def test_points_are_built_in_ascending_order(self):
+        for E in range(1, 61):
+            pts = folded_points(E)
+            assert pts == tuple(sorted(pts, key=lambda p: p.value)), E
+
     def test_exact_congruence(self):
         for E in (3, 4, 9):
             for p in folded_points(E):

@@ -128,6 +128,8 @@ class TestExponentFields:
         x, y = VectorField(pq1, [p**20000, zero]), VectorField(pq1, [zero, p**30000])
         with pytest.raises(ChartError, match="below 32768"):  # the pairing: 70000 would carry
             TwoForm(pq1, {(0, 1): p**20000}).pair(x, y)
+        with pytest.raises(ChartError, match="below 32768"):  # a constant coefficient: 50000
+            standard_symplectic(pq1).pair(x, y)
 
     def test_hbar_field_is_unbounded(self, pq1):
         exp = (70000, 3, 2**15 - 1)

@@ -26,8 +26,8 @@ from pseudoquant.symcore import (
     EXP_LIMIT,
     Poly,
     Scalar,
+    TwoForm,
     VectorField,
-    _omega,
     _quantised_field,
     _sum_derivations,
     _sum_products,
@@ -335,7 +335,36 @@ vector_fields = st.lists(polys(2), min_size=2 * CHART.n, max_size=2 * CHART.n).m
 @PROPS
 @given(vector_fields, vector_fields)
 def test_omega_is_the_standard_symplectic_pairing(x, y):
-    assert _omega(x, y) == standard_symplectic(CHART).pair(x, y)
+    n, want = CHART.n, Poly.zero(CHART)
+    for i in range(n):  # omega(X, Y) = sum_i X[alpha_i] Y[beta_i] - X[beta_i] Y[alpha_i]
+        want = want + x.comps[i] * y.comps[n + i] - x.comps[n + i] * y.comps[i]
+    assert standard_symplectic(CHART).pair(x, y) == want
+
+
+two_form_coefficients = st.one_of(
+    fractions.map(lambda c: Poly.const(CHART, c)),  # real constants: folded into the multiplier
+    scalars.map(lambda c: Poly.const(CHART, c)),
+    polys(2),
+)
+two_forms = st.dictionaries(
+    st.sampled_from([(i, j) for j in range(2 * CHART.n) for i in range(j)]),
+    two_form_coefficients,
+    max_size=4,
+).map(lambda comps: TwoForm(CHART, comps))
+
+
+@PROPS
+@given(two_forms, vector_fields, vector_fields)
+@example(
+    TwoForm(CHART, {(0, 2): Poly.const(CHART, Fraction(-1, 2))}),
+    VectorField(CHART, [Poly.const(CHART, 1)] + [Poly.zero(CHART)] * 3),
+    VectorField(CHART, [Poly.zero(CHART)] * 2 + [Poly.var(CHART, "q1"), Poly.zero(CHART)]),
+)
+def test_pairing_is_the_antisymmetrised_coefficient_sum(form, x, y):
+    want = Poly.zero(CHART)
+    for (i, j), c in form.comps.items():  # sum_{i<j} c_ij (X_i Y_j - X_j Y_i)
+        want = want + c * (x.comps[i] * y.comps[j] - x.comps[j] * y.comps[i])
+    assert form.pair(x, y) == want
 
 
 @PROPS
