@@ -737,12 +737,12 @@ class TwoForm(_Record):
         """
         chart, terms = self.chart, []
         for (i, j), c in self.comps.items():
-            cr, ci = c.nums[0] if c.nums.keys() == {0} else (0, 1)  # ci == 0: a real constant
+            real = c.nums.keys() == {0} and not c.nums[0][1]
             for k, a, b in ((1, i, j), (-1, j, i)):
                 if x[a][0] and y[b][0]:
                     d = c.den * x[a][1] * y[b][1]
-                    if not ci:
-                        terms.append((k * cr, x[a][0], y[b][0], d))
+                    if real:
+                        terms.append((k * c.nums[0][0], x[a][0], y[b][0], d))
                     else:  # c*x[a] over 1, cancelled, checked before y[b] can carry
                         cx = _sum_raw_products(chart, [(1, c.nums, x[a][0], 1)]).nums
                         terms.append((k, cx, y[b][0], d))
