@@ -33,6 +33,8 @@ EXIT_VERIFY = 2
 EXIT_FLAGS = 3
 BETA_SAMPLES_MAX = 10**6  # bks pair --beta: samples in [start, stop + step * 1e-9] at most
 GRID_CELLS_MAX = 10**6  # preserve --grid m,n: (m + 1) * (n + 1) monomials at most
+LEVELS_MAX = 10**6  # bs-count --E lo..hi: hi - lo + 1 rows at most
+POINTS_MAX = 10**7  # bs-count --points: sum of E^2 - 1 over the levels at most
 
 
 class CliError(Exception):
@@ -313,6 +315,11 @@ def cmd_bs_count(args) -> int:
     except ValueError:
         raise CliError("--E expects a level or 'lo..hi' with integers 1 <= lo <= hi") from None
     levels = range(lo, hi + 1)
+    if len(levels) > LEVELS_MAX:
+        raise CliError(f"--E gives more than {LEVELS_MAX} levels; use a smaller range")
+    squares = (hi * (hi + 1) * (2 * hi + 1) - (lo - 1) * lo * (2 * lo - 1)) // 6  # sum of E^2
+    if args.points and squares - len(levels) > POINTS_MAX:
+        raise CliError(f"--points gives more than {POINTS_MAX} points; use a smaller range")
     lines = [f"# E={spec}", "E,standard_dim,folded_dim"]
     for E in levels:
         lines.append(f"{E},{bohrsommerfeld.standard_dim(E)},{bohrsommerfeld.folded_count(E)}")

@@ -34,7 +34,7 @@ from .symcore import (
     standard_potential,
     standard_symplectic,
 )
-from .prequant import ConnectionData, FormalOperator, _first_order, _first_order_indices, quantise
+from .prequant import ConnectionData, FormalOperator, _first_order, _first_order_slots, quantise
 
 
 class Polarisation(_Record):
@@ -174,7 +174,7 @@ def preserves(A: Poly, c: ConnectionData) -> PreservationReport:
         g = standard_symplectic(chart)._pair_raw(XA, Xb)
         vec, th = _quantised_field(g, c.theta, 1)
         mult = _sum(chart, [(1, g.nums, g.den), (-1, th.nums, th.den), (-1, rhs.nums, rhs.den)])
-        flat = dict(zip(_first_order_indices(n), [*vec[n:], mult]))
+        flat = dict(zip(_first_order_slots(n), [*vec[n:], mult]))
         residuals += [(i, k, p) for k, p in sorted(flat.items()) if p.nums]
     return PreservationReport(A, not residuals, tuple(residuals))
 

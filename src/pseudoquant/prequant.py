@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 from math import comb
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .symcore import (
     ChartError,
@@ -91,7 +91,7 @@ class FormalOperator(_Record):
     @staticmethod
     def from_poly(p: Poly) -> "FormalOperator":
         """Multiplication operator."""
-        return _op(p.chart, {(0,) * (2 * p.chart.n): p})
+        return _op(p.chart, [((0,) * (2 * p.chart.n), p)])
 
     # -- structure ---------------------------------------------------------
 
@@ -127,17 +127,17 @@ class FormalOperator(_Record):
         for idx, c in other.terms.items():
             s = terms.get(idx)
             terms[idx] = c if s is None else s + c
-        return _op(self.chart, terms)
+        return _op(self.chart, terms.items())
 
     def __neg__(self):
-        return _op(self.chart, {idx: -c for idx, c in self.terms.items()})
+        return _op(self.chart, [(idx, -c) for idx, c in self.terms.items()])
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, p: Poly | int) -> "FormalOperator":
         """Left multiplication by a function or constant."""
-        return _op(self.chart, {i: c * p for i, c in self.terms.items()})
+        return _op(self.chart, [(i, c * p) for i, c in self.terms.items()])
 
     # -- action and composition ---------------------------------------------
 
@@ -150,7 +150,7 @@ class FormalOperator(_Record):
     def compose(self, other: "FormalOperator") -> "FormalOperator":
         """Operator product self . other with Leibniz expansion."""
         triples = _add_leibniz(self, other)
-        return _op(self.chart, {idx: _sum_products(self.chart, ts) for idx, ts in triples.items()})
+        return _op(self.chart, [(i, _sum_products(self.chart, ts)) for i, ts in triples.items()])
 
     def __str__(self):
         coords = self.chart.coords
@@ -178,32 +178,35 @@ def _derive(p: Poly, idx: tuple[int, ...]) -> Poly:
     return p
 
 
-def _op(chart: ChartSpec, terms: dict) -> FormalOperator:
-    """A FormalOperator from valid terms on ``chart``; only zero coefficients are dropped."""
+def _op(chart: ChartSpec, terms: Iterable[tuple[tuple[int, ...], Poly]]) -> FormalOperator:
+    """A FormalOperator from valid ``(multi-index, Poly)`` items on ``chart``; zeros are dropped."""
     op = object.__new__(FormalOperator)
     object.__setattr__(op, "chart", chart)
-    object.__setattr__(op, "terms", {idx: c for idx, c in terms.items() if c.nums})
+    object.__setattr__(op, "terms", {idx: c for idx, c in terms if c.nums})
     return op
 
 
 def _first_order(chart: ChartSpec, vec: list[Poly], mult: Poly) -> FormalOperator:
     """The operator sum_i vec[i] * d/dx_i + mult, with ``vec`` in coordinate order."""
-    return _op(chart, dict(zip(_first_order_indices(2 * chart.n), [*vec, mult])))
+    return _op(chart, zip(_first_order_slots(2 * chart.n), [*vec, mult]))
 
 
 @cache
-def _first_order_indices(m: int) -> tuple[tuple[int, ...], ...]:
-    """The m unit multi-indices in coordinate order, then the zero multi-index."""
-    return tuple(tuple(int(i == j) for i in range(m)) for j in range(m)) + ((0,) * m,)
+def _first_order_slots(m: int) -> dict[tuple[int, ...], int]:
+    """Each first-order multi-index's slot: the m unit indices in coordinate order, then zero."""
+    units = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+    return {idx: slot for slot, idx in enumerate([*units, (0,) * m])}
 
 
 def _first_order_parts(op: FormalOperator, what: str) -> list[Poly]:
     """``vec + [mult]`` with ``op == _first_order(op.chart, vec, mult)``; ValueError above order 1."""
-    parts = [Poly.zero(op.chart)] * (2 * op.chart.n + 1)
+    slots = _first_order_slots(2 * op.chart.n)
+    parts = [Poly.zero(op.chart)] * len(slots)
     for idx, c in op.terms.items():
-        if sum(idx) > 1:
+        slot = slots.get(idx)
+        if slot is None:
             raise ValueError(f"{what} implemented for order <= 1 operators")
-        parts[idx.index(1) if any(idx) else -1] = c
+        parts[slot] = c
     return parts
 
 
@@ -258,8 +261,11 @@ def commutator(op_a: FormalOperator, op_b: FormalOperator) -> FormalOperator:
     v, w = _first_order_parts(op_a, "commutator"), _first_order_parts(op_b, "commutator")
     vi = [(i, c) for i, c in enumerate(v[:-1], 1) if c.nums]  # variable index i = coordinate + 1
     wi = [(i, c) for i, c in enumerate(w[:-1], 1) if c.nums]
-    *vec, mult = (
-        _sum_derivations(chart, [(1, c, i, q) for i, c in vi] + [(-1, c, i, p) for i, c in wi])
+    *vec, mult = (  # a quad only where the component it differentiates is nonzero too
+        _sum_derivations(
+            chart,
+            [(1, c, i, q) for i, c in vi if q.nums] + [(-1, c, i, p) for i, c in wi if p.nums],
+        )
         for p, q in zip(v, w)
     )
     return _first_order(chart, vec, mult)

@@ -20,6 +20,13 @@ All three accumulate on one common denominator and end in ``_normal``, the
 one place where the gcd is divided out.  Inside the exact layer Hamiltonian
 fields stay raw numerator maps: ``_hamiltonian_raw`` gives X_A's 2n maps over
 ``A.den``, and ``hamiltonian_vf`` is the public wrapper that normalises them.
+``_hamiltonian_raw`` reads each chart's field layout, one ``(shift, unit,
+target, sign)`` row per coordinate, from ``_field_table(chart)``, built once
+per chart; that table is where the sign convention of X_A is written.  No
+kernel works on a zero component: ``_sum_derivations`` skips a zero ``k`` or
+``p`` before it derives ``q``, ``commutator`` passes it no quad whose ``q``
+is zero, and ``_sum_raw_products`` with no terms and ``_normal`` of an empty
+map return the zero Poly at once.
 omega is ``standard_symplectic(chart)``, built once per chart, and every
 two-form, omega and Omega alike, is paired by ``TwoForm._pair_raw`` on raw
 maps (``TwoForm.pair`` wraps it for vector fields); it folds a real constant
@@ -47,7 +54,7 @@ exponent tuples and ``Poly.terms`` is the exponent-tuple view.
 Sign conventions, fixed once for the whole package:
 
     omega = sum_i d(alpha_i) ^ d(beta_i)
-    X_A   = sum_i (dA/dalpha_i) d/dbeta_i - (dA/dbeta_i) d/dalpha_i
+    X_A   = sum_i (dA/dalpha_i) d/dbeta_i - (dA/dbeta_i) d/dalpha_i   (``_field_table``)
     {A,B} = omega(X_A, X_B)
 
 so that {alpha_i, beta_i} = +1.
@@ -519,6 +526,8 @@ def _make(chart: ChartSpec, nums: dict, den: int) -> Poly:
 
 def _normal(chart: ChartSpec, nums: dict, den: int) -> Poly:
     """A Poly from nonzero numerators over a positive ``den``, their common gcd divided out."""
+    if not nums:
+        return _make(chart, nums, 1)
     if den != 1:
         g = den
         for re, im in nums.values():
@@ -587,18 +596,22 @@ def _sum_derivations(chart: ChartSpec, quads: Iterable[tuple[int, Poly, int, Pol
     """The sum of ``k * p * dq/dx_i`` over ``(k, p, i, q)``; each dq is raw numerators, no Poly."""
     shifts, terms = chart.shifts, []
     for k, p, i, q in quads:
+        if not (k and p.nums):
+            continue
         s, mask, dq = shifts[i], _FIELD_MASK if i else -1, {}  # hbar's top field has no mask
         u = 1 << s
         for e, (re, im) in q.nums.items():
             if m := (e >> s) & mask:
                 dq[e - u] = (re * m, im * m)
-        if k and p.nums and dq:
+        if dq:
             terms.append((k, p.nums, dq, p.den * q.den))
     return _sum_raw_products(chart, terms)
 
 
 def _sum_raw_products(chart: ChartSpec, terms: list[tuple[int, dict, dict, int]]) -> Poly:
     """The sum of ``k * n1 * n2 / d`` over ``(k, n1, n2, d)``, ``k``, ``n1`` and ``n2`` nonzero."""
+    if not terms:
+        return _make(chart, {}, 1)
     den = lcm(*[t[3] for t in terms])
     acc: dict[int, tuple[int, int]] = {}
     for k, n1, n2, d in terms:
@@ -803,17 +816,30 @@ class SmoothMap(_Record):
 # -- operations --------------------------------------------------------------
 
 
+@cache
+def _field_table(chart: ChartSpec) -> tuple[tuple[int, int, int, int], ...]:
+    """X_A's layout on ``chart``, built once per chart: the package's sign convention.
+
+    One ``(shift, unit, target, sign)`` row per coordinate: the coordinate's
+    field offset and ``1 << shift`` in a packed key, and where dA/dx goes.
+    dA/dalpha_i is the d/dbeta_i component (sign +1) and dA/dbeta_i, negated,
+    the d/dalpha_i component (sign -1).
+    """
+    n, shifts = chart.n, chart.shifts
+    alphas = [(shifts[1 + i], 1 << shifts[1 + i], n + i, 1) for i in range(n)]
+    betas = [(shifts[1 + n + i], 1 << shifts[1 + n + i], i, -1) for i in range(n)]
+    return (*alphas, *betas)
+
+
 def _hamiltonian_raw(A: Poly) -> list[tuple[dict, int]]:
-    """X_A as 2n ``(nums, A.den)`` maps, not normalised: the package's sign convention."""
-    n, shifts, comps = A.chart.n, A.chart.shifts, [{} for _ in range(2 * A.chart.n)]
+    """X_A as 2n ``(nums, A.den)`` maps, not normalised, laid out by ``_field_table``."""
+    comps = [{} for _ in range(2 * A.chart.n)]
+    table = _field_table(A.chart)
     for e, (re, im) in A.nums.items():  # one pass over A's terms
-        for j in range(1, 2 * n + 1):
-            if m := (e >> shifts[j]) & _FIELD_MASK:
-                d = e - (1 << shifts[j])
-                if j > n:  # beta_i: the d/dalpha_i component is -dA/dbeta_i
-                    comps[j - 1 - n][d] = (-re * m, -im * m)
-                else:  # alpha_i: the d/dbeta_i component is dA/dalpha_i
-                    comps[j - 1 + n][d] = (re * m, im * m)
+        for s, u, j, sign in table:
+            if m := (e >> s) & _FIELD_MASK:
+                m *= sign
+                comps[j][e - u] = (re * m, im * m)
     return [(c, A.den) for c in comps]
 
 
@@ -825,11 +851,13 @@ def hamiltonian_vf(A: Poly) -> VectorField:
 def _quantised_field(A: Poly, theta: OneForm, k: int) -> tuple[list[Poly], Poly]:
     """(-i*hbar)**k * X_A (k = 1, 2) as normalised Polys, and theta(X_A), from X_A's raw maps."""
     chart, raw = A.chart, _hamiltonian_raw(A)
-    h, (u, v) = k << chart.shifts[0], ((0, -1), (-1, 0))[k - 1]  # k more hbar, times (-i)**k
-    rot = [({e + h: (u * a - v * b, v * a + u * b) for e, (a, b) in m.items()}, d) for m, d in raw]
+    h = k << chart.shifts[0]  # k more hbar
+    if k == 1:  # (a + i*b) * -i = b - i*a
+        rot = [{e + h: (b, -a) for e, (a, b) in m.items()} for m, _ in raw]
+    else:  # (a + i*b) * (-i)**2 = -a - i*b
+        rot = [{e + h: (-a, -b) for e, (a, b) in m.items()} for m, _ in raw]
     pieces = [(1, t.nums, m, t.den * d) for t, (m, d) in zip(theta.comps, raw) if t.nums and m]
-    vec = [_normal(chart, m, d) if m else _make(chart, m, 1) for m, d in rot]
-    return vec, _sum_raw_products(chart, pieces)
+    return [_normal(chart, m, A.den) for m in rot], _sum_raw_products(chart, pieces)
 
 
 def poisson(A: Poly, B: Poly) -> Poly:

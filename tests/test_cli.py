@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import pseudoquant
+from pseudoquant import bohrsommerfeld
 from pseudoquant.bohrsommerfeld import folded_points
 from pseudoquant.cli import EXIT_INPUT, EXIT_OK, run
 from pseudoquant.exprparse import load_problem, parse_poly
@@ -543,6 +544,29 @@ class TestBsCount:
         assert captured.err == (
             "error: --E expects a level or 'lo..hi' with integers 1 <= lo <= hi\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--E", "1..1000001"], "--E gives more than 1000000 levels; use a smaller range"),
+            (["--E", "1..100000000"], "--E gives more than 1000000 levels; use a smaller range"),
+            (["--E", "3163", "--points", "{pts}"],
+             "--points gives more than 10000000 points; use a smaller range"),
+            (["--E", "1..311", "--points", "{pts}"],
+             "--points gives more than 10000000 points; use a smaller range"),
+        ],
+    )
+    def test_sizes_are_bounded_before_enumerating(self, capsys, tmp_path, argv, message):
+        pts = tmp_path / "points.csv"
+        assert run(["bs-count", *[a.format(pts=pts) for a in argv]]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+        assert not pts.exists()
+
+    def test_points_at_the_bound_are_accepted(self, capsys, tmp_path, monkeypatch):
+        """E = 1..310 gives 9,978,125 points: within the bound, so no error (enumeration stubbed)."""
+        monkeypatch.setattr(bohrsommerfeld, "folded_points", lambda E: ())
+        assert run(["bs-count", "--E", "1..310", "--points", str(tmp_path / "p.csv")]) == EXIT_OK
 
     def test_closed_form_rows(self, capsys):
         assert run(["bs-count", "--E", "1..300"]) == EXIT_OK

@@ -72,12 +72,17 @@ multi_indices = st.tuples(*[st.integers(0, 2)] * (2 * CHART.n))
 operators = st.dictionaries(multi_indices, polys(2), max_size=3).map(
     lambda terms: FormalOperator(CHART, terms)
 )
-first_order_indices = st.sampled_from(  # j = -1 is the multiplication index (0, ..., 0)
-    [tuple(int(i == j) for i in range(2 * CHART.n)) for j in range(-1, 2 * CHART.n)]
-)
-first_order_operators = st.dictionaries(first_order_indices, polys(2), max_size=3).map(
-    lambda terms: FormalOperator(CHART, terms)
-)
+
+
+def first_order_operators_on(chart):
+    indices = st.sampled_from(  # j = -1 is the multiplication index (0, ..., 0)
+        [tuple(int(i == j) for i in range(2 * chart.n)) for j in range(-1, 2 * chart.n)]
+    )
+    terms = st.dictionaries(indices, polys(2, chart=chart), max_size=3)
+    return terms.map(lambda terms: FormalOperator(chart, terms))
+
+
+first_order_operators = first_order_operators_on(CHART)
 variables = st.sampled_from(CHART.variables)
 polys_or_zero = st.one_of(st.just(Poly.zero(CHART)), polys())
 factors = st.integers(-6, 6).filter(bool)
@@ -117,6 +122,19 @@ def wide_exponents_on(chart):
     field = st.one_of(st.integers(0, 3), st.integers(0, EXP_LIMIT - 1))
     hbar = st.one_of(st.integers(0, 3), st.integers(0, 2**20))
     return st.tuples(hbar, *[field] * (2 * chart.n))
+
+
+every_chart = st.sampled_from([standard_chart(1), CHART, standard_chart(3)])
+
+
+def polys_on_every_chart():
+    """Polys on the 1-, 2- and 3-pair charts, with small exponents or ``wide_exponents_on``."""
+
+    def on(chart):
+        wide = st.dictionaries(wide_exponents_on(chart), nonzero_scalars, max_size=4)
+        return st.one_of(polys(chart=chart), wide.map(lambda terms: Poly(chart, terms)))
+
+    return every_chart.flatmap(on)
 
 
 @PROPS
@@ -191,10 +209,10 @@ def test_sum_derivations_is_the_sum_of_products_of_partials(quads, q, r, i, d):
 
 
 @PROPS
-@given(polys())
+@given(polys_on_every_chart())
 @example(Poly(CHART, {(0, 2, 0, 1, 0): Fraction(1, 2)}))  # d/dp1 of p1^2*q1/2 has denominator 1
 def test_hamiltonian_field_is_the_signed_partial_derivatives(a):
-    n = CHART.n
+    n = a.chart.n
     want = [-a._partial(1 + n + i) for i in range(n)] + [a._partial(1 + i) for i in range(n)]
     for got, w in zip(hamiltonian_vf(a).comps, want, strict=True):
         assert_normal_form(got)
@@ -246,17 +264,19 @@ def test_compose_is_application_in_sequence(op1, op2, f):
 
 
 @PROPS
-@given(first_order_operators, first_order_operators)
-def test_commutator_is_difference_of_compositions(op1, op2):
+@given(every_chart.flatmap(lambda chart: st.tuples(*[first_order_operators_on(chart)] * 2)))
+def test_commutator_is_difference_of_compositions(ops):
+    op1, op2 = ops
     assert commutator(op1, op2) == op1.compose(op2) - op2.compose(op1)
 
 
 def test_commutator_rejects_an_order_two_operand():
     first = FormalOperator(CHART, {(1, 0, 0, 0): Poly.var(CHART, "q1")})
-    second = FormalOperator(CHART, {(0, 1, 1, 0): Poly.const(CHART, 1)})
-    for args in ((first, second), (second, first), (second, second)):
-        with pytest.raises(ValueError, match="order <= 1"):
-            commutator(*args)
+    for index in ((0, 1, 1, 0), (2, 0, 0, 0)):  # a mixed and a pure second derivative
+        second = FormalOperator(CHART, {index: Poly.const(CHART, 1)})
+        for args in ((first, second), (second, first), (second, second)):
+            with pytest.raises(ValueError, match="order <= 1"):
+                commutator(*args)
 
 
 @PROPS
