@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import json
 import math
@@ -214,6 +215,18 @@ class TestQuantiseAndPreserve:
                 for m in range(9) for n in range(9)]
         head = ["# case=standard deformation=0", "m,n,preserves,residual_count"]
         assert capsys.readouterr().out == "\n".join(head + rows) + "\n"
+
+    @pytest.mark.parametrize("case_args, digest", [
+        ([], "e3d80fd020ea5736ad4c4a8605ec4ca5e0f992b13c93f3cb4e2c5a51063ac823"),
+        (["--case", "polarised-scaled", "--deformation", "b1^2"],
+         "2c943e4001e98cf9011cc3976ffa11173de66ee8b5910f7da6d5fb3fe9c8365e"),
+        (["--case", "general-scaled", "--deformation", "3/2*b1^2 - a1*b1"],
+         "ba79b2ea42b38160979f8d69493df050c867d3b48772a3b0e10a93b3d13460fe"),
+    ])
+    def test_preserve_grid_8x8_stdout_digest(self, capsys, case_args, digest):
+        # byte pin of the whole CSV in each connection case, beside the benchmark's digest
+        assert run(["preserve", "--grid", "8,8", *case_args]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_preserve_grid_csv_file_matches_stdout(self, capsys, tmp_path):
         argv = ["preserve", "--grid", "3,2", "--case", "general-scaled", "--deformation", "a1*b1"]
