@@ -12,7 +12,9 @@ NAME is ``hbar``, the imaginary unit ``i`` or a chart coordinate; NUMBER is
 a non-negative integer or decimal literal (decimals become exact
 fractions).  Division is restricted to nonzero constant divisors and
 exponents to non-negative integer constants, keeping every result an exact
-polynomial.  Syntax errors carry the 1-based source column.
+polynomial.  A power whose estimated result passes ``POWER_TERMS_MAX``
+terms or ``POWER_BITS_MAX`` coefficient bits is refused before it is
+evaluated.  Syntax errors carry the 1-based source column.
 
 Problem files are JSON objects::
 
@@ -31,10 +33,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 from .prequant import ConnectionData, PullbackSetup
 from .symcore import ChartError, ChartSpec, OneForm, Poly, Scalar, SmoothMap, _Record
+
+
+POWER_TERMS_MAX = 10**5  # base^k: at most this many terms, estimated before evaluating
+POWER_BITS_MAX = 2**11  # base^k: coefficient parts of at most this many bits, estimated
 
 
 class ExprSyntaxError(ValueError):
@@ -83,6 +90,27 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             raise ExprSyntaxError(f"unexpected character {ch!r}", col)
     tokens.append(("end", "", len(text) + 1))
     return tokens
+
+
+def _check_power(base: Poly, k: int, col: int) -> None:
+    """Refuse ``base^k`` before evaluating it if its estimated size passes a bound.
+
+    A base of t terms gives at most C(k + t - 1, t - 1) terms; its coefficient
+    height grows by about k * log2(t * h) bits, with h the largest
+    ``|re| + |im|`` numerator or the denominator.
+    """
+    t = len(base.nums)
+    if t > 1 and comb(k + t - 1, t - 1) > POWER_TERMS_MAX:
+        raise ExprSyntaxError(
+            f"power gives more than {POWER_TERMS_MAX} terms; use a smaller exponent", col
+        )
+    h = max([abs(re) + abs(im) for re, im in base.nums.values()], default=0)
+    if k * ((t * max(h, base.den)).bit_length() - 1) > POWER_BITS_MAX:
+        raise ExprSyntaxError(
+            f"power gives coefficients of more than {POWER_BITS_MAX} bits; "
+            "use a smaller exponent",
+            col,
+        )
 
 
 class _Parser:
@@ -162,7 +190,9 @@ class _Parser:
             c = expo.constant_value()
             if c.im or c.re.denominator != 1 or c.re < 0:
                 raise ExprSyntaxError("exponent must be a non-negative integer", col)
-            return base ** int(c.re)
+            k = int(c.re)
+            _check_power(base, k, col)
+            return base**k
         return base
 
     def atom(self) -> Poly:

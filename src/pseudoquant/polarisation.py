@@ -12,8 +12,14 @@ finite sum sum_k c_k * d^k/dbeta^k, that holds iff every coefficient c_k
 vanishes identically as a polynomial.
 
 ``preserves`` computes only those flat-section coefficients and builds no
-operator.  ``residual_operator`` builds the whole L_i and ``flat_action``
-reads its flat terms: that operator route is the oracle of ``preserves``.
+operator.  X_{beta_i} is a constant unit field, so each pairing with it,
+Omega(X_A, X_{beta_i}) and {A, beta_i} = omega(X_A, X_{beta_i}), is one
+column read of the two-form (``TwoForm._pair_beta``).
+``cohomologous_residual_operator`` pairs through the same column reads and
+checks its primitive once for consecutive calls with the same (gamma,
+connection).  ``residual_operator`` builds the whole L_i from
+``hamiltonian_vf`` fields and ``TwoForm.pair``, and ``flat_action`` reads its
+flat terms: that operator route is the oracle of both.
 """
 
 from __future__ import annotations
@@ -129,6 +135,11 @@ def residual_operator(A: Poly, c: ConnectionData, i: int) -> FormalOperator:
     return quantise(standard_symplectic(chart).pair(XA, Xb), c) - FormalOperator.from_poly(rhs)
 
 
+# (gamma, c, d(gamma)) of the last primitive check that passed; one entry, so
+# a grid's fresh connections and gamma never accumulate
+_checked_primitive: tuple = (None, None, None)
+
+
 def cohomologous_residual_operator(
     A: Poly, c: ConnectionData, P: Polarisation, gamma: OneForm, i: int
 ) -> FormalOperator:
@@ -136,22 +147,28 @@ def cohomologous_residual_operator(
 
     Valid only when d(gamma) + ``omega_curv`` really equals the chart's
     ``standard_symplectic`` form; raises otherwise.  Equals
-    ``residual_operator`` identically in that case.  One raw X_A and
-    X_{beta_i} give g = {A, beta_i} and the multiplier
-    d(gamma)(X_A, X_{beta_i}) - Theta(X_g).  ``P`` and ``A`` must live on the
-    connection's chart.
+    ``residual_operator`` identically in that case.  One raw X_A gives
+    g = {A, beta_i} and the multiplier d(gamma)(X_A, X_{beta_i}) - Theta(X_g),
+    each pairing with X_{beta_i} one column read (``TwoForm._pair_beta``).
+    The primitive is checked once for consecutive calls with the same
+    ``gamma`` and ``c``: the last checked d(gamma) is kept with both, so a
+    grid checks it once.  ``P`` and ``A`` must live on the connection's chart.
     """
+    global _checked_primitive
     chart, omega = c.chart, standard_symplectic(c.chart)
     if P.chart is not chart:
         raise ChartError("connection and polarisation live on different charts")
     if A.chart is not chart:
         raise ChartError("observable and connection live on different charts")
-    dgamma = exterior_d(gamma)
-    if gamma.chart is not chart or dgamma + c.omega_curv != omega:
-        raise ChartError("gamma is not a primitive of omega - Omega")
-    XA, Xb = _hamiltonian_raw(A), _hamiltonian_raw(Poly.var(chart, chart.pairs[i][1]))
-    vec, theta_xg = _quantised_field(omega._pair_raw(XA, Xb), c.theta, 1)
-    return _first_order(chart, vec, dgamma._pair_raw(XA, Xb) - theta_xg)
+    last_gamma, last_c, dgamma = _checked_primitive
+    if last_gamma is not gamma or last_c is not c:
+        dgamma = exterior_d(gamma)
+        if gamma.chart is not chart or dgamma + c.omega_curv != omega:
+            raise ChartError("gamma is not a primitive of omega - Omega")
+        _checked_primitive = gamma, c, dgamma  # strong references: neither id can be reused
+    XA = _hamiltonian_raw(A)
+    vec, theta_xg = _quantised_field(omega._pair_beta(XA, i), c.theta, 1)
+    return _first_order(chart, vec, dgamma._pair_beta(XA, i) - theta_xg)
 
 
 def preserves(A: Poly, c: ConnectionData) -> PreservationReport:
@@ -160,18 +177,18 @@ def preserves(A: Poly, c: ConnectionData) -> PreservationReport:
     Computes only the terms of L_i that act on flat sections: X_A once, and
     for each i, with g = {A, beta_i}, the multiplier g - Theta(X_g) -
     Omega(X_A, X_{beta_i}) and the beta_j-derivative coefficients
-    -i*hbar*X_g[beta_j], in flat multi-index order.  ``flat_action`` of
+    -i*hbar*X_g[beta_j], in flat multi-index order; g and Omega(X_A, X_{beta_i})
+    are column reads (``TwoForm._pair_beta``).  ``flat_action`` of
     ``residual_operator`` is its operator-level oracle.  A connection outside
     the adapted gauge is a ChartError.
     """
     chart, n = c.chart, c.chart.n
     Polarisation(A.chart, c)  # the adapted-gauge check, and A on the connection's chart
-    XA = _hamiltonian_raw(A)
+    XA, omega = _hamiltonian_raw(A), standard_symplectic(chart)
     residuals: list[tuple[int, tuple[int, ...], Poly]] = []
     for i in range(n):
-        Xb = _hamiltonian_raw(Poly.var(chart, chart.pairs[i][1]))
-        rhs = c.omega_curv._pair_raw(XA, Xb)
-        g = standard_symplectic(chart)._pair_raw(XA, Xb)
+        rhs = c.omega_curv._pair_beta(XA, i)
+        g = omega._pair_beta(XA, i)
         vec, th = _quantised_field(g, c.theta, 1)
         mult = _sum(chart, [(1, g.nums, g.den), (-1, th.nums, th.den), (-1, rhs.nums, rhs.den)])
         flat = dict(zip(_first_order_slots(n), [*vec[n:], mult]))

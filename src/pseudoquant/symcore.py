@@ -31,7 +31,9 @@ omega is ``standard_symplectic(chart)``, built once per chart, and every
 two-form, omega and Omega alike, is paired by ``TwoForm._pair_raw`` on raw
 maps (``TwoForm.pair`` wraps it for vector fields); it folds a real constant
 coefficient into each term's multiplier and denominator, so a Poisson
-bracket is one sum of products.  The factor
+bracket is one sum of products.  Against a flat direction X_{beta_i}, a
+constant unit field, ``TwoForm._pair_beta`` reads one column of the form
+instead, with X_{beta_i}'s slot and sign from ``_field_table``.  The factor
 ``-i*hbar`` of every quantised first-order term and commutator is an exponent
 shift and a rotation: ``_quantised_field`` applies it to raw maps, and
 ``Poly.times_minus_i_hbar`` to a Poly (``div_minus_i_hbar`` undoes that).
@@ -759,6 +761,23 @@ class TwoForm(_Record):
                     else:  # c*x[a] over 1, cancelled, checked before y[b] can carry
                         cx = _sum_raw_products(chart, [(1, c.nums, x[a][0], 1)]).nums
                         terms.append((k, cx, y[b][0], d))
+        return _sum_raw_products(chart, terms)
+
+    def _pair_beta(self, x: list, i: int) -> Poly:
+        """``_pair_raw(x, X_{beta_i})`` as one column read, in one sum of products.
+
+        X_{beta_i} is the constant field ``sign * d/dx_t``, with ``t`` and
+        ``sign`` read from beta_i's row of ``_field_table``, so only the
+        form's column ``t`` pairs: ``sign * (sum_a c_{a,t} x[a] - sum_b c_{t,b} x[b])``.
+        """
+        chart = self.chart
+        _, _, t, sign = _field_table(chart)[chart.n + i]
+        terms = []
+        for (a, b), c in self.comps.items():
+            if t in (a, b):
+                k, s = (sign, a) if b == t else (-sign, b)
+                if x[s][0]:
+                    terms.append((k, c.nums, x[s][0], c.den * x[s][1]))
         return _sum_raw_products(chart, terms)
 
     def __str__(self):

@@ -18,6 +18,7 @@ from pseudoquant.bohrsommerfeld import folded_points
 from pseudoquant.cli import EXIT_INPUT, EXIT_OK, run
 from pseudoquant.exprparse import load_problem, parse_poly
 from pseudoquant.prequant import theorem_commutator
+from pseudoquant.symcore import Poly
 
 
 @pytest.fixture
@@ -97,6 +98,21 @@ class TestErrors:
         (line,) = captured.err.strip().splitlines()
         assert line == "error: every coordinate exponent must stay below 32768"
 
+    @pytest.mark.parametrize("a, column, bound", [
+        ("9^4000074", 2, "power gives coefficients of more than 2048 bits"),
+        ("(p1+1)^3000", 7, "power gives coefficients of more than 2048 bits"),
+        ("2^3^30", 2, "power gives coefficients of more than 2048 bits"),  # 3^30 is evaluated
+    ])
+    def test_power_size_is_a_one_line_error(self, capsys, monkeypatch, a, column, bound):
+        exponents = []
+        pow_ = Poly.__pow__
+        monkeypatch.setattr(Poly, "__pow__", lambda p, k: exponents.append(k) or pow_(p, k))
+        assert run(["commutator", "--a", a, "--b", "q1"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: column {column}: {bound}; use a smaller exponent\n"
+        assert all(k <= 30 for k in exponents)  # the refused power was never evaluated
+
     def test_no_subcommand_prints_help(self, capsys):
         assert run([]) == EXIT_INPUT
         assert "usage" in capsys.readouterr().out.lower()
@@ -111,6 +127,8 @@ class TestErrors:
         # a misspelt or removed key is an error, not a silent default
         ('{"thetaa": [["2*p1", "dq1"]]}', "unknown problem-file key 'thetaa'"),
         ('{"polarisation": true}', "unknown problem-file key 'polarisation'"),
+        # problem-file expressions go through the same bounded power rule
+        ('{"observables": {"H": "(q1+1)^3000"}}', "more than 2048 bits"),
         ('{"pullback": {"target": {"pairs": [["z", "phi_z"]]}, "thetaa": [["2*z", "dphi_z"]],'
          ' "map": {"z": "p1", "phi_z": "q1"}}}', "unknown problem-file key 'pullback.thetaa'"),
     ])

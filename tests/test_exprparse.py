@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from pseudoquant.exprparse import (
+    POWER_BITS_MAX,
+    POWER_TERMS_MAX,
     ExprSyntaxError,
     ProblemFile,
     load_problem,
@@ -11,7 +13,15 @@ from pseudoquant.exprparse import (
     parse_poly,
 )
 from pseudoquant.prequant import ConnectionData
-from pseudoquant.symcore import ChartError, ChartSpec, OneForm, Poly, Scalar, standard_potential
+from pseudoquant.symcore import (
+    ChartError,
+    ChartSpec,
+    OneForm,
+    Poly,
+    Scalar,
+    standard_chart,
+    standard_potential,
+)
 
 
 @pytest.fixture
@@ -85,6 +95,25 @@ class TestParsePoly:
             parse_poly("a1^(1/2)", chart)
         with pytest.raises(ExprSyntaxError):
             parse_poly("a1^-1", chart)
+
+    @pytest.mark.parametrize("text, column, bound", [
+        ("2^2049", 2, f"more than {POWER_BITS_MAX} bits"),
+        ("(1+i)^2049", 6, f"more than {POWER_BITS_MAX} bits"),  # |1+i| grows like 2^(k/2)
+        ("(1/3*p1)^2049", 9, f"more than {POWER_BITS_MAX} bits"),  # the denominator grows too
+        ("(p1+q1+p2+q2+p3+q3)^24", 20, f"more than {POWER_TERMS_MAX} terms"),  # C(29, 5) terms
+    ])
+    def test_power_size_is_bounded_before_evaluating(self, monkeypatch, text, column, bound):
+        exponents = []
+        pow_ = Poly.__pow__
+        monkeypatch.setattr(Poly, "__pow__", lambda p, k: exponents.append(k) or pow_(p, k))
+        with pytest.raises(ExprSyntaxError, match=bound) as err:
+            parse_poly(text, standard_chart(3))
+        assert err.value.column == column
+        assert exponents == []
+
+    def test_power_at_the_bounds_is_evaluated(self, chart):
+        assert parse_poly(f"2^{POWER_BITS_MAX}", chart) == Poly.const(chart, 2**POWER_BITS_MAX)
+        assert parse_poly("a1^32767*hbar^140000", chart).terms  # unit monomials have 0-bit height
 
 
 class TestOneForm:

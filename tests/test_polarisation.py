@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from pseudoquant import polarisation
 from pseudoquant.polarisation import (
     FlatSectionAction,
     Polarisation,
@@ -309,6 +310,41 @@ class TestCohomologous:
         renamed = standard_potential(other).scale(-parse_poly("y1*y2 - 2*y2^2", other))
         with pytest.raises(ChartError, match=self.NOT_PRIMITIVE):
             self._check(c, renamed)
+
+    # The primitive check is kept for the last (gamma, c) that passed it.
+
+    def test_wrong_primitive_right_after_a_right_one_rejected(self):
+        ab2, c, gamma = self._two_dof()
+        self._check(c, gamma)
+        with pytest.raises(ChartError, match=self.NOT_PRIMITIVE):
+            self._check(c, standard_potential(ab2))
+
+    def test_primitive_of_one_connection_rechecked_on_another(self):
+        ab2, c1, gamma = self._two_dof()
+        self._check(c1, gamma)
+        c2 = scaled_connection(ab2, parse_poly("b1^2", ab2))
+        with pytest.raises(ChartError, match=self.NOT_PRIMITIVE):
+            self._check(c2, gamma)
+
+    def test_valid_call_after_a_failed_check(self):
+        ab2, c, gamma = self._two_dof()
+        bad = standard_potential(ab2)
+        with pytest.raises(ChartError, match=self.NOT_PRIMITIVE):
+            self._check(c, bad)
+        with pytest.raises(ChartError, match=self.NOT_PRIMITIVE):  # the failure was not kept
+            self._check(c, bad)
+        A = parse_poly("a1^2*a2 + a2*b1", ab2)
+        P = Polarisation(ab2, c)
+        assert flat_action(self._check(c, gamma), P) == flat_action(residual_operator(A, c, 1), P)
+
+    def test_consecutive_calls_check_the_primitive_once(self, monkeypatch):
+        calls = []
+        d = polarisation.exterior_d
+        monkeypatch.setattr(polarisation, "exterior_d", lambda g: calls.append(g) or d(g))
+        _, c, gamma = self._two_dof()
+        first = self._check(c, gamma)
+        assert self._check(c, gamma) == self._check(c, gamma) == first
+        assert calls == [gamma]
 
     def test_polarisation_on_another_chart_rejected(self, ab1):
         # the right connection and primitive, with a polarisation of the 2-dof chart

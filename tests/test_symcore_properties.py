@@ -24,10 +24,12 @@ from pseudoquant.prequant import (
 )
 from pseudoquant.symcore import (
     EXP_LIMIT,
+    ChartError,
     Poly,
     Scalar,
     TwoForm,
     VectorField,
+    _hamiltonian_raw,
     _quantised_field,
     _sum_derivations,
     _sum_products,
@@ -127,14 +129,15 @@ def wide_exponents_on(chart):
 every_chart = st.sampled_from([standard_chart(1), CHART, standard_chart(3)])
 
 
+def small_or_wide_polys(chart):
+    """Polys on ``chart`` with small exponents or ``wide_exponents_on``."""
+    wide = st.dictionaries(wide_exponents_on(chart), nonzero_scalars, max_size=4)
+    return st.one_of(polys(chart=chart), wide.map(lambda terms: Poly(chart, terms)))
+
+
 def polys_on_every_chart():
     """Polys on the 1-, 2- and 3-pair charts, with small exponents or ``wide_exponents_on``."""
-
-    def on(chart):
-        wide = st.dictionaries(wide_exponents_on(chart), nonzero_scalars, max_size=4)
-        return st.one_of(polys(chart=chart), wide.map(lambda terms: Poly(chart, terms)))
-
-    return every_chart.flatmap(on)
+    return every_chart.flatmap(small_or_wide_polys)
 
 
 @PROPS
@@ -385,6 +388,42 @@ def test_pairing_is_the_antisymmetrised_coefficient_sum(form, x, y):
     for (i, j), c in form.comps.items():  # sum_{i<j} c_ij (X_i Y_j - X_j Y_i)
         want = want + c * (x.comps[i] * y.comps[j] - x.comps[j] * y.comps[i])
     assert form.pair(x, y) == want
+
+
+def two_forms_on(chart):
+    """Two-forms on ``chart`` with real-constant, complex-constant and polynomial coefficients."""
+    coefficients = st.one_of(
+        fractions.map(lambda c: Poly.const(chart, c)),
+        scalars.map(lambda c: Poly.const(chart, c)),
+        polys(2, chart=chart),
+    )
+    slots = [(i, j) for j in range(2 * chart.n) for i in range(j)]
+    return st.dictionaries(st.sampled_from(slots), coefficients, max_size=2 * chart.n).map(
+        lambda comps: TwoForm(chart, comps)
+    )
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the type of the exception it raised."""
+    try:
+        return f(*args)
+    except ChartError as exc:
+        return type(exc)
+
+
+@PROPS
+@given(every_chart.flatmap(lambda c: st.tuples(two_forms_on(c), small_or_wide_polys(c))))
+def test_beta_column_read_is_the_pairing_with_x_beta(inputs):
+    # X_{beta_i} is a constant unit field, so the pairing reads one column of the form
+    form, a = inputs
+    chart, x = form.chart, _hamiltonian_raw(a)
+    for i, (_, beta) in enumerate(chart.pairs):
+        want = outcome(form._pair_raw, x, _hamiltonian_raw(Poly.var(chart, beta)))
+        got = outcome(form._pair_beta, x, i)
+        if isinstance(want, Poly):
+            assert_same_representation(got, want)
+        else:
+            assert got is want
 
 
 @PROPS
