@@ -100,17 +100,14 @@ def _check_power(base: Poly, k: int, col: int) -> None:
     ``|re| + |im|`` numerator or the denominator.
     """
     t = len(base.nums)
-    if t > 1 and comb(k + t - 1, t - 1) > POWER_TERMS_MAX:
-        raise ExprSyntaxError(
-            f"power gives more than {POWER_TERMS_MAX} terms; use a smaller exponent", col
-        )
     h = max([abs(re) + abs(im) for re, im in base.nums.values()], default=0)
-    if k * ((t * max(h, base.den)).bit_length() - 1) > POWER_BITS_MAX:
-        raise ExprSyntaxError(
-            f"power gives coefficients of more than {POWER_BITS_MAX} bits; "
-            "use a smaller exponent",
-            col,
-        )
+    if t > 1 and comb(k + t - 1, t - 1) > POWER_TERMS_MAX:
+        size = f"more than {POWER_TERMS_MAX} terms"
+    elif k * ((t * max(h, base.den)).bit_length() - 1) > POWER_BITS_MAX:
+        size = f"coefficients of more than {POWER_BITS_MAX} bits"
+    else:
+        return
+    raise ExprSyntaxError(f"power gives {size}; use a smaller exponent", col)
 
 
 class _Parser:

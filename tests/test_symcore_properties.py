@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pseudoquant.exprparse import parse_poly
+from pseudoquant.exprparse import ExprSyntaxError, parse_poly
 from pseudoquant.prequant import (
     FormalOperator,
     _first_order,
@@ -444,6 +444,31 @@ def test_poisson_jacobi_identity(a, b, c):
 @PROPS
 @given(polys(6))
 def test_parse_round_trip(p):
+    assert parse_poly(str(p), CHART) == p
+
+
+TOKENS = ["p1", "q2", "hbar", "i", "1", "2", "9", "0", ".", "+", "-", "*", "/", "^", "(", ")", " "]
+ATOMS = ["p1", "q2", "hbar", "i", "2", "9", "19", "3000", "0.5", "(p1+1)", "(q2-i*hbar)"]
+token_strings = st.one_of(
+    st.lists(st.sampled_from(TOKENS), max_size=14).map("".join),  # mostly malformed
+    st.tuples(  # well formed: atom (op atom)*, so the semantic rules and the power bounds decide
+        st.sampled_from(ATOMS),
+        st.lists(st.tuples(st.sampled_from("+-*/^"), st.sampled_from(ATOMS)), max_size=4),
+    ).map(lambda t: t[0] + "".join(op + atom for op, atom in t[1])),
+)
+
+
+@settings(PROPS, max_examples=200)  # cheap examples; enough of them reach a power bound
+@given(token_strings)
+@example("2^3^30")
+@example("(p1+1)^3000")
+def test_any_token_string_parses_or_is_refused(text):
+    # random text ends in a Poly that prints and parses back, or in an input error
+    # (ExprSyntaxError, or ChartError for an exponent past the packed-key limit)
+    try:
+        p = parse_poly(text, CHART)
+    except (ExprSyntaxError, ChartError):
+        return
     assert parse_poly(str(p), CHART) == p
 
 
