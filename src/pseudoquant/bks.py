@@ -3,9 +3,10 @@ connection deformations.
 
 Momentum-type deformations f = (lambda/2) * alpha^n break the pairing: the
 term-by-term tau-power classification always contains a divergent leading
-term.  Position-type deformations f = beta^n give a finite pairing whose
-effective kinetic coefficient is -hbar^2/2 * (1 + 2*beta^n)^(-3/2); their one
-owner, ``PositionDeformation``, is read by this pairing and by ``dynamics``.
+term.  Position-type deformations f = beta^n, n >= 0, give a finite pairing whose
+effective kinetic coefficient is -hbar^2/2 * (1 + 2*beta^n)^(-3/2); n = 0 is
+the undeformed pairing, with the free coefficient -hbar^2/2.  Their one owner,
+``PositionDeformation``, is read by this pairing and by ``dynamics``.
 
 Classification is exact rational arithmetic throughout; the oscillatory
 moments that weight surviving terms are evaluated analytically via Gamma
@@ -18,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -110,7 +111,6 @@ class PairingResult:
     converges: bool
     effective_coefficient: Callable[[float], complex]
     normalization: complex
-    details: dict = field(default_factory=dict, compare=False)
 
 
 # -- exact exponent bookkeeping ------------------------------------------------
@@ -298,53 +298,28 @@ def schrodinger_prefactor(hbar: float) -> complex:
     return math.sqrt(2.0 * math.pi * hbar) * cmath.exp(1j * math.pi / 4)
 
 
-def _kinetic_raw(a: float) -> complex:
-    """Raw second-derivative pairing weight -(1/2) * moment(mu^2, phase a*mu^2)."""
-    return -0.5 * oscillatory_moment(1, 2, a)
-
-
 def position_pairing(n: int, hbar: float = 1.0) -> PairingResult:
-    """The finite pairing for the deformation f = beta^n.
+    """The finite pairing for the deformation f = beta^n, n >= 0.
 
     Its ``effective_coefficient(beta)`` is the second-derivative coefficient
     -hbar^2/2 * w(beta)^(-3/2) of ``PositionDeformation(n)`` after absorbing
-    the standard prefactor; a sample on the w <= 0 locus raises
-    ``SingularSampleError``.
+    the standard prefactor; n = 0 is the undeformed pairing (w = 1).  A sample
+    on the w <= 0 locus raises ``SingularSampleError``.
     """
-    if n < 1:
-        raise ValueError("deformation order n must be >= 1")
-    _check_hbar(hbar)
     deformation = PositionDeformation(n)
+    _check_hbar(hbar)
     norm = schrodinger_prefactor(hbar)
 
     def effective_coefficient(beta: float) -> complex:
         if deformation.singular(beta):
             raise SingularSampleError(f"beta = {beta} hits the singular locus 1 + 2*beta^{n} <= 0")
         a = deformation.weight(beta) / (2.0 * hbar)
+        # Raw second-derivative weight -(1/2) * moment(mu^2, phase a*mu^2);
         # i*hbar*dpsi/dt = -prefactor * (coefficient * psi''), hence the -norm.
-        return 1j * hbar * _kinetic_raw(a) / (-norm)
+        return 1j * hbar * (-0.5 * oscillatory_moment(1, 2, a)) / (-norm)
 
     converges = surviving_position_terms(n) == [(2, (), Fraction(1))]
     return PairingResult(converges, effective_coefficient, norm)
-
-
-def standard_schrodinger_check(hbar: float = 1.0) -> PairingResult:
-    """Undeformed pairing: recover the free kinetic weight and unit potential.
-
-    Returns the normalized kinetic coefficient (-hbar^2/2) and the unit
-    potential weight.
-    """
-    norm = schrodinger_prefactor(hbar)
-    a0 = 1.0 / (2.0 * hbar)
-    kinetic = 1j * hbar * _kinetic_raw(a0) / (-norm)
-
-    # lambda = 0 term: tau-independent sqrt(2*pi*hbar)e^{i pi/4} times
-    # exp(-i V tau / hbar); the tau derivative extracts -iV/hbar.
-    lambda0_weight = math.sqrt(math.pi / a0) * cmath.exp(1j * math.pi / 4)
-    potential_unit = 1j * hbar * (-1.0) * (-1j / hbar) * lambda0_weight / (-norm)
-
-    details = {"kinetic": kinetic, "potential_unit": potential_unit}
-    return PairingResult(True, lambda beta: kinetic, norm, details)
 
 
 __all__ = [
@@ -365,6 +340,5 @@ __all__ = [
     "oscillatory_moment_quadrature",
     "position_pairing",
     "schrodinger_prefactor",
-    "standard_schrodinger_check",
     "surviving_position_terms",
 ]

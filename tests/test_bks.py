@@ -21,7 +21,6 @@ from pseudoquant.bks import (
     oscillatory_moment_quadrature,
     position_pairing,
     schrodinger_prefactor,
-    standard_schrodinger_check,
     surviving_position_terms,
 )
 
@@ -150,27 +149,32 @@ class TestPositionPairing:
             assert surviving_position_terms(n) == [(2, (), Fraction(1))]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            position_pairing(0)
+        with pytest.raises(ValueError, match="deformation order n must be >= 0"):
+            position_pairing(-1)
         for hbar in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="hbar must be positive and finite"):
                 position_pairing(2, hbar=hbar)
 
 
 class TestStandardCheck:
+    BETAS = (0.0, 0.7, -3.0, 1e3)  # n = 0: the weight is 1 at every beta
+
     def test_prefactor(self):
         got = schrodinger_prefactor(1.0)
         want = math.sqrt(2.0 * math.pi) * cmath.exp(1j * math.pi / 4)
         assert abs(got - want) < 1e-15
 
     def test_kinetic_and_potential(self):
-        res = standard_schrodinger_check(hbar=1.0)
+        # n = 0 is the undeformed pairing: the free kinetic weight at every beta; the unit
+        # potential weight is checked by verify's undeformed-recovery check (criterion 07)
+        res = position_pairing(0, hbar=1.0)
         assert res.converges
-        assert res.details["kinetic"] == pytest.approx(-0.5, abs=1e-12)
-        assert res.details["potential_unit"] == pytest.approx(1.0, abs=1e-12)
+        for beta in self.BETAS:
+            assert res.effective_coefficient(beta) == pytest.approx(-0.5, abs=1e-12)
 
     @given(st.floats(min_value=0.1, max_value=5.0))
     @settings(max_examples=25, deadline=None)
     def test_kinetic_scales_with_hbar(self, hbar):
-        res = standard_schrodinger_check(hbar=hbar)
-        assert res.details["kinetic"] == pytest.approx(-(hbar**2) / 2.0, rel=1e-10)
+        res = position_pairing(0, hbar=hbar)
+        for beta in self.BETAS:
+            assert res.effective_coefficient(beta) == pytest.approx(-(hbar**2) / 2.0, rel=1e-10)

@@ -113,6 +113,35 @@ class TestErrors:
         assert captured.err == f"error: column {column}: {bound}; use a smaller exponent\n"
         assert all(k <= 30 for k in exponents)  # the refused power was never evaluated
 
+    @pytest.mark.parametrize("a, column, char", [
+        ("\u00b2", 1, "\u00b2"),  # superscript two: a Unicode digit, not an ASCII one
+        ("p1^\u00b2", 4, "\u00b2"),
+        ("\u0663", 1, "\u0663"),  # Arabic-Indic three
+    ])
+    def test_non_ascii_digit_reports_column(self, capsys, a, column, char):
+        assert run(["commutator", "--a", a, "--b", "q1"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: column {column}: unexpected character {char!r}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["bs-count", "--E", "1..3", "--points", "{missing}/p"],
+        ["bs-count", "--E", "1..3", "--csv", "{csv}", "--points", "{missing}/p"],
+        ["evolve", "--n", "0", "--steps", "3", "--grid=-5:5:64", "--snapshots", "{missing}/s"],
+        ["evolve", "--n", "0", "--steps", "3", "--grid=-5:5:64", "--csv", "{csv}",
+         "--snapshots", "{missing}/s"],
+    ])
+    def test_unopenable_output_writes_nothing(self, capsys, tmp_path, argv):
+        # every output opens before any is written, so a bad path leaves no partial output
+        csv = tmp_path / "out.csv"
+        args = [a.format(missing=tmp_path / "missing", csv=csv) for a in argv]
+        assert run(args) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert not csv.exists()
+
     def test_no_subcommand_prints_help(self, capsys):
         assert run([]) == EXIT_INPUT
         assert "usage" in capsys.readouterr().out.lower()
@@ -316,6 +345,16 @@ class TestBks:
         # the scaled column removes the (1+2 beta^2)^{-3/2} profile
         for row in rows:
             assert float(row.split(",")[3]) == pytest.approx(-0.5, abs=1e-6)
+
+    def test_pair_undeformed_profile(self, capsys):
+        # n = 0 is the undeformed pairing: the free coefficient -hbar^2/2 at every beta
+        assert run(["bks", "pair", "--n", "0", "--beta", "0:1:0.5"]) == EXIT_OK
+        lines = out_of(capsys).splitlines()
+        assert "# converges=true" in lines[1]
+        rows = lines[3:]
+        assert len(rows) == 3
+        for row in rows:
+            assert float(row.split(",")[3]) == pytest.approx(-0.5, abs=1e-12)
 
     @staticmethod
     def _pair_rows(capsys, beta):

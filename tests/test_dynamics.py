@@ -120,7 +120,7 @@ class TestPairingDrivesPropagator:
     """The pairing's derived coefficient is the profile the propagator integrates."""
 
     @pytest.mark.parametrize("hbar", [1.0, 0.37])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_pairing_coefficient_is_kinetic_profile(self, n, hbar):
         grid = Grid1D(*suggested_domain(n, 3.0), 257)
         q = grid.q

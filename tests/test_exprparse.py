@@ -81,6 +81,17 @@ class TestParsePoly:
             parse_poly("a1 b1", chart)
         assert e.value.column == 4
 
+    @pytest.mark.parametrize("text, column", [("\u00b2", 1), ("a1^\u00b2", 4), ("\u0663", 1)])
+    def test_numbers_take_ascii_digits_only(self, chart, text, column):
+        with pytest.raises(ExprSyntaxError, match="unexpected character") as e:
+            parse_poly(text, chart)
+        assert e.value.column == column
+
+    def test_names_keep_unicode_labels(self):
+        greek = ChartSpec((("\u03c0", "\u03c6"),))
+        got = parse_poly("\u03c0^2*\u03c6", greek)
+        assert got == Poly.var(greek, "\u03c0") ** 2 * Poly.var(greek, "\u03c6")
+
     def test_division_rules(self, chart):
         assert parse_poly("a1/2", chart) == Poly.var(chart, "a1").scale(Scalar(Fraction(1, 2)))
         with pytest.raises(ExprSyntaxError):

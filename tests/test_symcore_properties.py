@@ -455,6 +455,7 @@ token_strings = st.one_of(
         st.sampled_from(ATOMS),
         st.lists(st.tuples(st.sampled_from("+-*/^"), st.sampled_from(ATOMS)), max_size=4),
     ).map(lambda t: t[0] + "".join(op + atom for op, atom in t[1])),
+    st.text(),  # any characters, Unicode digits and symbols among them
 )
 
 
@@ -462,6 +463,7 @@ token_strings = st.one_of(
 @given(token_strings)
 @example("2^3^30")
 @example("(p1+1)^3000")
+@example("\u00b2")  # a Unicode digit that int() refuses
 def test_any_token_string_parses_or_is_refused(text):
     # random text ends in a Poly that prints and parses back, or in an input error
     # (ExprSyntaxError, or ChartError for an exponent past the packed-key limit)
