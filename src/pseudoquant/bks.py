@@ -303,14 +303,17 @@ def position_pairing(n: int, hbar: float = 1.0) -> PairingResult:
 
     Its ``effective_coefficient(beta)`` is the second-derivative coefficient
     -hbar^2/2 * w(beta)^(-3/2) of ``PositionDeformation(n)`` after absorbing
-    the standard prefactor; n = 0 is the undeformed pairing (w = 1).  A sample
-    on the w <= 0 locus raises ``SingularSampleError``.
+    the standard prefactor; n = 0 is the undeformed pairing (w = 1).  A
+    non-finite beta raises ValueError, and a sample on the w <= 0 locus raises
+    ``SingularSampleError``.
     """
     deformation = PositionDeformation(n)
     _check_hbar(hbar)
     norm = schrodinger_prefactor(hbar)
 
     def effective_coefficient(beta: float) -> complex:
+        if not math.isfinite(beta):
+            raise ValueError(f"beta must be finite, got beta = {beta}")
         if deformation.singular(beta):
             raise SingularSampleError(f"beta = {beta} hits the singular locus 1 + 2*beta^{n} <= 0")
         a = deformation.weight(beta) / (2.0 * hbar)

@@ -18,6 +18,7 @@ import contextlib
 import itertools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Iterable
@@ -67,6 +68,26 @@ def _emit(lines: Iterable[str], path: str | None):
     with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
         for line in lines:
             fh.write(line + "\n")
+
+
+def _check_writable(*paths: str | None) -> None:
+    """Raise OSError unless every given path opens for writing; leave every file as it was.
+
+    Each path opens without truncation and closes again, and a file the check created is
+    removed, so outputs open (and truncate) only once all of them can.
+    """
+    created = []
+    try:
+        for path in filter(None, paths):
+            try:
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
+                created.append(path)
+            except FileExistsError:
+                fd = os.open(path, os.O_WRONLY)
+            os.close(fd)
+    finally:
+        for path in created:
+            os.remove(path)
 
 
 def _load(args) -> ProblemFile:
@@ -294,7 +315,7 @@ def cmd_evolve(args) -> int:
         record(state)
         if args.snapshots and (k + 1) % args.snap_every == 0:
             snapshots.append(state.psi.copy())
-    # the snapshot file opens first, so a path that cannot be opened leaves no series behind
+    _check_writable(args.snapshots, args.csv)
     with open(args.snapshots, "wb") if args.snapshots else contextlib.nullcontext() as snap:
         report = watch.report()
         if report:
@@ -325,7 +346,7 @@ def cmd_bs_count(args) -> int:
     lines = [f"# E={spec}", "E,standard_dim,folded_dim"]
     for E in levels:
         lines.append(f"{E},{bohrsommerfeld.standard_dim(E)},{bohrsommerfeld.folded_count(E)}")
-    # the point file opens first, so a path that cannot be opened leaves no counts behind
+    _check_writable(args.points, args.csv)
     with open(args.points, "w") if args.points else contextlib.nullcontext() as points:
         _emit(lines, args.csv)
         if points:

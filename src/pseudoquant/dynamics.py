@@ -7,12 +7,15 @@ the owner the pairing reads too.  Time stepping is the implicit trapezoidal
 (Crank-Nicolson) rule: its tridiagonal matrix is factorised once with LAPACK
 ``zgttrf`` and each step back-solves with ``zgttrs``.
 
-A grid's coordinates ``Grid1D.q`` and the conserved weight ``weighted_norm``
-reads are computed once per grid (and order n) and shared read-only: writing
-into them raises ValueError, so copy before modifying.  A ``WaveState`` is
-immutable and owns a read-only copy of its amplitudes, so copy ``psi`` before
-modifying it too.  Its density |psi|^2, mass and mean position are computed
-once per state, by the first diagnostic that reads them, and never by a step.
+A grid's spacing ``Grid1D.dq``, its coordinates ``Grid1D.q`` and the conserved
+weight ``weighted_norm`` reads are computed once per grid (and order n); the
+arrays are shared read-only: writing into them raises ValueError, so copy
+before modifying.  A ``WaveState`` is immutable and its amplitudes are
+read-only, so copy ``psi`` before modifying it too.  A state built by a caller
+owns a copy of the array it was given; a state returned by ``Propagator.step``
+owns the solver's fresh result, which nothing else holds.  A state's density
+|psi|^2, mass and mean position are computed once per state, by the first
+diagnostic that reads them, and never by a step.
 
 Plain L2 norm is not conserved for n > 0 because diag(1/c) H, not H, is
 symmetric; the weighted norm integral of |psi|^2 / c is conserved to roundoff.
@@ -49,7 +52,7 @@ class Grid1D:
         if not self.q_max > self.q_min:
             raise ValueError("empty grid interval")
 
-    @property
+    @functools.cached_property
     def dq(self) -> float:
         return (self.q_max - self.q_min) / (self.nodes - 1)
 
@@ -78,6 +81,23 @@ class EvolutionConfig:
             raise ValueError("steps must be >= 1")
 
 
+class _once:
+    """``functools.cached_property`` without its per-read lock (Python 3.11 takes one)."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class WaveState:
     """Complex amplitudes on a grid at a given time, read-only and owned by the state.
@@ -96,19 +116,29 @@ class WaveState:
         psi.flags.writeable = False
         object.__setattr__(self, "psi", psi)
 
-    @functools.cached_property
+    @classmethod
+    def _taking(cls, grid: Grid1D, psi: np.ndarray, t: float) -> WaveState:
+        """A state that takes ``psi``: a fresh complex array of the grid's shape that nothing else holds."""
+        psi.flags.writeable = False
+        state = object.__new__(cls)
+        d = state.__dict__
+        d["grid"], d["psi"], d["t"] = grid, psi, t
+        return state
+
+    @_once
     def density(self) -> np.ndarray:
         """|psi|^2, computed once and read-only."""
-        dens = np.abs(self.psi) ** 2
+        dens = np.abs(self.psi)
+        np.square(dens, out=dens)
         dens.flags.writeable = False
         return dens
 
-    @functools.cached_property
+    @_once
     def mass(self) -> float:
         """The integral of |psi|^2 over the grid."""
         return float(self.density.sum() * self.grid.dq)
 
-    @functools.cached_property
+    @_once
     def mean_q(self) -> float:
         """The mean position; a ValueError when the state has no mass."""
         if self.mass == 0.0:
@@ -155,15 +185,15 @@ def _cn_matrices(grid: Grid1D, cfg: EvolutionConfig):
 
 
 class Propagator:
-    """Keeps B and the LU factors of A, factorised once, for repeated stepping."""
+    """Keeps B's bands and the LU factors of A, factorised once, for repeated stepping."""
 
     def __init__(self, grid: Grid1D, cfg: EvolutionConfig):
         self.grid = grid
         self.cfg = cfg
         try:
             with np.errstate(all="ignore"):
-                A, self.B = _cn_matrices(grid, cfg)
-            finite = bool(np.isfinite(A).all() and np.isfinite(self.B).all())
+                A, B = _cn_matrices(grid, cfg)
+            finite = bool(np.isfinite(A).all() and np.isfinite(B).all())
         except OverflowError:  # from the float powers of hbar and dq
             finite = False
         if not finite:
@@ -174,24 +204,26 @@ class Propagator:
         *self._lu, info = zgttrf(A[2, :-1], A[1], A[0, 1:])
         if info != 0:
             raise np.linalg.LinAlgError(f"Crank-Nicolson matrix is singular (zgttrf info={info})")
-        self._scratch = np.empty(grid.nodes, dtype=np.complex128)
-
-    def _multiply_banded(self, M: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """M psi for banded M, in a new array; the off-diagonal products share one scratch buffer."""
-        out = M[1] * psi
-        prod = self._scratch
-        np.multiply(M[0, 1:], psi[1:], out=prod[:-1])
-        out[:-1] += prod[:-1]
-        np.multiply(M[2, :-1], psi[:-1], out=prod[1:])
-        out[1:] += prod[1:]
-        return out
+        self._bands = (B[1], B[0, 1:], B[2, :-1])  # diagonal, upper, lower
+        # the two off-diagonal products share one scratch buffer
+        scratch = np.empty(grid.nodes, dtype=np.complex128)
+        self._products = (scratch[:-1], scratch[1:])
 
     def step(self, state: WaveState) -> WaveState:
-        rhs = self._multiply_banded(self.B, np.asarray_chkfinite(state.psi))
+        psi = state.psi
+        if not np.isfinite(psi.view(np.float64)).all():  # real and imaginary parts in one pass
+            raise ValueError("array must not contain infs or NaNs")
+        diag, upper, lower = self._bands
+        below, above = self._products
+        rhs = diag * psi  # B psi in a new array, which the solve overwrites and the new state takes
+        np.multiply(upper, psi[1:], out=below)
+        rhs[:-1] += below
+        np.multiply(lower, psi[:-1], out=above)
+        rhs[1:] += above
         psi_new, info = zgttrs(*self._lu, rhs, overwrite_b=True)
         if info != 0:
             raise np.linalg.LinAlgError(f"zgttrs info={info}")
-        return WaveState(state.grid, psi_new, state.t + self.cfg.dt)
+        return WaveState._taking(state.grid, psi_new, state.t + self.cfg.dt)
 
 
 def evolve(state: WaveState, cfg: EvolutionConfig) -> WaveState:
@@ -275,8 +307,10 @@ def expectation_q(state: WaveState) -> float:
 
 
 def variance_q(state: WaveState) -> float:
-    mean = state.mean_q
-    return float(((state.grid.q - mean) ** 2 * state.density).sum() * state.grid.dq) / state.mass
+    dev = state.grid.q - state.mean_q
+    np.square(dev, out=dev)
+    dev *= state.density
+    return float(dev.sum() * state.grid.dq) / state.mass
 
 
 def width_q(state: WaveState) -> float:

@@ -144,6 +144,13 @@ class TestPositionPairing:
             with pytest.raises(SingularSampleError):
                 res.effective_coefficient(beta)
 
+    @pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_non_finite_sample_rejected(self, n, beta):
+        res = position_pairing(n)
+        with pytest.raises(ValueError, match="^beta must be finite, got beta = "):
+            res.effective_coefficient(beta)
+
     def test_surviving_terms(self):
         for n in (1, 2, 3, 4):
             assert surviving_position_terms(n) == [(2, (), Fraction(1))]

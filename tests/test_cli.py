@@ -130,17 +130,26 @@ class TestErrors:
         ["evolve", "--n", "0", "--steps", "3", "--grid=-5:5:64", "--snapshots", "{missing}/s"],
         ["evolve", "--n", "0", "--steps", "3", "--grid=-5:5:64", "--csv", "{csv}",
          "--snapshots", "{missing}/s"],
+        ["bs-count", "--E", "1..3", "--csv", "{missing}/c", "--points", "{out}"],
+        ["evolve", "--n", "0", "--steps", "3", "--grid=-5:5:64", "--csv", "{missing}/c",
+         "--snapshots", "{out}"],
     ])
     def test_unopenable_output_writes_nothing(self, capsys, tmp_path, argv):
-        # every output opens before any is written, so a bad path leaves no partial output
-        csv = tmp_path / "out.csv"
-        args = [a.format(missing=tmp_path / "missing", csv=csv) for a in argv]
-        assert run(args) == EXIT_INPUT
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        (line,) = captured.err.splitlines()
-        assert line.startswith("error: ")
-        assert not csv.exists()
+        # every output path is checked before any opens, so a bad path creates no
+        # other file and leaves an existing one as it was
+        csv, out = tmp_path / "out.csv", tmp_path / "out.dat"
+        args = [a.format(missing=tmp_path / "missing", csv=csv, out=out) for a in argv]
+        for existing in (False, True):
+            if existing:
+                csv.write_text("kept\n")
+                out.write_text("kept\n")
+            assert run(args) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith("error: ")
+            for path in (csv, out):
+                assert path.read_text() == "kept\n" if existing else not path.exists()
 
     def test_no_subcommand_prints_help(self, capsys):
         assert run([]) == EXIT_INPUT

@@ -211,14 +211,16 @@ class TestStepper:
             psi = solve_banded((1, 1), A, rhs)
         assert np.array_equal(cur.psi, psi)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_state_rejected(self, bad):
         grid = Grid1D(-5.0, 5.0, 64)
         prop = Propagator(grid, EvolutionConfig(n=2, hbar=1.0, dt=1e-3))
-        psi = gaussian_state(grid, 0.0, 0.0, 1.0, 1.0).psi.copy()
-        psi[20] = bad
-        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-            prop.step(WaveState(grid, psi))
+        for part in ("real", "imag"):
+            psi = gaussian_state(grid, 0.0, 0.0, 1.0, 1.0).psi.copy()
+            getattr(psi, part)[20] = bad
+            assert np.isfinite(getattr(psi, "imag" if part == "real" else "real")).all()
+            with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+                prop.step(WaveState(grid, psi))
 
 
 def _reference_diagnostics(grid, psi, n):
@@ -298,6 +300,27 @@ class TestWaveState:
         got = [d(state) for d in order]
         want = _reference_diagnostics(state.grid, state.psi, n)
         assert got == list(want[first:] + want[:first])
+
+    def test_stepped_states_own_fresh_read_only_arrays(self):
+        grid = Grid1D(-10.0, 10.0, 256)
+        prop = Propagator(grid, EvolutionConfig(n=2, hbar=1.0, dt=1e-3))
+        state = gaussian_state(grid, 0.0, 0.5, 1.0, 1.0)
+        first = prop.step(state)
+        second = prop.step(first)
+        scratch = prop._products[0].base  # the buffer both off-diagonal products share
+        arrays = [state.psi, first.psi, second.psi, scratch]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+        for s in (first, second):
+            with pytest.raises(ValueError, match="read-only"):
+                s.psi[0] = 1.0
+
+    @pytest.mark.parametrize("n", [0, 2, 3])
+    def test_stepped_state_diagnostics_equal_a_built_state_bitwise(self, n):
+        stepped = _stepped_state(n)
+        built = WaveState(stepped.grid, stepped.psi.copy(), stepped.t)
+        assert _diagnostics(stepped, n) == _diagnostics(built, n)
 
     def test_step_leaves_its_input_untouched_and_undiagnosed(self):
         grid = Grid1D(-10.0, 10.0, 256)
