@@ -82,7 +82,7 @@ class EvolutionConfig:
 
 
 class _once:
-    """``functools.cached_property`` without its per-read lock (Python 3.11 takes one)."""
+    """``functools.cached_property`` without the lock Python 3.11 takes on each first read."""
 
     def __init__(self, func):
         self.func = func
@@ -118,7 +118,7 @@ class WaveState:
 
     @classmethod
     def _taking(cls, grid: Grid1D, psi: np.ndarray, t: float) -> WaveState:
-        """A state that takes ``psi``: a fresh complex array of the grid's shape that nothing else holds."""
+        """A state that takes ``psi``, a fresh complex grid-shaped array nothing else holds."""
         psi.flags.writeable = False
         state = object.__new__(cls)
         d = state.__dict__
