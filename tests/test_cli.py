@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pkgutil
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from pseudoquant.cli import EXIT_INPUT, EXIT_OK, run
 from pseudoquant.exprparse import load_problem, parse_poly
 from pseudoquant.prequant import theorem_commutator
 from pseudoquant.symcore import Poly
+from pseudoquant.verify import random_poly
 
 
 @pytest.fixture
@@ -308,6 +310,83 @@ class TestQuantiseAndPreserve:
         verdicts = {tuple(r.split(",")[:2]): r.split(",")[2] for r in rows}
         assert verdicts[("0", "0")] == "true"
         assert verdicts[("1", "0")] == "false"
+
+
+FOLDED_3DOF = {  # the folded potential on three pairs: the benchmark's CLI problem
+    "chart": {"pairs": [["p1", "q1"], ["p2", "q2"], ["p3", "q3"]]},
+    "theta": [["1/2*p1^2", "dq1"], ["p2", "dq2"], ["p3", "dq3"]],
+}
+CYLINDER = {  # README's cylinder pullback problem: observables on the target chart
+    "chart": {"pairs": [["l", "phi_l"]]},
+    "pullback": {
+        "target": {"pairs": [["z", "phi_z"]]},
+        "theta": "standard",
+        "map": {"z": "2*l", "phi_z": "phi_l"},
+    },
+}
+SCALED = {"theta": [["(1 + q1^2)*p1", "dq1"]]}  # polarised-scaled, adapted gauge
+
+
+class TestExactOutputPins:
+    """Byte pins of the exact CLI outputs on seeded and sparse observables.
+
+    Each case runs ``commutator --json``, ``commutator --formal``, ``quantise
+    --json`` and plain ``quantise`` on every observable pair of its problem
+    and pins the sha256 of all their stdout, so a change to the exact kernels
+    that alters any printed operator fails here.
+    """
+
+    @staticmethod
+    def observables(chart, seed, sparse):
+        """Three seeded pairs from ``verify.random_poly`` on ``chart``, then the sparse pairs."""
+        rng = random.Random(seed)
+        seeded = [(random_poly(chart, rng), random_poly(chart, rng, 4, 5)) for _ in range(3)]
+        return [(str(a), str(b)) for a, b in seeded] + sparse
+
+    CASES = {
+        "standard-1dof": (None, 1, [("3/2", "q1^2"), ("q1^3 - 2*q1", "p1*q1"), ("i", "p1")],
+                          "76d102540b1a6f2ee71ef7398a3b79023f73c44b7ee616636fe93a5528e33850"),
+        "standard-2dof": ({"chart": {"pairs": [["p1", "q1"], ["p2", "q2"]]}}, 2,
+                          [("q1*q2", "p2^2"), ("5", "q2"), ("p1*q1", "p2*q2 + q2")],
+                          "ffaa88bb21739d971f70cda70be9ca3a023fa85f79ff843b7302ff460e2e92a0"),
+        "folded-3dof": (FOLDED_3DOF, 3, [("q3^2", "p3*q3"), ("p1", "q1"), ("7/3", "p2*q1")],
+                        "88abc76fcbdf1b3f60a9f7740994068286f95a77219978edeb3ee3542e699cbe"),
+        "cylinder": (CYLINDER, 4, [("z^2", "phi_z"), ("phi_z^2", "3"), ("z*phi_z", "z")],
+                     "d2cf071bd25ac382ab1e8fc7ab0ca6d6803e7a604dcddad412a4634e6575515c"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_commutator_and_quantise_stdout_digest(self, capsys, tmp_path, name):
+        problem, seed, sparse, digest = self.CASES[name]
+        flags = []
+        if problem is not None:
+            path = tmp_path / "problem.json"
+            path.write_text(json.dumps(problem))
+            flags = ["--problem", str(path)]
+        loaded = load_problem(problem or {})
+        chart = loaded.chart if loaded.pullback is None else loaded.pullback.map.target
+        out = []
+        for a, b in self.observables(chart, seed, sparse):
+            for argv in (
+                ["commutator", f"--a={a}", f"--b={b}", "--json"],
+                ["commutator", f"--a={a}", f"--b={b}", "--formal"],
+                ["quantise", f"--observable={a}", "--json"],
+                ["quantise", f"--observable={b}"],
+            ):
+                assert run([*argv, *flags]) == EXIT_OK
+                out.append(capsys.readouterr().out)
+        assert hashlib.sha256("".join(out).encode()).hexdigest() == digest
+
+    def test_preserve_observable_stdout_digest(self, capsys, tmp_path):
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(SCALED))
+        out = []
+        for a in ("p1", "p1^2*q1", "q1^3", "p1*q1 - 2*p1^3 + 1/2"):
+            assert run(["preserve", "--problem", str(path), "--observable", a]) == EXIT_OK
+            out.append(capsys.readouterr().out)
+        assert hashlib.sha256("".join(out).encode()).hexdigest() == (
+            "345f76c57d8edd1a1499c6b3e354c38314b917398b64b34d3deaa66f55582a0e"
+        )
 
 
 class TestReadmeProblemFile:
