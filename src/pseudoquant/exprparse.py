@@ -12,9 +12,12 @@ NAME is ``hbar``, the imaginary unit ``i`` or a chart coordinate; NUMBER is
 a non-negative integer or decimal literal of ASCII digits (decimals become
 exact fractions).  Division is restricted to nonzero constant divisors and
 exponents to non-negative integer constants, keeping every result an exact
-polynomial.  A power whose estimated result passes ``POWER_TERMS_MAX``
-terms or ``POWER_BITS_MAX`` coefficient bits is refused before it is
-evaluated.  Syntax errors carry the 1-based source column.
+polynomial.  The whole expression is estimated before it is evaluated: each
+operation carries an upper estimate (``_Node``) of its terms, coefficient
+bits and work in term products up the parse tree, and one whose estimate
+passes ``TERMS_MAX`` terms or ``BITS_MAX`` bits, or whose expression passes
+``WORK_MAX`` term products, is refused at its operator's column.  Syntax
+errors carry the 1-based source column.
 
 Problem files are JSON objects::
 
@@ -33,15 +36,16 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from pathlib import Path
 
 from .prequant import ConnectionData, PullbackSetup
 from .symcore import ChartError, ChartSpec, OneForm, Poly, Scalar, SmoothMap, _Record
 
 
-POWER_TERMS_MAX = 10**5  # base^k: at most this many terms, estimated before evaluating
-POWER_BITS_MAX = 2**11  # base^k: coefficient parts of at most this many bits, estimated
+TERMS_MAX = 10**5  # every operation: at most this many terms, estimated before evaluating
+BITS_MAX = 2**11  # every operation: coefficient parts of at most this many bits, estimated
+WORK_MAX = 2 * 10**6  # a whole expression: at most this many small term products, estimated
 
 
 class ExprSyntaxError(ValueError):
@@ -93,25 +97,113 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _check_power(base: Poly, k: int, col: int) -> None:
-    """Refuse ``base^k`` before evaluating it if its estimated size passes a bound.
+class _Node:
+    """A parsed subexpression, not yet evaluated: an upper estimate of its size, and its builder.
 
-    A base of t terms gives at most C(k + t - 1, t - 1) terms; its coefficient
-    height grows by about k * log2(t * h) bits, with h the largest
-    ``|re| + |im|`` numerator or the denominator.
+    Its value has at most ``terms`` terms and is ``M / den``, where the sum of
+    ``|re| + |im|`` over M's terms is at most ``norm``, so that every
+    coefficient part of the normalised Poly has at most ``bits`` bits.
+    Evaluating it costs at most ``work`` small term products (``_cost``), its
+    operands' included.  ``build()`` evaluates it.
     """
-    t = len(base.nums)
-    h = max([abs(re) + abs(im) for re, im in base.nums.values()], default=0)
-    if t > 1 and comb(k + t - 1, t - 1) > POWER_TERMS_MAX:
-        size = f"more than {POWER_TERMS_MAX} terms"
-    elif k * ((t * max(h, base.den)).bit_length() - 1) > POWER_BITS_MAX:
-        size = f"coefficients of more than {POWER_BITS_MAX} bits"
+
+    __slots__ = ("terms", "norm", "den", "work", "build")
+
+    def __init__(self, terms: int, norm: int, den: int, work: int, build=None):
+        self.terms, self.norm, self.den, self.work, self.build = terms, norm, den, work, build
+
+    @property
+    def bits(self) -> int:
+        return max(self.norm, self.den).bit_length() - 1
+
+
+def _known(p: Poly, work: int = 0) -> _Node:
+    """A Poly already built (a literal, a name, a divisor's reciprocal): its size is exact."""
+    norm = sum([abs(re) + abs(im) for re, im in p.nums.values()])
+    return _Node(len(p.nums), norm, p.den, work, lambda: p)
+
+
+def _cost(t1: int, b1: int, t2: int, b2: int) -> int:
+    """Small term products to multiply t1 terms of b1 bits by t2 terms of b2 bits.
+
+    A term product of coefficients with b1 + b2 = 2048 bits costs about five
+    small ones, and one of 4096 bits about seventeen, so each counts
+    ``1 + ((b1 + b2) // 1024)**2``.
+    """
+    return t1 * t2 * (1 + ((b1 + b2) >> 10) ** 2)
+
+
+def _sum(a: _Node, b: _Node) -> _Node:
+    """a + b or a - b: M_a * (den / den_a) + M_b * (den / den_b) over den = lcm(den_a, den_b)."""
+    den = lcm(a.den, b.den)
+    norm = a.norm * (den // a.den) + b.norm * (den // b.den)
+    return _Node(a.terms + b.terms, norm, den, a.work + b.work)
+
+
+def _product(a: _Node, b: _Node) -> _Node:
+    """a * b: M_a * M_b over den_a * den_b, whose norm is at most the product of theirs."""
+    work = a.work + b.work + _cost(a.terms, a.bits, b.terms, b.bits)
+    return _Node(a.terms * b.terms, a.norm * b.norm, a.den * b.den, work)
+
+
+def _power(base: _Node, k: int) -> _Node:
+    """base^k: C(k + t - 1, t - 1) terms for a base of t, M^k over den^k, by binary powering.
+
+    A norm or denominator whose bits already pass ``BITS_MAX`` is not
+    computed; one just past the bound stands in for it.
+    """
+    t = base.terms
+    terms = comb(k + t - 1, t - 1) if t else int(k == 0)
+    top = max(base.norm, base.den)
+    if k * (top.bit_length() - 1) > BITS_MAX:
+        return _Node(terms, 2 << BITS_MAX, 1, base.work)
+    work, j = base.work, 1  # as Poly.__pow__: square, then multiply by the base on a 1 bit
+    for bit in bin(k)[3:] if t else "":
+        tj, bj = comb(j + t - 1, t - 1), (top**j).bit_length() - 1
+        work += _cost(tj, bj, tj, bj)
+        j *= 2
+        if bit == "1":
+            work += _cost(comb(j + t - 1, t - 1), (top**j).bit_length() - 1, t, base.bits)
+            j += 1
+    return _Node(terms, base.norm**k, base.den**k, work)
+
+
+def _checked(node: _Node, what: str, col: int) -> _Node:
+    """``node`` if its estimate is within every bound; otherwise the input error for ``what``."""
+    if node.terms > TERMS_MAX:
+        size = f"{what} gives more than {TERMS_MAX} terms"
+    elif node.bits > BITS_MAX:
+        size = f"{what} gives coefficients of more than {BITS_MAX} bits"
+    elif node.work > WORK_MAX:
+        size = f"expression needs more than {WORK_MAX} term products"
     else:
-        return
-    raise ExprSyntaxError(f"power gives {size}; use a smaller exponent", col)
+        return node
+    hint = "use a smaller exponent" if what == "power" else "use smaller operands"
+    raise ExprSyntaxError(f"{size}; {hint}", col)
+
+
+def _chain(first: _Node, rest: list[tuple[str, _Node]], est: _Node) -> _Node:
+    """``est`` with a builder that folds ``first`` and ``rest``'s ``(op, node)`` left to right."""
+
+    def build() -> Poly:
+        p = first.build()
+        for op, node in rest:
+            q = node.build()
+            p = p + q if op == "+" else p - q if op == "-" else p * q
+        return p
+
+    est.build = build if rest else first.build
+    return est
 
 
 class _Parser:
+    """Recursive descent that estimates every operation before anything is evaluated.
+
+    Each method returns a ``_Node``; an operation whose estimate passes a
+    bound (``_checked``) is refused at its operator's column.  Only exponents
+    and divisors, which must be constants, are built while parsing.
+    """
+
     def __init__(self, text: str, chart: ChartSpec):
         self.tokens = _tokenize(text)
         self.chart = chart
@@ -131,93 +223,98 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", col)
         return self.advance()
 
-    def parse(self) -> Poly:
-        p = self.expr()
+    def parse(self) -> _Node:
+        node = self.expr()
         kind, val, col = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected trailing {val!r}", col)
-        return p
+        return node
 
-    def expr(self) -> Poly:
-        p = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                rhs = self.term()
-                p = p + rhs if val == "+" else p - rhs
-            else:
-                return p
-
-    def term(self) -> Poly:
-        p = self.unary()
+    def expr(self) -> _Node:
+        first = est = self.term()
+        rest = []
         while True:
             kind, val, col = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                rhs = self.unary()
-                if val == "*":
-                    p = p * rhs
-                else:
-                    if not rhs.is_constant() or rhs.is_zero():
-                        raise ExprSyntaxError(
-                            "division is only defined by nonzero constants", col
-                        )
-                    c = rhs.constant_value()
-                    norm = c.re * c.re + c.im * c.im  # exact reciprocal (re - i*im)/norm
-                    p = p.scale(Scalar(c.re / norm, -c.im / norm))
-            else:
-                return p
+            if kind != "op" or val not in "+-":
+                return _chain(first, rest, est)
+            self.advance()
+            rhs = self.term()
+            est = _checked(_sum(est, rhs), "sum", col)
+            rest.append((val, rhs))
 
-    def unary(self) -> Poly:
+    def term(self) -> _Node:
+        first = est = self.unary()
+        rest = []
+        while True:
+            kind, val, col = self.peek()
+            if kind != "op" or val not in "*/":
+                return _chain(first, rest, est)
+            self.advance()
+            rhs = self.unary()
+            if val == "/":
+                c = rhs.build()
+                if not c.is_constant() or c.is_zero():
+                    raise ExprSyntaxError("division is only defined by nonzero constants", col)
+                c = c.constant_value()
+                norm = c.re * c.re + c.im * c.im  # exact reciprocal (re - i*im)/norm
+                rhs = _known(Poly.const(self.chart, Scalar(c.re / norm, -c.im / norm)), rhs.work)
+            est = _checked(_product(est, rhs), "product", col)
+            rest.append(("*", rhs))
+
+    def unary(self) -> _Node:
         kind, val, _ = self.peek()
         if kind == "op" and val in "+-":
             self.advance()
-            p = self.unary()
-            return -p if val == "-" else p
+            node = self.unary()
+            if val == "+":
+                return node
+            return _Node(node.terms, node.norm, node.den, node.work, lambda: -node.build())
         return self.power()
 
-    def power(self) -> Poly:
+    def power(self) -> _Node:
         base = self.atom()
         kind, val, col = self.peek()
         if kind == "op" and val == "^":
             self.advance()
             expo = self.unary()
-            if not expo.is_constant():
+            e = expo.build()
+            if not e.is_constant():
                 raise ExprSyntaxError("exponent must be a constant", col)
-            c = expo.constant_value()
+            c = e.constant_value()
             if c.im or c.re.denominator != 1 or c.re < 0:
                 raise ExprSyntaxError("exponent must be a non-negative integer", col)
             k = int(c.re)
-            _check_power(base, k, col)
-            return base**k
+            node = _power(base, k)
+            node.work += expo.work
+            node.build = lambda: base.build() ** k
+            return _checked(node, "power", col)
         return base
 
-    def atom(self) -> Poly:
+    def atom(self) -> _Node:
         kind, val, col = self.advance()
         if kind == "num":
             if "." in val:
-                return Poly.const(self.chart, Fraction(val))
-            return Poly.const(self.chart, int(val))
+                return _known(Poly.const(self.chart, Fraction(val)))
+            return _known(Poly.const(self.chart, int(val)))
         if kind == "name":
             if val == "i":
-                return Poly.const(self.chart, Scalar(0, 1))
+                return _known(Poly.const(self.chart, Scalar(0, 1)))
             if val == "hbar":
-                return Poly.hbar(self.chart)
+                return _known(Poly.hbar(self.chart))
             try:
-                return Poly.var(self.chart, val)
+                return _known(Poly.var(self.chart, val))
             except ChartError:
                 raise ExprSyntaxError(f"unknown symbol {val!r}", col) from None
         if kind == "op" and val == "(":
-            p = self.expr()
+            node = self.expr()
             self.expect_op(")")
-            return p
+            return node
         raise ExprSyntaxError(f"unexpected {val!r}" if val else "unexpected end of input", col)
 
 
 def parse_poly(text: str, chart: ChartSpec) -> Poly:
-    """Parse an infix expression into an exact Poly over the chart."""
-    return _Parser(text, chart).parse()
+    """Parse an infix expression into an exact Poly over the chart, estimating before evaluating."""
+    return _Parser(text, chart).parse().build()
 
 
 def parse_one_form(entries, chart: ChartSpec) -> OneForm:

@@ -11,15 +11,16 @@ annihilates every flat section; since the flat-section action of L_i is a
 finite sum sum_k c_k * d^k/dbeta^k, that holds iff every coefficient c_k
 vanishes identically as a polynomial.
 
-``preserves`` computes only those flat-section coefficients and builds no
-operator.  X_{beta_i} is a constant unit field, so each pairing with it,
-Omega(X_A, X_{beta_i}) and {A, beta_i} = omega(X_A, X_{beta_i}), is one
-column read of the two-form (``TwoForm._pair_beta``).
-``cohomologous_residual_operator`` pairs through the same column reads and
-checks its primitive once for consecutive calls with the same (gamma,
-connection).  ``residual_operator`` builds the whole L_i from
-``hamiltonian_vf`` fields and ``TwoForm.pair``, and ``flat_action`` reads its
-flat terms: that operator route is the oracle of both.
+``preserves`` builds each L_i in one pass with ``prequant._quantised``, the
+kernel of ``quantise``, and keeps its flat-section coefficients.  X_{beta_i}
+is a constant unit field, so each pairing with it, Omega(X_A, X_{beta_i})
+and {A, beta_i} = omega(X_A, X_{beta_i}), is one column read of the
+two-form (``TwoForm._pair_beta``).  ``cohomologous_residual_operator`` pairs
+through the same column reads into the same kernel and checks its primitive
+once for consecutive calls with the same (gamma, connection).
+``residual_operator`` builds the whole L_i from ``hamiltonian_vf`` fields and
+``TwoForm.pair``, and ``flat_action`` reads its flat terms: that operator
+route is the oracle of both.
 """
 
 from __future__ import annotations
@@ -33,14 +34,12 @@ from .symcore import (
     Poly,
     _Record,
     _hamiltonian_raw,
-    _quantised_field,
-    _sum,
     exterior_d,
     hamiltonian_vf,
     standard_potential,
     standard_symplectic,
 )
-from .prequant import ConnectionData, FormalOperator, _first_order, _first_order_slots, quantise
+from .prequant import ConnectionData, FormalOperator, _quantised, quantise
 
 
 class Polarisation(_Record):
@@ -149,7 +148,8 @@ def cohomologous_residual_operator(
     ``standard_symplectic`` form; raises otherwise.  Equals
     ``residual_operator`` identically in that case.  One raw X_A gives
     g = {A, beta_i} and the multiplier d(gamma)(X_A, X_{beta_i}) - Theta(X_g),
-    each pairing with X_{beta_i} one column read (``TwoForm._pair_beta``).
+    each pairing with X_{beta_i} one column read (``TwoForm._pair_beta``),
+    built in one pass by ``prequant._quantised``.
     The primitive is checked once for consecutive calls with the same
     ``gamma`` and ``c``: the last checked d(gamma) is kept with both, so a
     grid checks it once.  ``P`` and ``A`` must live on the connection's chart.
@@ -167,19 +167,18 @@ def cohomologous_residual_operator(
             raise ChartError("gamma is not a primitive of omega - Omega")
         _checked_primitive = gamma, c, dgamma  # strong references: neither id can be reused
     XA = _hamiltonian_raw(A)
-    vec, theta_xg = _quantised_field(omega._pair_beta(XA, i), c.theta, 1)
-    return _first_order(chart, vec, dgamma._pair_beta(XA, i) - theta_xg)
+    return _quantised(omega._pair_beta(XA, i), c.theta, 1, [(1, dgamma._pair_beta(XA, i))])
 
 
 def preserves(A: Poly, c: ConnectionData) -> PreservationReport:
     """Decide direct quantisability of A; exact residual polynomials included.
 
-    Computes only the terms of L_i that act on flat sections: X_A once, and
-    for each i, with g = {A, beta_i}, the multiplier g - Theta(X_g) -
-    Omega(X_A, X_{beta_i}) and the beta_j-derivative coefficients
-    -i*hbar*X_g[beta_j], in flat multi-index order; g and Omega(X_A, X_{beta_i})
-    are column reads (``TwoForm._pair_beta``).  ``flat_action`` of
-    ``residual_operator`` is its operator-level oracle.  A connection outside
+    X_A once, and for each i, with g = {A, beta_i}, L_i in one pass
+    (``prequant._quantised``): the multiplier g - Theta(X_g) -
+    Omega(X_A, X_{beta_i}) and the derivative coefficients -i*hbar*X_g, of
+    which the beta_j ones are kept, in flat multi-index order; g and
+    Omega(X_A, X_{beta_i}) are column reads (``TwoForm._pair_beta``).
+    ``flat_action`` of ``residual_operator`` is its operator-level oracle.  A connection outside
     the adapted gauge is a ChartError.
     """
     chart, n = c.chart, c.chart.n
@@ -187,12 +186,9 @@ def preserves(A: Poly, c: ConnectionData) -> PreservationReport:
     XA, omega = _hamiltonian_raw(A), standard_symplectic(chart)
     residuals: list[tuple[int, tuple[int, ...], Poly]] = []
     for i in range(n):
-        rhs = c.omega_curv._pair_beta(XA, i)
         g = omega._pair_beta(XA, i)
-        vec, th = _quantised_field(g, c.theta, 1)
-        mult = _sum(chart, [(1, g.nums, g.den), (-1, th.nums, th.den), (-1, rhs.nums, rhs.den)])
-        flat = dict(zip(_first_order_slots(n), [*vec[n:], mult]))
-        residuals += [(i, k, p) for k, p in sorted(flat.items()) if p.nums]
+        L = _quantised(g, c.theta, 1, [(1, g), (-1, c.omega_curv._pair_beta(XA, i))])
+        residuals += [(i, k[n:], p) for k, p in sorted(L.terms.items()) if not any(k[:n])]
     return PreservationReport(A, not residuals, tuple(residuals))
 
 

@@ -15,6 +15,15 @@ and, independently, from the closed-form right-hand side
     -i*hbar * [ -i*hbar*X_{A,B} - Theta(X_{A,B}) - Omega(X_A, X_B) + 2{A,B} ]
 
 which serves as an exact oracle for the structural route.
+
+Every first-order operator on this path is built in one pass by one kernel,
+``_quantised``, from the raw Hamiltonian field of one Poly P: ``quantise`` is
+op(A) with P = A, and both closed forms (``commutator_rhs`` and
+``theorem_commutator``) are -i*hbar * (-i*hbar*X_P + sum k_r*R_r - Theta(X_P))
+with P the bracket.  A slot whose component is zero gets no Poly.
+``commutator`` and ``phase_conjugate`` read each operand as its nonzero
+components (``_components``), and ``commutator`` computes only the output
+slots where either operand has one.
 """
 
 from __future__ import annotations
@@ -33,10 +42,10 @@ from .symcore import (
     _Record,
     _hamiltonian_raw,
     _join_terms,
-    _quantised_field,
-    _sum,
+    _normal,
     _sum_derivations,
     _sum_products,
+    _sum_raw_products,
     exterior_d,
     poisson,
     pullback_form,
@@ -186,28 +195,20 @@ def _op(chart: ChartSpec, terms: Iterable[tuple[tuple[int, ...], Poly]]) -> Form
     return op
 
 
-def _first_order(chart: ChartSpec, vec: list[Poly], mult: Poly) -> FormalOperator:
-    """The operator sum_i vec[i] * d/dx_i + mult, with ``vec`` in coordinate order."""
-    return _op(chart, zip(_first_order_slots(2 * chart.n), [*vec, mult]))
-
-
 @cache
-def _first_order_slots(m: int) -> dict[tuple[int, ...], int]:
-    """Each first-order multi-index's slot: the m unit indices in coordinate order, then zero."""
-    units = [tuple(int(i == j) for i in range(m)) for j in range(m)]
-    return {idx: slot for slot, idx in enumerate([*units, (0,) * m])}
+def _first_order_slots(m: int) -> tuple[tuple, dict[tuple[int, ...], int]]:
+    """The first-order multi-indices by variable index (0: the multiplier, i: d/dx_i), and back."""
+    indices = ((0,) * m, *[tuple(int(i == j) for i in range(m)) for j in range(m)])
+    return indices, {idx: i for i, idx in enumerate(indices)}
 
 
-def _first_order_parts(op: FormalOperator, what: str) -> list[Poly]:
-    """``vec + [mult]`` with ``op == _first_order(op.chart, vec, mult)``; ValueError above order 1."""
-    slots = _first_order_slots(2 * op.chart.n)
-    parts = [Poly.zero(op.chart)] * len(slots)
-    for idx, c in op.terms.items():
-        slot = slots.get(idx)
-        if slot is None:
-            raise ValueError(f"{what} implemented for order <= 1 operators")
-        parts[slot] = c
-    return parts
+def _components(op: FormalOperator, what: str) -> dict[int, Poly]:
+    """``op``'s nonzero components by variable index; ValueError for an order above 1."""
+    _, slots = _first_order_slots(2 * op.chart.n)
+    try:
+        return {slots[idx]: c for idx, c in op.terms.items()}
+    except KeyError:
+        raise ValueError(f"{what} implemented for order <= 1 operators") from None
 
 
 def _add_leibniz(left: FormalOperator, right: FormalOperator) -> dict:
@@ -235,12 +236,40 @@ def _add_leibniz(left: FormalOperator, right: FormalOperator) -> dict:
 # -- quantisation ------------------------------------------------------------
 
 
+_ONE = {0: (1, 0)}  # the numerator map of the constant 1
+
+
+def _quantised(P: Poly, theta: OneForm, k: int, pieces: list[tuple[int, Poly]]) -> FormalOperator:
+    """(-i*hbar)**(k - 1) * (-i*hbar*X_P + sum k_r*R_r - theta(X_P)), k = 1 or 2, in one pass.
+
+    Over X_P's raw maps (``_hamiltonian_raw``), slot d/dx_j is (-i*hbar)**k * X_P[j],
+    rotated and normalised only where X_P[j] is nonzero.  The multiplier over
+    ``pieces`` ``(k_r, R_r)`` is one ``_sum_raw_products``, each R_r entering as
+    its product with the constant 1.
+    """
+    chart = P.chart
+    zero, *units = _first_order_slots(2 * chart.n)[0]
+    h, terms, products = k << chart.shifts[0], {}, []  # h: k more hbar
+    for idx, (m, d), t in zip(units, _hamiltonian_raw(P), theta.comps):
+        if m:
+            if k == 1:  # (a + i*b) * -i = b - i*a
+                terms[idx] = _normal(chart, {e + h: (b, -a) for e, (a, b) in m.items()}, d)
+            else:  # (a + i*b) * (-i)**2 = -a - i*b
+                terms[idx] = _normal(chart, {e + h: (-a, -b) for e, (a, b) in m.items()}, d)
+            if t.nums:
+                products.append((-1, t.nums, m, t.den * d))
+    products += [(k_r, R.nums, _ONE, R.den) for k_r, R in pieces if R.nums]
+    mult = _sum_raw_products(chart, products)
+    if mult.nums:
+        terms[zero] = mult if k == 1 else mult.times_minus_i_hbar()
+    return _op(chart, terms.items())
+
+
 def quantise(A: Poly, c: ConnectionData) -> FormalOperator:
     """Pseudo-prequantum operator of an observable A for connection data c."""
     if A.chart is not c.chart:
         raise ChartError("observable and connection live on different charts")
-    vec, theta_x = _quantised_field(A, c.theta, 1)
-    return _first_order(A.chart, vec, A - theta_x)
+    return _quantised(A, c.theta, 1, [(1, A)])
 
 
 def commutator(op_a: FormalOperator, op_b: FormalOperator) -> FormalOperator:
@@ -251,24 +280,26 @@ def commutator(op_a: FormalOperator, op_b: FormalOperator) -> FormalOperator:
         [P, Q] = (v.dw - w.dv).d + (v.dg - w.df),
 
     the Lie bracket of the vector parts plus the two derivatives of the
-    multipliers, each coefficient one ``_sum_derivations`` (``compose`` and
-    ``apply`` stay on ``Poly._partial`` as independent oracles).  An operand of
-    order above 1 raises ValueError.
+    multipliers.  Each operand is read as its nonzero components, and only an
+    output slot where either operand has a component is computed, as one
+    ``_sum_derivations`` (``compose`` and ``apply`` stay on ``Poly._partial`` as
+    independent oracles).  An operand of order above 1 raises ValueError.
     """
     chart = op_a.chart
     if op_b.chart is not chart:
         raise ChartError("chart mismatch")
-    v, w = _first_order_parts(op_a, "commutator"), _first_order_parts(op_b, "commutator")
-    vi = [(i, c) for i, c in enumerate(v[:-1], 1) if c.nums]  # variable index i = coordinate + 1
-    wi = [(i, c) for i, c in enumerate(w[:-1], 1) if c.nums]
-    *vec, mult = (  # a quad only where the component it differentiates is nonzero too
-        _sum_derivations(
-            chart,
-            [(1, c, i, q) for i, c in vi if q.nums] + [(-1, c, i, p) for i, c in wi if p.nums],
-        )
-        for p, q in zip(v, w)
-    )
-    return _first_order(chart, vec, mult)
+    v, w = _components(op_a, "commutator"), _components(op_b, "commutator")
+    vi = [(i, c) for i, c in v.items() if i]  # the d/dx_i components, by variable index i
+    wi = [(i, c) for i, c in w.items() if i]
+    (indices, _), terms = _first_order_slots(2 * chart.n), {}
+    for j in v.keys() | w.keys():  # a quad only where the component it derives is nonzero
+        p, q = v.get(j), w.get(j)
+        quads = [(1, c, i, q) for i, c in vi] if q is not None else []
+        if p is not None:
+            quads += [(-1, c, i, p) for i, c in wi]
+        if quads and (r := _sum_derivations(chart, quads)).nums:
+            terms[indices[j]] = r
+    return _op(chart, terms.items())
 
 
 def commutator_rhs(A: Poly, B: Poly, c: ConnectionData) -> FormalOperator:
@@ -282,14 +313,7 @@ def commutator_rhs(A: Poly, B: Poly, c: ConnectionData) -> FormalOperator:
         raise ChartError("chart mismatch")
     XA, XB = _hamiltonian_raw(A), _hamiltonian_raw(B)
     P = standard_symplectic(chart)._pair_raw(XA, XB)
-    return _closed_form(P, c.theta, [(2, P), (-1, c.omega_curv._pair_raw(XA, XB))])
-
-
-def _closed_form(P: Poly, theta: OneForm, rest: list[tuple[int, Poly]]) -> FormalOperator:
-    """-i*hbar * (-i*hbar*X_P - theta(X_P) + sum k*R over rest's (k, R)): both closed forms."""
-    vec, theta_x = _quantised_field(P, theta, 2)
-    mult = _sum(P.chart, [(k, R.nums, R.den) for k, R in [*rest, (-1, theta_x)]])
-    return _first_order(P.chart, vec, mult.times_minus_i_hbar())
+    return _quantised(P, c.theta, 2, [(2, P), (-1, c.omega_curv._pair_raw(XA, XB))])
 
 
 def phase_conjugate(op: FormalOperator, g: Poly) -> FormalOperator:
@@ -300,12 +324,12 @@ def phase_conjugate(op: FormalOperator, g: Poly) -> FormalOperator:
     """
     if g.chart is not op.chart:
         raise ChartError("chart mismatch")
-    *vec, mult = _first_order_parts(op, "phase conjugation")
+    parts = _components(op, "phase conjugation")
     # (c * d_i) picks up c * (i/hbar) * dg/dx_i on conjugation.
     shift = _sum_derivations(
-        op.chart, [(1, c.div_minus_i_hbar(), i, g) for i, c in enumerate(vec, 1) if c.nums]
+        op.chart, [(1, c.div_minus_i_hbar(), i, g) for i, c in parts.items() if i]
     )
-    return _first_order(op.chart, vec, mult + shift)
+    return op + FormalOperator.from_poly(shift)
 
 
 # -- pullback quantisation ----------------------------------------------------
@@ -357,7 +381,7 @@ def theorem_commutator(A: Poly, B: Poly, s: PullbackSetup) -> FormalOperator:
     c_sum = Poly.zero(src)
     for alpha, beta in tgt.pairs:
         c_sum = c_sum + poisson(mapping[alpha], mapping[beta])
-    return _closed_form(p, s.induced.theta, [(1, p * (Poly.const(src, 2) - c_sum))])
+    return _quantised(p, s.induced.theta, 2, [(1, p * (Poly.const(src, 2) - c_sum))])
 
 
 __all__ = [

@@ -24,9 +24,12 @@ fields stay raw numerator maps: ``_hamiltonian_raw`` gives X_A's 2n maps over
 target, sign)`` row per coordinate, from ``_field_table(chart)``, built once
 per chart; that table is where the sign convention of X_A is written.  No
 kernel works on a zero component: ``_sum_derivations`` skips a zero ``k`` or
-``p`` before it derives ``q``, ``commutator`` passes it no quad whose ``q``
-is zero, and ``_sum_raw_products`` with no terms and ``_normal`` of an empty
-map return the zero Poly at once.
+``p`` before it derives ``q``, and ``prequant``'s first-order builders pass it
+no quad whose ``q`` is zero.  Each chart has one zero Poly (``chart._zero``):
+``Poly.zero``, a zero ``Poly.const``, ``_normal`` of an empty map and
+``_sum_raw_products`` with no terms return it at once.  Sharing it is safe
+because a Poly is immutable and no code writes into a ``nums`` map it did not
+create.
 omega is ``standard_symplectic(chart)``, built once per chart, and every
 two-form, omega and Omega alike, is paired by ``TwoForm._pair_raw`` on raw
 maps (``TwoForm.pair`` wraps it for vector fields); it folds a real constant
@@ -35,8 +38,8 @@ bracket is one sum of products.  Against a flat direction X_{beta_i}, a
 constant unit field, ``TwoForm._pair_beta`` reads one column of the form
 instead, with X_{beta_i}'s slot and sign from ``_field_table``.  The factor
 ``-i*hbar`` of every quantised first-order term and commutator is an exponent
-shift and a rotation: ``_quantised_field`` applies it to raw maps, and
-``Poly.times_minus_i_hbar`` to a Poly (``div_minus_i_hbar`` undoes that).
+shift and a rotation: ``prequant._quantised`` applies it to X_P's raw maps,
+and ``Poly.times_minus_i_hbar`` to a Poly (``div_minus_i_hbar`` undoes that).
 ``Scalar`` is a read-only ``(re, im)`` record of two ``Fraction``s with no
 arithmetic: it is accepted by the ``Poly`` constructor and ``scale`` and
 returned by ``constant_value`` and the ``Poly.terms`` view.
@@ -210,6 +213,11 @@ class ChartSpec(_Record):
         """The top bit of every coordinate field: a key with one set has an exponent too large."""
         return sum(1 << (s + FIELD_BITS - 1) for s in self.shifts[1:])
 
+    @cached_property
+    def _zero(self) -> "Poly":
+        """The chart's one zero Poly: Polys are immutable, so every empty result shares it."""
+        return _make(self, {}, 1)
+
     def coord_index(self, name: str) -> int:
         try:
             return self.coords.index(name)
@@ -269,13 +277,13 @@ class Poly(_Record):
 
     @staticmethod
     def zero(chart: ChartSpec) -> "Poly":
-        return _make(chart, {}, 1)
+        return chart._zero
 
     @staticmethod
     def const(chart: ChartSpec, c: Scalar | RationalLike) -> "Poly":
         re, im, d = _gaussian(c)
         if not (re or im):
-            return _make(chart, {}, 1)
+            return chart._zero
         return _make(chart, {0: (re, im)}, d)
 
     @staticmethod
@@ -529,7 +537,7 @@ def _make(chart: ChartSpec, nums: dict, den: int) -> Poly:
 def _normal(chart: ChartSpec, nums: dict, den: int) -> Poly:
     """A Poly from nonzero numerators over a positive ``den``, their common gcd divided out."""
     if not nums:
-        return _make(chart, nums, 1)
+        return chart._zero
     if den != 1:
         g = den
         for re, im in nums.values():
@@ -613,7 +621,7 @@ def _sum_derivations(chart: ChartSpec, quads: Iterable[tuple[int, Poly, int, Pol
 def _sum_raw_products(chart: ChartSpec, terms: list[tuple[int, dict, dict, int]]) -> Poly:
     """The sum of ``k * n1 * n2 / d`` over ``(k, n1, n2, d)``, ``k``, ``n1`` and ``n2`` nonzero."""
     if not terms:
-        return _make(chart, {}, 1)
+        return chart._zero
     den = lcm(*[t[3] for t in terms])
     acc: dict[int, tuple[int, int]] = {}
     for k, n1, n2, d in terms:
@@ -865,18 +873,6 @@ def _hamiltonian_raw(A: Poly) -> list[tuple[dict, int]]:
 def hamiltonian_vf(A: Poly) -> VectorField:
     """Hamiltonian vector field of A: the normalised components of ``_hamiltonian_raw``."""
     return VectorField(A.chart, [_normal(A.chart, c, d) for c, d in _hamiltonian_raw(A)])
-
-
-def _quantised_field(A: Poly, theta: OneForm, k: int) -> tuple[list[Poly], Poly]:
-    """(-i*hbar)**k * X_A (k = 1, 2) as normalised Polys, and theta(X_A), from X_A's raw maps."""
-    chart, raw = A.chart, _hamiltonian_raw(A)
-    h = k << chart.shifts[0]  # k more hbar
-    if k == 1:  # (a + i*b) * -i = b - i*a
-        rot = [{e + h: (b, -a) for e, (a, b) in m.items()} for m, _ in raw]
-    else:  # (a + i*b) * (-i)**2 = -a - i*b
-        rot = [{e + h: (-a, -b) for e, (a, b) in m.items()} for m, _ in raw]
-    pieces = [(1, t.nums, m, t.den * d) for t, (m, d) in zip(theta.comps, raw) if t.nums and m]
-    return [_normal(chart, m, A.den) for m in rot], _sum_raw_products(chart, pieces)
 
 
 def poisson(A: Poly, B: Poly) -> Poly:

@@ -115,6 +115,29 @@ class TestErrors:
         assert captured.err == f"error: column {column}: {bound}; use a smaller exponent\n"
         assert all(k <= 30 for k in exponents)  # the refused power was never evaluated
 
+    @pytest.mark.parametrize("a, message", [
+        # each power passes on its own; their product would take about a second
+        ("(p1+q1+1)^60*(p1+q1+2)^60",
+         "column 13: product gives more than 100000 terms; use smaller operands"),
+        ("(p1+q1+1)^100*(p1+q1+2)^100",
+         "column 14: product gives more than 100000 terms; use smaller operands"),
+        ("(3*p1+5*q1+7)^180*(11*p1+13*q1+17)^180",  # the first power alone
+         "column 14: expression needs more than 2000000 term products; use a smaller exponent"),
+        ("*".join(["(9^600*p1+7^700*q1)"] * 400),  # 7,999 characters
+         "column 20: product gives coefficients of more than 2048 bits; use smaller operands"),
+    ], ids=["x60", "x100", "x180", "400-factors"])
+    def test_expression_size_is_a_one_line_error(self, capsys, monkeypatch, a, message):
+        # the whole expression is estimated before anything is evaluated
+        evaluated = []
+        for name in ("__mul__", "__pow__"):
+            op = getattr(Poly, name)
+            monkeypatch.setattr(Poly, name, lambda p, q, op=op: evaluated.append(q) or op(p, q))
+        assert run(["commutator", "--a", a, "--b", "q1"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert evaluated == []
+
     @pytest.mark.parametrize("a, column, char", [
         ("\u00b2", 1, "\u00b2"),  # superscript two: a Unicode digit, not an ASCII one
         ("p1^\u00b2", 4, "\u00b2"),

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from pseudoquant.exprparse import (
-    POWER_BITS_MAX,
-    POWER_TERMS_MAX,
+    BITS_MAX,
+    TERMS_MAX,
     ExprSyntaxError,
     ProblemFile,
     load_problem,
@@ -108,10 +108,10 @@ class TestParsePoly:
             parse_poly("a1^-1", chart)
 
     @pytest.mark.parametrize("text, column, bound", [
-        ("2^2049", 2, f"more than {POWER_BITS_MAX} bits"),
-        ("(1+i)^2049", 6, f"more than {POWER_BITS_MAX} bits"),  # |1+i| grows like 2^(k/2)
-        ("(1/3*p1)^2049", 9, f"more than {POWER_BITS_MAX} bits"),  # the denominator grows too
-        ("(p1+q1+p2+q2+p3+q3)^24", 20, f"more than {POWER_TERMS_MAX} terms"),  # C(29, 5) terms
+        ("2^2049", 2, f"more than {BITS_MAX} bits"),
+        ("(1+i)^2049", 6, f"more than {BITS_MAX} bits"),  # |1+i| grows like 2^(k/2)
+        ("(1/3*p1)^2049", 9, f"more than {BITS_MAX} bits"),  # the denominator grows too
+        ("(p1+q1+p2+q2+p3+q3)^24", 20, f"more than {TERMS_MAX} terms"),  # C(29, 5) terms
     ])
     def test_power_size_is_bounded_before_evaluating(self, monkeypatch, text, column, bound):
         exponents = []
@@ -123,7 +123,7 @@ class TestParsePoly:
         assert exponents == []
 
     def test_power_at_the_bounds_is_evaluated(self, chart):
-        assert parse_poly(f"2^{POWER_BITS_MAX}", chart) == Poly.const(chart, 2**POWER_BITS_MAX)
+        assert parse_poly(f"2^{BITS_MAX}", chart) == Poly.const(chart, 2**BITS_MAX)
         assert parse_poly("a1^32767*hbar^140000", chart).terms  # unit monomials have 0-bit height
 
 

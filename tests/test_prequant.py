@@ -294,8 +294,11 @@ class TestGaugeShift:
         op = quantise(Poly.var(pq1, "p1"), ConnectionData.standard(pq1))
         with pytest.raises(ChartError, match="chart mismatch"):
             phase_conjugate(op, Poly.var(pq2, "q1"))
-        with pytest.raises(ValueError, match="phase conjugation implemented for order <= 1"):
-            phase_conjugate(op.compose(op), Poly.var(pq1, "q1"))
+        for g in (Poly.var(pq1, "q1"), Poly.zero(pq1)):  # also with nothing to conjugate by
+            with pytest.raises(
+                ValueError, match=r"^phase conjugation implemented for order <= 1 operators$"
+            ):
+                phase_conjugate(op.compose(op), g)
         with pytest.raises(ValueError, match="not divisible by hbar"):
             phase_conjugate(FormalOperator(pq1, {(1, 0): Poly.var(pq1, "q1")}), Poly.var(pq1, "p1"))
 

@@ -14,12 +14,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pseudoquant.exprparse import ExprSyntaxError, parse_poly
+from pseudoquant.exprparse import ExprSyntaxError, _Parser, parse_poly
+from pseudoquant.polarisation import preserves
 from pseudoquant.prequant import (
     FormalOperator,
-    _first_order,
+    _quantised,
     commutator,
     commutator_rhs,
+    phase_conjugate,
     quantise,
 )
 from pseudoquant.symcore import (
@@ -30,7 +32,6 @@ from pseudoquant.symcore import (
     TwoForm,
     VectorField,
     _hamiltonian_raw,
-    _quantised_field,
     _sum_derivations,
     _sum_products,
     contract,
@@ -76,11 +77,37 @@ operators = st.dictionaries(multi_indices, polys(2), max_size=3).map(
 )
 
 
+def first_order(chart, vec, mult):
+    """The operator sum_j vec[j] * d/dx_j + mult, through the public constructor."""
+    m = 2 * chart.n
+    units = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+    return FormalOperator(chart, dict(zip([*units, (0,) * m], [*vec, mult])))
+
+
+def sparse_polys(chart, max_terms: int = 3):
+    """Polys with many zero partial derivatives: constants, pure-beta Polys, one pair's Polys."""
+    n, nv = chart.n, len(chart.variables)
+
+    def on(support):  # exponents vanish off ``support``; hbar's may be 0 or 1
+        exps = st.tuples(st.integers(0, 1), *[
+            st.integers(0, 2) if v in support else st.just(0) for v in range(1, nv)
+        ])
+        return st.dictionaries(exps, nonzero_scalars, max_size=max_terms)
+
+    supports = [range(1 + n, nv)] + [(1 + j, 1 + n + j) for j in range(n)]
+    return st.one_of(
+        scalars.map(lambda c: Poly.const(chart, c)),
+        *[on(support).map(lambda terms: Poly(chart, terms)) for support in supports],
+    )
+
+
 def first_order_operators_on(chart):
+    """First-order operators with up to three nonzero slots; sparse or dense coefficients."""
     indices = st.sampled_from(  # j = -1 is the multiplication index (0, ..., 0)
         [tuple(int(i == j) for i in range(2 * chart.n)) for j in range(-1, 2 * chart.n)]
     )
-    terms = st.dictionaries(indices, polys(2, chart=chart), max_size=3)
+    coefficients = st.one_of(polys(2, chart=chart), sparse_polys(chart, 2))
+    terms = st.dictionaries(indices, coefficients, max_size=3)
     return terms.map(lambda terms: FormalOperator(chart, terms))
 
 
@@ -275,10 +302,14 @@ def test_commutator_is_difference_of_compositions(ops):
 
 def test_commutator_rejects_an_order_two_operand():
     first = FormalOperator(CHART, {(1, 0, 0, 0): Poly.var(CHART, "q1")})
+    zero = FormalOperator(CHART)  # the other operand has no component to read
     for index in ((0, 1, 1, 0), (2, 0, 0, 0)):  # a mixed and a pure second derivative
         second = FormalOperator(CHART, {index: Poly.const(CHART, 1)})
-        for args in ((first, second), (second, first), (second, second)):
-            with pytest.raises(ValueError, match="order <= 1"):
+        for args in ((first, second), (second, first), (second, second), (zero, second),
+                     (second, zero)):
+            with pytest.raises(
+                ValueError, match=r"^commutator implemented for order <= 1 operators$"
+            ):
                 commutator(*args)
 
 
@@ -291,9 +322,11 @@ def test_times_minus_i_hbar_is_the_product(p):
     assert_same_representation(got, p * minus_i_hbar)
     assert_same_representation(got, fraction_sum_products([(1, p, minus_i_hbar)]))
     assert_same_representation(got.div_minus_i_hbar(), p)
-    # (-i*hbar)**2 = -hbar**2, as the raw field kernel applies it to each component of X_p
-    squared, _ = _quantised_field(p, standard_potential(CHART), 2)
-    for s, x in zip(squared, hamiltonian_vf(p).comps, strict=True):
+    # (-i*hbar)**2 = -hbar**2, as the first-order kernel applies it to each component of X_p
+    squared = _quantised(p, standard_potential(CHART), 2, []).terms
+    units = [tuple(int(i == j) for i in range(2 * CHART.n)) for j in range(2 * CHART.n)]
+    for idx, x in zip(units, hamiltonian_vf(p).comps, strict=True):
+        s = squared.get(idx, Poly.zero(CHART))
         assert_normal_form(s)
         assert_same_representation(s, x.times_minus_i_hbar().times_minus_i_hbar())
         assert_same_representation(s, fraction_sum_products([(-1, x, Poly.hbar(CHART) ** 2)]))
@@ -304,11 +337,11 @@ CONNECTIONS = example_connections() | {"cylinder-induced": cylinder_setup(Fracti
 
 
 @st.composite
-def oracle_inputs(draw):
-    """A connection of ``example_connections()``, three observables on its chart, a scalar."""
+def oracle_inputs(draw, observables=lambda chart: polys(3, chart=chart)):
+    """A connection of ``CONNECTIONS``, three ``observables`` on its chart, a scalar."""
     conn = CONNECTIONS[draw(st.sampled_from(sorted(CONNECTIONS)))]
     chart = conn.chart
-    a, b, c = (draw(polys(3, chart=chart)) for _ in range(3))
+    a, b, c = (draw(observables(chart)) for _ in range(3))
     k = draw(st.one_of(scalars.map(lambda z: Poly.const(chart, z)), st.just(Poly.hbar(chart))))
     return conn, a, b, c, k
 
@@ -331,23 +364,73 @@ def test_quantise_is_linear(inputs):
     assert quantise(a + k * b, conn) == quantise(a, conn) + quantise(b, conn).scale(k)
 
 
-@PROPS
-@given(oracle_inputs())
-def test_raw_field_route_is_the_vector_field_route(inputs):
-    """quantise and commutator_rhs read Hamiltonian fields as raw maps; here through VectorField.
+def vector_field_route(a, b, conn):
+    """op(A) and the closed form of [op(A), op(B)], through ``VectorField``s.
 
     op(A) = -i*hbar*X_A + A - Theta(X_A), and [op(A), op(B)] =
     -i*hbar * (-i*hbar*X_P - Theta(X_P) - Omega(X_A, X_B) + 2P) with P = {A, B}.
     """
-    conn, a, b, _, _ = inputs
     chart, theta, minus_i_hbar = conn.chart, conn.theta, Poly.minus_i_hbar(conn.chart)
     X = hamiltonian_vf(a)
-    want = _first_order(chart, [x.times_minus_i_hbar() for x in X.comps], a - contract(theta, X))
-    assert quantise(a, conn) == want
+    op_a = first_order(chart, [x.times_minus_i_hbar() for x in X.comps], a - contract(theta, X))
     P, XP = poisson(a, b), hamiltonian_vf(poisson(a, b))
     rest = P.scale(2) - conn.omega_curv.pair(X, hamiltonian_vf(b)) - contract(theta, XP)
     vec = [x * minus_i_hbar * minus_i_hbar for x in XP.comps]
-    assert commutator_rhs(a, b, conn) == _first_order(chart, vec, rest * minus_i_hbar)
+    return op_a, first_order(chart, vec, rest * minus_i_hbar)
+
+
+@PROPS
+@given(oracle_inputs())
+def test_raw_field_route_is_the_vector_field_route(inputs):
+    """quantise and commutator_rhs read Hamiltonian fields as raw maps; here through VectorField."""
+    conn, a, b, _, _ = inputs
+    op_a, rhs = vector_field_route(a, b, conn)
+    assert quantise(a, conn) == op_a
+    assert commutator_rhs(a, b, conn) == rhs
+
+
+@PROPS
+@given(oracle_inputs(sparse_polys))
+def test_sparse_observables_agree_with_both_oracles(inputs):
+    """Constants, pure-beta and one-pair observables leave most operator slots empty.
+
+    quantise, commutator and commutator_rhs build only the nonzero slots; each
+    still equals the ``compose`` difference and the ``hamiltonian_vf`` route.
+    """
+    conn, a, b, _, _ = inputs
+    op_a, rhs = vector_field_route(a, b, conn)
+    qa, qb = quantise(a, conn), quantise(b, conn)
+    assert qa == op_a
+    assert commutator(qa, qb) == qa.compose(qb) - qb.compose(qa) == rhs
+    assert commutator_rhs(a, b, conn) == rhs
+
+
+@PROPS
+@given(oracle_inputs())
+def test_no_kernel_writes_into_an_input(inputs):
+    """Every exact kernel leaves its inputs' ``nums`` maps as it found them.
+
+    Each chart's zero Poly is shared, and operators share their coefficient
+    Polys, so a kernel that wrote into a map it did not create would change
+    other values.
+    """
+    conn, a, b, c, k = inputs
+    chart = conn.chart
+    qa, qb = quantise(a, conn), quantise(b, conn)
+    shared = [a, b, c, k, Poly.zero(chart), *conn.theta.comps, *conn.omega_curv.comps.values()]
+    shared += [*qa.terms.values(), *qb.terms.values()]
+    before = [(dict(p.nums), p.den) for p in shared]
+    identity = {name: Poly.var(chart, name) for name in chart.coords}
+    for result in (
+        a + b, a - b, b - a, a * b, a * k, -a, a.substitute(chart, identity),
+        _sum_products(chart, [(1, a, b), (-2, c, a)]), _sum_derivations(chart, [(1, a, 1, b)]),
+        poisson(a, b), hamiltonian_vf(a), quantise(a, conn), commutator(qa, qb),
+        commutator(qa, FormalOperator(chart)), commutator_rhs(a, b, conn), phase_conjugate(qa, b),
+        preserves(a, conn),
+    ):
+        assert result is not None
+    assert [(p.nums, p.den) for p in shared] == before
+    assert not Poly.zero(chart).nums
 
 
 vector_fields = st.lists(polys(2), min_size=2 * CHART.n, max_size=2 * CHART.n).map(
@@ -472,6 +555,39 @@ def test_any_token_string_parses_or_is_refused(text):
     except (ExprSyntaxError, ChartError):
         return
     assert parse_poly(str(p), CHART) == p
+
+
+small_expressions = st.recursive(  # nested sums, products, quotients and small powers
+    st.sampled_from(["p1", "q2", "hbar", "i", "0", "2", "19", "3000", "0.5", "7/3"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*"), inner).map(lambda t: f"({t[0]}{t[1]}{t[2]})"),
+        st.tuples(inner, st.sampled_from("0123")).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(inner, st.sampled_from(["3", "(1+i)", "0.25", "(2-3*i)/5"])).map("/".join),
+        inner.map(lambda e: f"-{e}"),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(PROPS, max_examples=200)
+@given(small_expressions)
+@example("(p1-q2/3)^4")  # the norm, not terms times the largest part, bounds the power
+@example("(2-3*i)^7/(1+i)")
+@example("(p1+q2+hbar)*(2-p1)")  # six terms from three and two
+def test_size_estimate_bounds_the_parsed_poly(text):
+    # the parser's estimate is an upper bound: at least as many terms, and a norm and
+    # denominator that bound the normalised Poly's, so that its bit height bounds the Poly's
+    node = _Parser(text, CHART).parse()
+    if node.work > 50_000:  # sound at any size; evaluated only where that is cheap
+        return
+    p = node.build()
+    assert p == parse_poly(text, CHART)
+    assert len(p.nums) <= node.terms
+    assert node.den % p.den == 0
+    norm = sum(abs(re) + abs(im) for re, im in p.nums.values())
+    assert norm * (node.den // p.den) <= node.norm
+    height = max([abs(re) + abs(im) for re, im in p.nums.values()] + [p.den])
+    assert height.bit_length() - 1 <= node.bits
 
 
 @PROPS
