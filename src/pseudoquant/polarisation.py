@@ -178,8 +178,8 @@ def preserves(A: Poly, c: ConnectionData) -> PreservationReport:
     Omega(X_A, X_{beta_i}) and the derivative coefficients -i*hbar*X_g, of
     which the beta_j ones are kept, in flat multi-index order; g and
     Omega(X_A, X_{beta_i}) are column reads (``TwoForm._pair_beta``).
-    ``flat_action`` of ``residual_operator`` is its operator-level oracle.  A connection outside
-    the adapted gauge is a ChartError.
+    ``flat_action`` of ``residual_operator`` is its operator-level oracle.  A
+    connection outside the adapted gauge is a ChartError.
     """
     chart, n = c.chart, c.chart.n
     Polarisation(A.chart, c)  # the adapted-gauge check, and A on the connection's chart
