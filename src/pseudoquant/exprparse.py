@@ -100,27 +100,31 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 class _Node:
     """A parsed subexpression, not yet evaluated: an upper estimate of its size, and its builder.
 
-    Its value has at most ``terms`` terms and is ``M / den``, where the sum of
-    ``|re| + |im|`` over M's terms is at most ``norm``, so that every
-    coefficient part of the normalised Poly has at most ``bits`` bits.
-    Evaluating it costs at most ``work`` small term products (``_cost``), its
-    operands' included.  ``build()`` evaluates it.
+    Its value has at most ``terms`` terms, of total degree at most ``degree``
+    in the variables whose indices are the bits set in ``names``, and is
+    ``M / den``, where the sum of ``|re| + |im|`` over M's terms is at most
+    ``norm``, so that every coefficient part of the normalised Poly has at
+    most ``bits`` bits.  Evaluating it costs at most ``work`` small term
+    products (``_cost``), its operands' included.  ``build()`` evaluates it.
     """
 
-    __slots__ = ("terms", "norm", "den", "work", "build")
+    __slots__ = ("terms", "degree", "names", "norm", "den", "work", "build")
 
-    def __init__(self, terms: int, norm: int, den: int, work: int, build=None):
-        self.terms, self.norm, self.den, self.work, self.build = terms, norm, den, work, build
+    def __init__(self, terms, degree, names, norm, den, work, build=None):
+        # no more terms than the monomials of degree <= degree in those variables
+        self.terms = min(terms, comb(degree + names.bit_count(), degree))
+        self.degree, self.names, self.norm, self.den = degree, names, norm, den
+        self.work, self.build = work, build
 
     @property
     def bits(self) -> int:
         return max(self.norm, self.den).bit_length() - 1
 
 
-def _known(p: Poly, work: int = 0) -> _Node:
-    """A Poly already built (a literal, a name, a divisor's reciprocal): its size is exact."""
+def _known(p: Poly, names: int = 0, work: int = 0) -> _Node:
+    """A constant, or a variable whose index is the bit set in ``names``: its size is exact."""
     norm = sum([abs(re) + abs(im) for re, im in p.nums.values()])
-    return _Node(len(p.nums), norm, p.den, work, lambda: p)
+    return _Node(len(p.nums), int(names > 0), names, norm, p.den, work, lambda: p)
 
 
 def _cost(t1: int, b1: int, t2: int, b2: int) -> int:
@@ -137,13 +141,15 @@ def _sum(a: _Node, b: _Node) -> _Node:
     """a + b or a - b: M_a * (den / den_a) + M_b * (den / den_b) over den = lcm(den_a, den_b)."""
     den = lcm(a.den, b.den)
     norm = a.norm * (den // a.den) + b.norm * (den // b.den)
-    return _Node(a.terms + b.terms, norm, den, a.work + b.work)
+    degree, names = max(a.degree, b.degree), a.names | b.names
+    return _Node(a.terms + b.terms, degree, names, norm, den, a.work + b.work)
 
 
 def _product(a: _Node, b: _Node) -> _Node:
     """a * b: M_a * M_b over den_a * den_b, whose norm is at most the product of theirs."""
     work = a.work + b.work + _cost(a.terms, a.bits, b.terms, b.bits)
-    return _Node(a.terms * b.terms, a.norm * b.norm, a.den * b.den, work)
+    degree, names = a.degree + b.degree, a.names | b.names
+    return _Node(a.terms * b.terms, degree, names, a.norm * b.norm, a.den * b.den, work)
 
 
 def _power(base: _Node, k: int) -> _Node:
@@ -152,20 +158,21 @@ def _power(base: _Node, k: int) -> _Node:
     A norm or denominator whose bits already pass ``BITS_MAX`` is not
     computed; one just past the bound stands in for it.
     """
-    t = base.terms
+    t, d, names = base.terms, base.degree, base.names
     terms = comb(k + t - 1, t - 1) if t else int(k == 0)
     top = max(base.norm, base.den)
     if k * (top.bit_length() - 1) > BITS_MAX:
-        return _Node(terms, 2 << BITS_MAX, 1, base.work)
+        return _Node(terms, d * k, names, 2 << BITS_MAX, 1, base.work)
     work, j = base.work, 1  # as Poly.__pow__: square, then multiply by the base on a 1 bit
     for bit in bin(k)[3:] if t else "":
-        tj, bj = comb(j + t - 1, t - 1), (top**j).bit_length() - 1
-        work += _cost(tj, bj, tj, bj)
+        power = _Node(comb(j + t - 1, t - 1), d * j, names, top**j, 1, 0)
+        work += _cost(power.terms, power.bits, power.terms, power.bits)
         j *= 2
         if bit == "1":
-            work += _cost(comb(j + t - 1, t - 1), (top**j).bit_length() - 1, t, base.bits)
+            power = _Node(comb(j + t - 1, t - 1), d * j, names, top**j, 1, 0)
+            work += _cost(power.terms, power.bits, t, base.bits)
             j += 1
-    return _Node(terms, base.norm**k, base.den**k, work)
+    return _Node(terms, d * k, names, base.norm**k, base.den**k, work)
 
 
 def _checked(node: _Node, what: str, col: int) -> _Node:
@@ -257,7 +264,7 @@ class _Parser:
                     raise ExprSyntaxError("division is only defined by nonzero constants", col)
                 c = c.constant_value()
                 norm = c.re * c.re + c.im * c.im  # exact reciprocal (re - i*im)/norm
-                rhs = _known(Poly.const(self.chart, Scalar(c.re / norm, -c.im / norm)), rhs.work)
+                rhs = _known(Poly.const(self.chart, Scalar(c.re / norm, -c.im / norm)), 0, rhs.work)
             est = _checked(_product(est, rhs), "product", col)
             rest.append(("*", rhs))
 
@@ -268,7 +275,9 @@ class _Parser:
             node = self.unary()
             if val == "+":
                 return node
-            return _Node(node.terms, node.norm, node.den, node.work, lambda: -node.build())
+            neg = _Node(node.terms, node.degree, node.names, node.norm, node.den, node.work)
+            neg.build = lambda: -node.build()
+            return neg
         return self.power()
 
     def power(self) -> _Node:
@@ -299,10 +308,8 @@ class _Parser:
         if kind == "name":
             if val == "i":
                 return _known(Poly.const(self.chart, Scalar(0, 1)))
-            if val == "hbar":
-                return _known(Poly.hbar(self.chart))
             try:
-                return _known(Poly.var(self.chart, val))
+                return _known(Poly.var(self.chart, val), 1 << self.chart.var_index(val))
             except ChartError:
                 raise ExprSyntaxError(f"unknown symbol {val!r}", col) from None
         if kind == "op" and val == "(":

@@ -116,11 +116,11 @@ class TestErrors:
         assert all(k <= 30 for k in exponents)  # the refused power was never evaluated
 
     @pytest.mark.parametrize("a, message", [
-        # each power passes on its own; their product would take about a second
+        # each power passes on its own; their product would take a second or more
         ("(p1+q1+1)^60*(p1+q1+2)^60",
-         "column 13: product gives more than 100000 terms; use smaller operands"),
+         "column 13: expression needs more than 2000000 term products; use smaller operands"),
         ("(p1+q1+1)^100*(p1+q1+2)^100",
-         "column 14: product gives more than 100000 terms; use smaller operands"),
+         "column 14: expression needs more than 2000000 term products; use smaller operands"),
         ("(3*p1+5*q1+7)^180*(11*p1+13*q1+17)^180",  # the first power alone
          "column 14: expression needs more than 2000000 term products; use a smaller exponent"),
         ("*".join(["(9^600*p1+7^700*q1)"] * 400),  # 7,999 characters

@@ -125,6 +125,11 @@ class TestParsePoly:
     def test_power_at_the_bounds_is_evaluated(self, chart):
         assert parse_poly(f"2^{BITS_MAX}", chart) == Poly.const(chart, 2**BITS_MAX)
         assert parse_poly("a1^32767*hbar^140000", chart).terms  # unit monomials have 0-bit height
+        # a sum of constants is one term, and so is a power of a1's multiples: without the
+        # monomial count the four terms of the base would estimate C(103, 3) > 10^5 terms
+        assert parse_poly("(1+1+1)^1292", chart) == Poly.const(chart, 3**1292)
+        a1 = Poly.var(chart, "a1")
+        assert parse_poly("(a1+2*a1+3*a1+4*a1)^100", chart) == (a1 * 10) ** 100
 
 
 class TestOneForm:
