@@ -152,6 +152,22 @@ def _product(a: _Node, b: _Node) -> _Node:
     return _Node(a.terms * b.terms, degree, names, a.norm * b.norm, a.den * b.den, work)
 
 
+def _power_terms(t: int, k: int) -> int:
+    """C(k + t - 1, t - 1), the terms of a t-term base's k-th power, or past ``TERMS_MAX``.
+
+    C(k + t - 1, r) grows with r up to min(k, t - 1), so the product stops
+    once it passes the bound, however large k is.
+    """
+    if not t:
+        return int(k == 0)
+    c = 1
+    for r in range(1, min(k, t - 1) + 1):
+        c = c * (k + t - r) // r
+        if c > TERMS_MAX:
+            break
+    return c
+
+
 def _power(base: _Node, k: int) -> _Node:
     """base^k: C(k + t - 1, t - 1) terms for a base of t, M^k over den^k, by binary powering.
 
@@ -159,17 +175,17 @@ def _power(base: _Node, k: int) -> _Node:
     computed; one just past the bound stands in for it.
     """
     t, d, names = base.terms, base.degree, base.names
-    terms = comb(k + t - 1, t - 1) if t else int(k == 0)
+    terms = _power_terms(t, k)
     top = max(base.norm, base.den)
     if k * (top.bit_length() - 1) > BITS_MAX:
         return _Node(terms, d * k, names, 2 << BITS_MAX, 1, base.work)
     work, j = base.work, 1  # as Poly.__pow__: square, then multiply by the base on a 1 bit
     for bit in bin(k)[3:] if t else "":
-        power = _Node(comb(j + t - 1, t - 1), d * j, names, top**j, 1, 0)
+        power = _Node(_power_terms(t, j), d * j, names, top**j, 1, 0)
         work += _cost(power.terms, power.bits, power.terms, power.bits)
         j *= 2
         if bit == "1":
-            power = _Node(comb(j + t - 1, t - 1), d * j, names, top**j, 1, 0)
+            power = _Node(_power_terms(t, j), d * j, names, top**j, 1, 0)
             work += _cost(power.terms, power.bits, t, base.bits)
             j += 1
     return _Node(terms, d * k, names, base.norm**k, base.den**k, work)

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,15 @@ class TestParsePoly:
             parse_poly(text, standard_chart(3))
         assert err.value.column == column
         assert exponents == []
+
+    def test_wide_power_is_refused_before_its_binomial(self, chart):
+        # C(k + t - 1, t - 1) for a base of t = 90000 terms and k = 10^40 has millions of
+        # bits; the term count stops multiplying once it passes the bound
+        sums = ["(" + "+".join(f"{x}^{k}" for k in range(1, 301)) + ")" for x in ("a1", "b1")]
+        start = time.perf_counter()
+        with pytest.raises(ExprSyntaxError, match=f"power gives more than {TERMS_MAX} terms"):
+            parse_poly(f"({sums[0]}*{sums[1]})^{10**40}", chart)
+        assert time.perf_counter() - start < 5
 
     def test_power_at_the_bounds_is_evaluated(self, chart):
         assert parse_poly(f"2^{BITS_MAX}", chart) == Poly.const(chart, 2**BITS_MAX)
