@@ -574,6 +574,7 @@ small_expressions = st.recursive(  # nested sums, products, quotients and small 
 @example("(p1-q2/3)^4")  # the norm, not terms times the largest part, bounds the power
 @example("(2-3*i)^7/(1+i)")
 @example("(p1+q2+hbar)*(2-p1)")  # six terms from three and two
+@example("p1/2+q2/3")  # the common denominator is 6
 def test_size_estimate_bounds_the_parsed_poly(text):
     # the parser's estimate is an upper bound: at least as many terms, and a norm and
     # denominator that bound the normalised Poly's, so that its bit height bounds the Poly's
