@@ -98,7 +98,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Node:
-    """A parsed subexpression, not yet evaluated: an upper estimate of its size, and its builder.
+    """A parsed subexpression, not yet evaluated: an upper estimate of its size, and ``build``.
 
     Its value has at most ``terms`` terms, of total degree at most ``degree``
     in the variables whose indices are the bits set in ``names``, and is
@@ -206,7 +206,7 @@ def _checked(node: _Node, what: str, col: int) -> _Node:
 
 
 def _chain(first: _Node, rest: list[tuple[str, _Node]], est: _Node) -> _Node:
-    """``est`` with a builder that folds ``first`` and ``rest``'s ``(op, node)`` left to right."""
+    """``est``, whose ``build`` folds ``first`` and ``rest``'s ``(op, node)`` left to right."""
 
     def build() -> Poly:
         p = first.build()

@@ -24,8 +24,8 @@ fields stay raw numerator maps: ``_hamiltonian_raw`` gives X_A's 2n maps over
 target, sign)`` row per coordinate, from ``_field_table(chart)``, built once
 per chart; that table is where the sign convention of X_A is written.  No
 kernel works on a zero component: ``_sum_derivations`` skips a zero ``k`` or
-``p`` before it derives ``q``, and ``prequant``'s first-order builders pass it
-no quad whose ``q`` is zero.  Each chart has one zero Poly (``chart._zero``):
+``p`` before it derives ``q``, and ``prequant.commutator`` passes it no quad
+whose ``q`` is zero.  Each chart has one zero Poly (``chart._zero``):
 ``Poly.zero``, a zero ``Poly.const``, ``_normal`` of an empty map and
 ``_sum_raw_products`` with no terms return it at once.  Sharing it is safe
 because a Poly is immutable and no code writes into a ``nums`` map it did not
