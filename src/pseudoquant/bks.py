@@ -154,6 +154,19 @@ def classify_term(n: int, m: int, j: int, d: DeformationSpec | None = None) -> B
     return BKSTermReport(n, m, j, e, alt_exponent(n, m, j), critical_j(n, m), cls, mu)
 
 
+def _j_top(n: int, m: int) -> int:
+    """The last j that ``classify_pairing`` lists for m: two past the critical j'."""
+    return max(0, math.ceil(critical_j(n, m))) + 2
+
+
+def classify_rows(n: int, m_max: int) -> int:
+    """The row count of ``classify_pairing`` at order n and m_max >= 0, without building the rows.
+
+    For m >= 1, n - 2mn + 1 <= 1 - n <= 0, so j' <= 0 and each such m lists j = 0, 1, 2.
+    """
+    return _j_top(n, 0) + 1 + 3 * m_max
+
+
 def classify_pairing(d: DeformationSpec, m_max: int) -> tuple[list[BKSTermReport], bool]:
     """Full term table for a momentum deformation, plus the convergence verdict.
 
@@ -166,9 +179,7 @@ def classify_pairing(d: DeformationSpec, m_max: int) -> tuple[list[BKSTermReport
         raise ValueError("m_max must be >= 0")
     reports: list[BKSTermReport] = []
     for m in range(m_max + 1):
-        jc = critical_j(d.n, m)
-        j_hi = max(0, math.ceil(jc)) + 2
-        for j in range(j_hi + 1):
+        for j in range(_j_top(d.n, m) + 1):
             reports.append(classify_term(d.n, m, j, d))
     converges = all(r.classification != DIVERGES for r in reports)
     return reports, converges
@@ -279,14 +290,23 @@ def surviving_position_terms(n: int) -> list[tuple[int, tuple[int, ...], Fractio
     survives the tau -> 0 derivative limit iff its tau power equals 1 and its
     mu-integrand parity is even.  The only survivor is the bare second-order
     term.
+
+    Factor jj adds jj/2 + 1 >= 3/2 to the tau power and order lam adds
+    lam/2 >= 0, so a combination is extended only while its factors' power
+    stays at most 1, in increasing jj: the scan takes time linear in n.
     """
     survivors = []
-    combos: list[tuple[int, ...]] = [()]
+    combos: list[tuple[tuple[int, ...], Fraction]] = [((), Fraction(0))]  # factors, their power
     for _ in range(2):
-        combos += [c + (jj,) for c in combos for jj in range(1, n + 1)]
+        for extra, power in list(combos):
+            for jj in range(1, n + 1):
+                grown = power + Fraction(jj, 2) + 1
+                if grown > 1:
+                    break  # a larger jj adds more
+                combos.append((extra + (jj,), grown))
     for lam in range(7):
-        for extra in combos:
-            power = Fraction(lam, 2) + sum(Fraction(jj, 2) + 1 for jj in extra)
+        for extra, factors_power in combos:
+            power = Fraction(lam, 2) + factors_power
             mu_power = lam + sum(extra)
             if power == 1 and mu_power % 2 == 0:
                 survivors.append((lam, tuple(sorted(extra)), power))
@@ -336,6 +356,7 @@ __all__ = [
     "VANISHES",
     "alt_exponent",
     "classify_pairing",
+    "classify_rows",
     "classify_term",
     "critical_j",
     "exponent",

@@ -33,9 +33,13 @@ EXIT_INPUT = 1
 EXIT_VERIFY = 2
 EXIT_FLAGS = 3
 BETA_SAMPLES_MAX = 10**6  # bks pair --beta: samples in [start, stop + step * 1e-9] at most
+CLASSIFY_ROWS_MAX = 10**5  # bks classify --m-max: rows of the term table at most
 GRID_CELLS_MAX = 10**6  # preserve --grid m,n: (m + 1) * (n + 1) monomials at most
 LEVELS_MAX = 10**6  # bs-count --E lo..hi: hi - lo + 1 rows at most
 POINTS_MAX = 10**7  # bs-count --points: sum of E^2 - 1 over the levels at most
+NODES_MAX = 10**6  # evolve --grid: nodes at most
+EVOLVE_ROWS_MAX = 10**6  # evolve --steps: steps + 1 CSV rows at most
+SNAPSHOT_BYTES_MAX = 10**8  # evolve --snapshots: 16 * nodes bytes per kept state at most
 
 
 class CliError(Exception):
@@ -215,6 +219,8 @@ def cmd_bks_classify(args) -> int:
     except (ValueError, ZeroDivisionError):
         raise CliError("--lam expects a rational such as 1 or 1/2") from None
     d = bks.DeformationSpec(args.n, lam, args.hbar)
+    if bks.classify_rows(args.n, args.m_max) > CLASSIFY_ROWS_MAX:  # m_max < 0: raised below
+        raise CliError(f"--m-max gives more than {CLASSIFY_ROWS_MAX} rows; use a smaller bound")
     reports, converges = bks.classify_pairing(d, args.m_max)
     lines = [
         f"# kind=momentum n={args.n} lam={lam} hbar={_fmt(args.hbar)} m_max={args.m_max}",
@@ -243,8 +249,12 @@ def cmd_bks_pair(args) -> int:
         "beta,coeff_re,coeff_im,scaled_re,scaled_im",
     ]
     for b in betas:
-        c = result.effective_coefficient(b)
-        s = c * deformation.conserved_weight(b)
+        try:
+            c = result.effective_coefficient(b)
+            s = c * deformation.conserved_weight(b)
+        except OverflowError:
+            raise CliError(f"1 + 2*beta^n or its 3/2 power overflows a float at beta = {b}, "
+                           f"n = {args.n}") from None
         lines.append(f"{_fmt(b)},{_fmt(c.real)},{_fmt(c.imag)},{_fmt(s.real)},{_fmt(s.imag)}")
     _emit(lines, args.csv)
     return EXIT_OK
@@ -273,11 +283,6 @@ def _parse_init(spec: str) -> dict:
 def cmd_evolve(args) -> int:
     if args.snap_every < 1:
         raise CliError("--snap-every expects an integer >= 1")
-
-    import numpy as np
-
-    from . import dynamics
-
     try:
         gmin, gmax, gnodes = args.grid.split(":")
         q_min, q_max, nodes = float(gmin), float(gmax), int(gnodes)
@@ -286,6 +291,19 @@ def cmd_evolve(args) -> int:
     except ValueError:
         raise CliError("--grid expects 'qmin:qmax:nodes' with finite numbers qmin, qmax and "
                        "an integer nodes") from None
+    # every row and snapshot is held until the run ends, so each size is bounded before any work
+    if nodes > NODES_MAX:
+        raise CliError(f"--grid gives more than {NODES_MAX} nodes; use fewer nodes")
+    if args.steps + 1 > EVOLVE_ROWS_MAX:
+        raise CliError(f"--steps gives more than {EVOLVE_ROWS_MAX} rows; use fewer steps")
+    if args.snapshots and (1 + args.steps // args.snap_every) * 16 * nodes > SNAPSHOT_BYTES_MAX:
+        raise CliError(f"--snapshots gives more than {SNAPSHOT_BYTES_MAX} bytes; "
+                       "use a larger --snap-every")
+
+    import numpy as np
+
+    from . import dynamics
+
     grid = dynamics.Grid1D(q_min, q_max, nodes)
     cfg = dynamics.EvolutionConfig(args.n, args.hbar, args.dt, steps=args.steps)
     init = _parse_init(args.init)

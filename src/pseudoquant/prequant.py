@@ -189,9 +189,14 @@ def _derive(p: Poly, idx: tuple[int, ...]) -> Poly:
 
 def _op(chart: ChartSpec, terms: Iterable[tuple[tuple[int, ...], Poly]]) -> FormalOperator:
     """A FormalOperator from valid ``(multi-index, Poly)`` items on ``chart``; zeros are dropped."""
+    return _make_op(chart, {idx: c for idx, c in terms if c.nums})
+
+
+def _make_op(chart: ChartSpec, terms: dict[tuple[int, ...], Poly]) -> FormalOperator:
+    """A FormalOperator that owns ``terms``, a fresh dict of valid nonzero Polys, as it is."""
     op = object.__new__(FormalOperator)
     object.__setattr__(op, "chart", chart)
-    object.__setattr__(op, "terms", {idx: c for idx, c in terms if c.nums})
+    object.__setattr__(op, "terms", terms)
     return op
 
 
@@ -262,7 +267,7 @@ def _quantised(P: Poly, theta: OneForm, k: int, pieces: list[tuple[int, Poly]]) 
     mult = _sum_raw_products(chart, products)
     if mult.nums:
         terms[zero] = mult if k == 1 else mult.times_minus_i_hbar()
-    return _op(chart, terms.items())
+    return _make_op(chart, terms)
 
 
 def quantise(A: Poly, c: ConnectionData) -> FormalOperator:
@@ -299,7 +304,7 @@ def commutator(op_a: FormalOperator, op_b: FormalOperator) -> FormalOperator:
             quads += [(-1, c, i, p) for i, c in wi]
         if quads and (r := _sum_derivations(chart, quads)).nums:
             terms[indices[j]] = r
-    return _op(chart, terms.items())
+    return _make_op(chart, terms)
 
 
 def commutator_rhs(A: Poly, B: Poly, c: ConnectionData) -> FormalOperator:

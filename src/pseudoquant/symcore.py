@@ -619,14 +619,23 @@ def _sum_derivations(chart: ChartSpec, quads: Iterable[tuple[int, Poly, int, Pol
 
 
 def _sum_raw_products(chart: ChartSpec, terms: list[tuple[int, dict, dict, int]]) -> Poly:
-    """The sum of ``k * n1 * n2 / d`` over ``(k, n1, n2, d)``, ``k``, ``n1`` and ``n2`` nonzero."""
+    """The sum of ``k * n1 * n2 / d`` over ``(k, n1, n2, d)``, ``k``, ``n1`` and ``n2`` nonzero.
+
+    One term is its own common denominator: ``d`` is the denominator and ``k`` the factor.
+    """
     if not terms:
         return chart._zero
-    den = lcm(*[t[3] for t in terms])
-    acc: dict[int, tuple[int, int]] = {}
-    for k, n1, n2, d in terms:
-        _add_product(acc, n1, n2, k * (den // d))
-    if len(acc) < sum([len(n1) * len(n2) for _, n1, n2, _ in terms]):  # an exponent recurred
+    if len(terms) == 1:
+        ((k, n1, n2, den),) = terms
+        acc = _add_product({}, n1, n2, k)
+        count = len(n1) * len(n2)
+    else:
+        den = lcm(*[t[3] for t in terms])
+        acc = {}
+        for k, n1, n2, d in terms:
+            _add_product(acc, n1, n2, k * (den // d))
+        count = sum([len(n1) * len(n2) for _, n1, n2, _ in terms])
+    if len(acc) < count:  # an exponent recurred
         acc = {e: v for e, v in acc.items() if v[0] or v[1]}
     if any(map(chart.top.__and__, acc)):
         raise ChartError(_OVERFLOW)

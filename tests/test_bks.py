@@ -14,6 +14,7 @@ from pseudoquant.bks import (
     SingularSampleError,
     alt_exponent,
     classify_pairing,
+    classify_rows,
     classify_term,
     critical_j,
     exponent,
@@ -59,6 +60,11 @@ class TestClassification:
         assert tags.count(FINITE_CANDIDATE) == 1
         assert tags[3] == FINITE_CANDIDATE
         assert tags[4] == VANISHES
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_row_count_is_the_table_length(self, n):
+        for m_max in range(6):
+            assert classify_rows(n, m_max) == len(classify_pairing(DeformationSpec(n), m_max)[0])
 
     def test_classify_pairing_never_converges(self):
         for n in (1, 2, 3):
@@ -154,6 +160,23 @@ class TestPositionPairing:
     def test_surviving_terms(self):
         for n in (1, 2, 3, 4):
             assert surviving_position_terms(n) == [(2, (), Fraction(1))]
+
+    @staticmethod
+    def full_scan(n):
+        """Every order 0..6 with every combination of up to two factors, none pruned."""
+        combos = [()] + [(j,) for j in range(1, n + 1)]
+        combos += [(j, k) for j in range(1, n + 1) for k in range(1, n + 1)]
+        survivors = set()
+        for lam in range(7):
+            for extra in combos:
+                power = Fraction(lam, 2) + sum(Fraction(jj, 2) + 1 for jj in extra)
+                if power == 1 and (lam + sum(extra)) % 2 == 0:
+                    survivors.add((lam, tuple(sorted(extra)), power))
+        return sorted(survivors)
+
+    @pytest.mark.parametrize("n", range(31))
+    def test_pruned_scan_is_the_full_scan(self, n):
+        assert surviving_position_terms(n) == self.full_scan(n)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="deformation order n must be >= 0"):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import pseudoquant
-from pseudoquant import bohrsommerfeld
+from pseudoquant import bks, bohrsommerfeld
 from pseudoquant.bohrsommerfeld import folded_points
 from pseudoquant.cli import EXIT_INPUT, EXIT_OK, run
 from pseudoquant.exprparse import load_problem, parse_poly
@@ -554,12 +554,37 @@ class TestBks:
         # an empty table would read as convergent
         pytest.param(["classify", "--n", "2", "--m-max", "-1"], "m_max must be >= 0",
                      id="classify-negative-m-max"),
+        # n = 3 gives 5 + 3 * m_max rows: 100,001 at m_max = 33332
+        pytest.param(["classify", "--n", "3", "--m-max", "33332"],
+                     "--m-max gives more than 100000 rows; use a smaller bound",
+                     id="classify-rows-past-the-bound"),
+        pytest.param(["classify", "--n", "3", "--m-max", "100000000"],
+                     "--m-max gives more than 100000 rows; use a smaller bound",
+                     id="classify-rows-far-past-the-bound"),
+        pytest.param(["pair", "--n", "2000", "--beta", "0:2:0.5"],
+                     "1 + 2*beta^n or its 3/2 power overflows a float at beta = 1.5, n = 2000",
+                     id="pair-weight-overflow"),
+        pytest.param(["pair", "--n", "2", "--beta", "1e150"],
+                     "1 + 2*beta^n or its 3/2 power overflows a float at beta = 1e+150, n = 2",
+                     id="pair-conserved-weight-overflow"),
     ])
     def test_rejects_input(self, capsys, argv, message):
         assert run(["bks", *argv]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_classify_rows_at_the_bound_are_accepted(self, capsys, monkeypatch):
+        """n = 3, m_max = 33331 gives 99,998 rows: within the bound (the table stubbed)."""
+        monkeypatch.setattr(bks, "classify_pairing", lambda d, m_max: ([], False))
+        assert run(["bks", "classify", "--n", "3", "--m-max", "33331"]) == EXIT_OK
+        capsys.readouterr()
+
+    def test_pair_of_a_high_order_scans_fast(self, capsys):
+        # the scan of surviving terms is linear in n; 0.5^2000 underflows to 0, a finite weight
+        assert run(["bks", "pair", "--n", "2000", "--beta", "0:1:0.5"]) == EXIT_OK
+        rows = out_of(capsys).splitlines()
+        assert rows[1].startswith("# converges=true ") and len(rows) == 6
 
 
 class TestEvolve:
@@ -630,6 +655,16 @@ class TestEvolve:
         pytest.param(["--dt", "inf"], FINITE_STEP, id="dt-inf"),
         pytest.param(["--hbar", "-1e-3"], FINITE_STEP, id="hbar-negative-exponent"),
         pytest.param(["--dt", "-1e-3"], FINITE_STEP, id="dt-negative-exponent"),
+        pytest.param(["--grid=-12:12:100000000"],
+                     "--grid gives more than 1000000 nodes; use fewer nodes", id="nodes-bound"),
+        pytest.param(["--steps", "1000000"],
+                     "--steps gives more than 1000000 rows; use fewer steps", id="rows-bound"),
+        pytest.param(["--steps", "100000000000"],
+                     "--steps gives more than 1000000 rows; use fewer steps", id="rows-far-bound"),
+        # 3052 kept states of 2048 nodes are 100,007,936 bytes
+        pytest.param(["--steps", "3051", "--snapshots", "out.bin", "--snap-every", "1"],
+                     "--snapshots gives more than 100000000 bytes; use a larger --snap-every",
+                     id="snapshot-bytes-bound"),
     ])
     def test_rejects_input(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
@@ -679,12 +714,22 @@ class TestEvolve:
         assert proc.stderr == f"error: {message}\n"  # so no traceback either
 
     def test_unallocatable_grid(self):
-        # 10^15 nodes need 7.11 PiB, beyond a 47-bit address space: it fails at once anywhere
+        # 10^15 nodes would need 7.11 PiB: the node bound refuses them before numpy allocates
         proc = self._evolve_fresh(["--n", "0", "--grid=-5:5:1000000000000000"])
         assert proc.returncode == EXIT_INPUT
         assert proc.stdout == ""
-        assert proc.stderr.startswith("error: Unable to allocate 7.11 PiB")
-        assert proc.stderr.count("\n") == 1
+        assert proc.stderr == "error: --grid gives more than 1000000 nodes; use fewer nodes\n"
+
+    def test_sizes_at_the_bounds_are_accepted(self, capsys, tmp_path, monkeypatch):
+        """3051 kept states of 2048 nodes, 99,975,168 bytes, pass every bound (the run stubbed)."""
+        from pseudoquant import dynamics
+
+        monkeypatch.setattr(dynamics.Propagator, "step", lambda self, state: state)
+        snaps = tmp_path / "s.bin"
+        argv = ["evolve", "--n", "0", "--steps", "3050", "--snapshots", str(snaps),
+                "--snap-every", "1", "--csv", str(tmp_path / "c.csv")]
+        assert run(argv) == EXIT_OK
+        assert snaps.stat().st_size == 3051 * 16 * 2048
 
     def test_boundary_warning_names_first_step(self, tmp_path):
         # The packet reaches the right edge, reflects and is back inside by the last step,

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from pseudoquant.exprparse import ExprSyntaxError, _Parser, parse_poly
@@ -34,6 +34,7 @@ from pseudoquant.symcore import (
     _hamiltonian_raw,
     _sum_derivations,
     _sum_products,
+    _sum_raw_products,
     contract,
     hamiltonian_vf,
     poisson,
@@ -215,6 +216,38 @@ def test_sum_products_is_the_term_by_term_sum(triples, q, r, d):
         term_by_term = term_by_term + (a * b).scale(k)
     assert_same_representation(got, term_by_term)
     assert_same_representation(got, fraction_sum_products(triples))
+
+
+@PROPS
+@given(polys(4, min_terms=1), polys(4, min_terms=1), factors, factors, st.integers(1, 9))
+def test_one_term_sum_of_products_is_the_general_path(p, q, k, k1, extra):
+    """One ``(k, n1, n2, d)`` term takes ``d`` and ``k`` as they are; as k1 + k2, the lcm path."""
+    k2 = k - k1
+    assume(k2)
+    d = p.den * q.den * extra
+    got = _sum_raw_products(CHART, [(k, p.nums, q.nums, d)])
+    assert_normal_form(got)
+    split = [(k1, p.nums, q.nums, d), (k2, p.nums, q.nums, d)]
+    assert_same_representation(got, _sum_raw_products(CHART, split))
+    assert_same_representation(got, fraction_sum_products([(k, p, q)]).scale(Fraction(1, extra)))
+    # (p + q) * (p - q): the cross terms cancel inside the one product
+    s, t = p + q, p - q
+    if s.nums and t.nums:
+        got = _sum_raw_products(CHART, [(1, s.nums, t.nums, s.den * t.den)])
+        assert_normal_form(got)
+        assert_same_representation(got, fraction_sum_products([(1, p, p), (-1, q, q)]))
+    # k and -k of one product cancel to the chart's zero Poly
+    cancelled = [(k, p.nums, q.nums, d), (-k, p.nums, q.nums, d)]
+    assert _sum_raw_products(CHART, cancelled) is CHART._zero
+
+
+def test_one_term_sum_of_products_raises_at_the_exponent_bound():
+    p1 = Poly.var(CHART, "p1")
+    below, half = p1 ** (EXP_LIMIT // 2 - 1), p1 ** (EXP_LIMIT // 2)
+    top = _sum_raw_products(CHART, [(3, half.nums, below.nums, 2)])
+    assert str(top) == f"(3/2)*p1^{EXP_LIMIT - 1}"
+    with pytest.raises(ChartError, match="below 32768"):
+        _sum_raw_products(CHART, [(1, half.nums, half.nums, 1)])
 
 
 variable_indices = st.integers(0, NV - 1)
@@ -431,6 +464,19 @@ def test_no_kernel_writes_into_an_input(inputs):
         assert result is not None
     assert [(p.nums, p.den) for p in shared] == before
     assert not Poly.zero(chart).nums
+
+
+@PROPS
+@given(oracle_inputs())
+def test_built_operators_hold_no_zero_poly_and_own_their_terms(inputs):
+    """``quantise``, ``commutator_rhs`` and ``commutator`` keep their terms as built, unshared."""
+    conn, a, b, _, _ = inputs
+    qa, qb = quantise(a, conn), quantise(b, conn)
+    results = [qa, qb, commutator(qa, qb), commutator(qb, qa), commutator_rhs(a, b, conn),
+               commutator_rhs(a, a, conn), quantise(a, conn), qa + qb, -qa]
+    for op in results:
+        assert all(c.nums for c in op.terms.values())
+    assert len({id(op.terms) for op in results}) == len(results)
 
 
 vector_fields = st.lists(polys(2), min_size=2 * CHART.n, max_size=2 * CHART.n).map(
