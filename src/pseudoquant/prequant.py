@@ -23,7 +23,10 @@ op(A) with P = A, and both closed forms (``commutator_rhs`` and
 with P the bracket.  A slot whose component is zero gets no Poly.
 ``commutator`` and ``phase_conjugate`` read each operand as its nonzero
 components (``_components``), and ``commutator`` computes only the output
-slots where either operand has one.
+slots where either operand has one.  ``_quantised`` and ``commutator`` hand
+their fresh dict of nonzero Polys to ``_make_op``, the operator counterpart
+of ``symcore._make``, which keeps it as it is; every other constructor goes
+through ``_op``, which drops zero coefficients into a new dict.
 """
 
 from __future__ import annotations

@@ -17,9 +17,11 @@ through ``_sum``, every sum of products through ``_sum_products``, and every
 sum of k * p * dq/dx_i through ``_sum_derivations``, which derives inside the
 kernel (``VectorField.apply`` and the operator oracles use ``Poly._partial``).
 All three accumulate on one common denominator and end in ``_normal``, the
-one place where the gcd is divided out.  Inside the exact layer Hamiltonian
-fields stay raw numerator maps: ``_hamiltonian_raw`` gives X_A's 2n maps over
-``A.den``, and ``hamiltonian_vf`` is the public wrapper that normalises them.
+one place where the gcd is divided out; one ``(k, n1, n2, d)`` term of
+``_sum_raw_products`` is its own: ``d`` is the denominator, ``k`` the factor.
+Inside the exact layer Hamiltonian fields stay raw numerator maps:
+``_hamiltonian_raw`` gives X_A's 2n maps over ``A.den``, and
+``hamiltonian_vf`` is the public wrapper that normalises them.
 ``_hamiltonian_raw`` reads each chart's field layout, one ``(shift, unit,
 target, sign)`` row per coordinate, from ``_field_table(chart)``, built once
 per chart; that table is where the sign convention of X_A is written.  No

@@ -580,7 +580,7 @@ class TestBks:
         assert run(["bks", "classify", "--n", "3", "--m-max", "33331"]) == EXIT_OK
         capsys.readouterr()
 
-    def test_pair_of_a_high_order_scans_fast(self, capsys):
+    def test_pair_at_a_high_order_exits_zero(self, capsys):
         # the scan of surviving terms is linear in n; 0.5^2000 underflows to 0, a finite weight
         assert run(["bks", "pair", "--n", "2000", "--beta", "0:1:0.5"]) == EXIT_OK
         rows = out_of(capsys).splitlines()
