@@ -8,16 +8,12 @@ from .symcore import (
     Scalar,
     SmoothMap,
     TwoForm,
-    VectorField,
-    contract,
     exterior_d,
-    hamiltonian_vf,
     poisson,
     pullback_form,
     standard_chart,
     standard_potential,
     standard_symplectic,
-    wedge,
 )
 from .prequant import (
     ConnectionData,

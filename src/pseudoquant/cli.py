@@ -221,7 +221,11 @@ def cmd_bks_classify(args) -> int:
     d = bks.DeformationSpec(args.n, lam, args.hbar)
     if bks.classify_rows(args.n, args.m_max) > CLASSIFY_ROWS_MAX:  # m_max < 0: raised below
         raise CliError(f"--m-max gives more than {CLASSIFY_ROWS_MAX} rows; use a smaller bound")
-    reports, converges = bks.classify_pairing(d, args.m_max)
+    try:
+        reports, converges = bks.classify_pairing(d, args.m_max)
+    except OverflowError:
+        raise CliError(f"--lam {args.lam}: lam/(2*hbar) or a mu moment overflows a float at "
+                       f"hbar = {_fmt(args.hbar)}") from None
     lines = [
         f"# kind=momentum n={args.n} lam={lam} hbar={_fmt(args.hbar)} m_max={args.m_max}",
         f"# converges={str(converges).lower()}",
@@ -324,15 +328,16 @@ def cmd_evolve(args) -> int:
             f"{_fmt(dynamics.expectation_q(s))},{_fmt(dynamics.variance_q(s))}"
         )
 
-    snapshots = []
-    record(state)
+    snapshots = None  # one row per kept state, step 0 and every snap_every-th, filled in place
     if args.snapshots:
-        snapshots.append(state.psi.copy())
-    for k in range(args.steps):
+        snapshots = np.empty((1 + args.steps // args.snap_every, nodes), dtype="<c16")
+        snapshots[0] = state.psi
+    record(state)
+    for k in range(1, args.steps + 1):
         state = prop.step(state)
         record(state)
-        if args.snapshots and (k + 1) % args.snap_every == 0:
-            snapshots.append(state.psi.copy())
+        if args.snapshots and k % args.snap_every == 0:
+            snapshots[k // args.snap_every] = state.psi
     _check_writable(args.snapshots, args.csv)
     with open(args.snapshots, "wb") if args.snapshots else contextlib.nullcontext() as snap:
         report = watch.report()
@@ -341,7 +346,7 @@ def cmd_evolve(args) -> int:
         _emit(lines, args.csv)
         if snap:
             # One row per snapshot: little-endian float64 interleaved re/im per node.
-            np.asarray(snapshots, dtype="<c16").view("<f8").tofile(snap)
+            snapshots.view("<f8").tofile(snap)
     return EXIT_OK
 
 
@@ -355,9 +360,9 @@ def cmd_bs_count(args) -> int:
             raise ValueError
     except ValueError:
         raise CliError("--E expects a level or 'lo..hi' with integers 1 <= lo <= hi") from None
-    levels = range(lo, hi + 1)
-    if len(levels) > LEVELS_MAX:
+    if hi - lo + 1 > LEVELS_MAX:  # not len(range): a range past sys.maxsize has no len
         raise CliError(f"--E gives more than {LEVELS_MAX} levels; use a smaller range")
+    levels = range(lo, hi + 1)
     squares = (hi * (hi + 1) * (2 * hi + 1) - (lo - 1) * lo * (2 * lo - 1)) // 6  # sum of E^2
     if args.points and squares - len(levels) > POINTS_MAX:
         raise CliError(f"--points gives more than {POINTS_MAX} points; use a smaller range")

@@ -18,9 +18,11 @@ and {A, beta_i} = omega(X_A, X_{beta_i}), is one column read of the
 two-form (``TwoForm._pair_beta``).  ``cohomologous_residual_operator`` pairs
 through the same column reads into the same kernel and checks its primitive
 once for consecutive calls with the same (gamma, connection).
-``residual_operator`` builds the whole L_i from ``hamiltonian_vf`` fields and
-``TwoForm.pair``, and ``flat_action`` reads its flat terms: that operator
-route is the oracle of both.
+``residual_operator`` builds the whole L_i with ``quantise`` from the same
+raw fields (``_hamiltonian_raw``) of X_A and X_{beta_i}, paired in full by
+``TwoForm._pair_raw``, and ``flat_action`` reads its flat terms: that operator
+route, independent of ``_pair_beta`` and of the one-pass multiplier, is the
+oracle of both.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .symcore import (
     _Record,
     _hamiltonian_raw,
     exterior_d,
-    hamiltonian_vf,
     standard_potential,
     standard_symplectic,
 )
@@ -129,9 +130,11 @@ def residual_operator(A: Poly, c: ConnectionData, i: int) -> FormalOperator:
     it is the operator-level oracle of ``preserves``.
     """
     chart = c.chart
-    XA, Xb = hamiltonian_vf(A), hamiltonian_vf(Poly.var(chart, chart.pairs[i][1]))
-    rhs = c.omega_curv.pair(XA, Xb)
-    return quantise(standard_symplectic(chart).pair(XA, Xb), c) - FormalOperator.from_poly(rhs)
+    if A.chart is not chart:
+        raise ChartError("observable and connection live on different charts")
+    XA, Xb = _hamiltonian_raw(A), _hamiltonian_raw(Poly.var(chart, chart.pairs[i][1]))
+    rhs = c.omega_curv._pair_raw(XA, Xb)
+    return quantise(standard_symplectic(chart)._pair_raw(XA, Xb), c) - FormalOperator.from_poly(rhs)
 
 
 # (gamma, c, d(gamma)) of the last primitive check that passed; one entry, so

@@ -80,7 +80,9 @@ class FormalOperator(_Record):
     """Finite sum of (Poly coefficient) x (mixed partial derivative).
 
     Terms map a derivative multi-index over (d/dalpha_i, d/dbeta_i) to a
-    Poly coefficient; application to functions uses Leibniz expansion.
+    Poly coefficient.  ``compose`` multiplies two operators by Leibniz
+    expansion.  No library path composes (``commutator`` is the first-order
+    bracket); ``compose`` stays because ``bench/tracer.py`` hooks it by name.
     """
 
     __slots__ = ("chart", "terms")
@@ -151,13 +153,7 @@ class FormalOperator(_Record):
         """Left multiplication by a function or constant."""
         return _op(self.chart, [(i, c * p) for i, c in self.terms.items()])
 
-    # -- action and composition ---------------------------------------------
-
-    def apply(self, p: Poly) -> Poly:
-        """Apply to a polynomial section."""
-        if p.chart is not self.chart:
-            raise ChartError("chart mismatch")
-        return _sum_products(self.chart, [(1, c, _derive(p, i)) for i, c in self.terms.items()])
+    # -- composition -------------------------------------------------------
 
     def compose(self, other: "FormalOperator") -> "FormalOperator":
         """Operator product self . other with Leibniz expansion."""
@@ -290,8 +286,8 @@ def commutator(op_a: FormalOperator, op_b: FormalOperator) -> FormalOperator:
     the Lie bracket of the vector parts plus the two derivatives of the
     multipliers.  Each operand is read as its nonzero components, and only an
     output slot where either operand has a component is computed, as one
-    ``_sum_derivations`` (``compose`` and ``apply`` stay on ``Poly._partial`` as
-    independent oracles).  An operand of order above 1 raises ValueError.
+    ``_sum_derivations`` (``compose`` stays on ``Poly._partial`` as an
+    independent oracle).  An operand of order above 1 raises ValueError.
     """
     chart = op_a.chart
     if op_b.chart is not chart:
@@ -313,8 +309,8 @@ def commutator(op_a: FormalOperator, op_b: FormalOperator) -> FormalOperator:
 def commutator_rhs(A: Poly, B: Poly, c: ConnectionData) -> FormalOperator:
     """Closed-form commutator of the quantised observables; exact oracle.
 
-    X_A and X_B stay raw numerator maps (``_hamiltonian_raw``) and give both
-    {A,B} = omega(X_A, X_B) and Omega(X_A, X_B); no VectorField is built.
+    X_A and X_B are raw numerator maps (``_hamiltonian_raw``) and give both
+    {A,B} = omega(X_A, X_B) and Omega(X_A, X_B).
     """
     chart = A.chart
     if B.chart is not chart or c.chart is not chart:

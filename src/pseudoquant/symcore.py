@@ -1,12 +1,11 @@
 """Exact symbolic calculus on a single cotangent chart.
 
 Polynomials over the Gaussian rationals in the chart coordinates and the
-formal symbol ``hbar``, plus one-forms, two-forms, vector fields, Poisson
-brackets, the exterior derivative and pullbacks along polynomial maps.
-One-forms and vector fields share one record: a chart plus 2n coefficient
-Polys in coordinate order.  ``ChartSpec`` interns its charts: there is one
-chart object per ``pairs``, so chart equality is identity (``is``), and a
-chart hashes by ``pairs``.
+formal symbol ``hbar``, plus one-forms (a chart plus 2n coefficient Polys in
+coordinate order), two-forms, Poisson brackets, the exterior derivative and
+pullbacks of functions and one-forms along polynomial maps.  ``ChartSpec``
+interns its charts: there is one chart object per ``pairs``, so chart
+equality is identity (``is``), and a chart hashes by ``pairs``.
 
 Coefficient representation (as in FLINT's ``fmpq_poly``): a Poly stores
 Gaussian-integer numerators ``(re, im)`` over one positive denominator
@@ -15,13 +14,13 @@ and the denominator is 1.  ``Poly`` does all exact arithmetic, on plain ints.
 Every plain sum (``+``, ``-``, the constructor and ``substitute``) goes
 through ``_sum``, every sum of products through ``_sum_products``, and every
 sum of k * p * dq/dx_i through ``_sum_derivations``, which derives inside the
-kernel (``VectorField.apply`` and the operator oracles use ``Poly._partial``).
+kernel (``exterior_d`` and ``FormalOperator.compose`` use ``Poly._partial``).
 All three accumulate on one common denominator and end in ``_normal``, the
 one place where the gcd is divided out; one ``(k, n1, n2, d)`` term of
 ``_sum_raw_products`` is its own: ``d`` is the denominator, ``k`` the factor.
-Inside the exact layer Hamiltonian fields stay raw numerator maps:
-``_hamiltonian_raw`` gives X_A's 2n maps over ``A.den``, and
-``hamiltonian_vf`` is the public wrapper that normalises them.
+A Hamiltonian field has one representation, raw numerator maps:
+``_hamiltonian_raw`` gives X_A's 2n maps over ``A.den``, and every reader
+(the pairings and ``prequant._quantised``) takes them as they are.
 ``_hamiltonian_raw`` reads each chart's field layout, one ``(shift, unit,
 target, sign)`` row per coordinate, from ``_field_table(chart)``, built once
 per chart; that table is where the sign convention of X_A is written.  No
@@ -34,14 +33,14 @@ because a Poly is immutable and no code writes into a ``nums`` map it did not
 create.
 omega is ``standard_symplectic(chart)``, built once per chart, and every
 two-form, omega and Omega alike, is paired by ``TwoForm._pair_raw`` on raw
-maps (``TwoForm.pair`` wraps it for vector fields); it folds a real constant
-coefficient into each term's multiplier and denominator, so a Poisson
-bracket is one sum of products.  Against a flat direction X_{beta_i}, a
-constant unit field, ``TwoForm._pair_beta`` reads one column of the form
-instead, with X_{beta_i}'s slot and sign from ``_field_table``.  The factor
-``-i*hbar`` of every quantised first-order term and commutator is an exponent
-shift and a rotation: ``prequant._quantised`` applies it to X_P's raw maps,
-and ``Poly.times_minus_i_hbar`` to a Poly (``div_minus_i_hbar`` undoes that).
+maps; it folds a real constant coefficient into each term's multiplier and
+denominator, so a Poisson bracket is one sum of products.  Against a flat
+direction X_{beta_i}, a constant unit field, ``TwoForm._pair_beta`` reads one
+column of the form instead, with X_{beta_i}'s slot and sign from
+``_field_table``.  The factor ``-i*hbar`` of every quantised first-order term
+and commutator is an exponent shift and a rotation: ``prequant._quantised``
+applies it to X_P's raw maps, and ``Poly.times_minus_i_hbar`` to a Poly
+(``div_minus_i_hbar`` undoes that).
 ``Scalar`` is a read-only ``(re, im)`` record of two ``Fraction``s with no
 arithmetic: it is accepted by the ``Poly`` constructor and ``scale`` and
 returned by ``constant_value`` and the ``Poly.terms`` view.
@@ -644,48 +643,28 @@ def _sum_raw_products(chart: ChartSpec, terms: list[tuple[int, dict, dict, int]]
     return _normal(chart, acc, den)
 
 
-# -- covector/vector index helpers ------------------------------------------
-
-
-def covector_names(chart: ChartSpec) -> tuple[str, ...]:
-    return tuple(f"d{c}" for c in chart.coords)
-
-
-class _Components(_Record):
-    """A chart plus one coefficient Poly per coordinate, in coordinate order.
-
-    The one record of ``OneForm`` and ``VectorField``: it holds their
-    validation, ``==`` and ``+``.  Records of different classes never compare
-    equal.
-    """
+class OneForm(_Record):
+    """A one-form: one coefficient Poly per coordinate, over (d alpha_1..d alpha_n, d beta_1..)."""
 
     __slots__ = ("chart", "comps")
-    _noun = ""  # names the record in error messages
 
     def __init__(self, chart: ChartSpec, comps: Iterable[Poly]):
         comps = tuple(comps)
         if len(comps) != 2 * chart.n:
-            raise ChartError(f"{self._noun} needs 2n coefficient polynomials")
+            raise ChartError("one-form needs 2n coefficient polynomials")
         for c in comps:
             if c.chart is not chart:
-                raise ChartError(f"{self._noun} coefficient on the wrong chart")
+                raise ChartError("one-form coefficient on the wrong chart")
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "comps", comps)
 
     def __eq__(self, other):
-        return type(other) is type(self) and self.chart is other.chart and self.comps == other.comps
+        return type(other) is OneForm and self.chart is other.chart and self.comps == other.comps
 
     def __add__(self, other):
         if other.chart is not self.chart:
             raise ChartError("chart mismatch")
-        return type(self)(self.chart, [a + b for a, b in zip(self.comps, other.comps)])
-
-
-class OneForm(_Components):
-    """A one-form with Poly coefficients over (d alpha_1..d alpha_n, d beta_1..)."""
-
-    __slots__ = ()
-    _noun = "one-form"
+        return OneForm(self.chart, [a + b for a, b in zip(self.comps, other.comps)])
 
     @staticmethod
     def from_dict(chart: ChartSpec, entries: Mapping[str, Poly]) -> "OneForm":
@@ -717,10 +696,6 @@ class TwoForm(_Record):
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "comps", clean)
 
-    @staticmethod
-    def zero(chart: ChartSpec) -> "TwoForm":
-        return TwoForm(chart)
-
     def component(self, i: int, j: int) -> Poly:
         """Coefficient of dx_i ^ dx_j for any index order (antisymmetry built in)."""
         if i == j:
@@ -745,26 +720,11 @@ class TwoForm(_Record):
             out[k] = out.get(k, Poly.zero(self.chart)) + p
         return TwoForm(self.chart, out)
 
-    def __neg__(self):
-        return TwoForm(self.chart, {k: -p for k, p in self.comps.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, p: Poly) -> "TwoForm":
-        return TwoForm(self.chart, {k: q * p for k, q in self.comps.items()})
-
     def is_zero(self) -> bool:
         return not self.comps
 
-    def pair(self, X: "VectorField", Y: "VectorField") -> Poly:
-        """Evaluate on two vector fields."""
-        if X.chart is not self.chart or Y.chart is not self.chart:
-            raise ChartError("chart mismatch")
-        return self._pair_raw(*[[(c.nums, c.den) for c in V.comps] for V in (X, Y)])
-
     def _pair_raw(self, x: list, y: list) -> Poly:
-        """``pair``'s core on ``(nums, den)`` maps in coordinate order, in one sum of products.
+        """The form on two fields of raw ``(nums, den)`` maps, in one sum of products.
 
         A real constant coefficient goes into each term's multiplier and
         denominator; any other c is multiplied into x[a] first.
@@ -800,35 +760,11 @@ class TwoForm(_Record):
         return _sum_raw_products(chart, terms)
 
     def __str__(self):
-        names = covector_names(self.chart)
+        names = [f"d{c}" for c in self.chart.coords]
         parts = [f"({p})*{names[i]}^{names[j]}" for (i, j), p in sorted(self.comps.items())]
         return " + ".join(parts) if parts else "0"
 
     __repr__ = __str__
-
-
-class VectorField(_Components):
-    """Vector field with Poly coefficients over (d/dalpha_i, d/dbeta_i)."""
-
-    __slots__ = ()
-    _noun = "vector field"
-
-    def apply(self, p: Poly) -> Poly:
-        """Directional derivative of a function."""
-        if p.chart is not self.chart:
-            raise ChartError("chart mismatch")
-        return _sum_products(
-            self.chart, [(1, c, p._partial(i + 1)) for i, c in enumerate(self.comps) if c.nums]
-        )
-
-    def lie_bracket(self, other: "VectorField") -> "VectorField":
-        """[X, Y] by coefficient calculus."""
-        if other.chart is not self.chart:
-            raise ChartError("chart mismatch")
-        return VectorField(
-            self.chart,
-            [self.apply(oc) - other.apply(sc) for oc, sc in zip(other.comps, self.comps)],
-        )
 
 
 class SmoothMap(_Record):
@@ -881,11 +817,6 @@ def _hamiltonian_raw(A: Poly) -> list[tuple[dict, int]]:
     return [(c, A.den) for c in comps]
 
 
-def hamiltonian_vf(A: Poly) -> VectorField:
-    """Hamiltonian vector field of A: the normalised components of ``_hamiltonian_raw``."""
-    return VectorField(A.chart, [_normal(A.chart, c, d) for c, d in _hamiltonian_raw(A)])
-
-
 def poisson(A: Poly, B: Poly) -> Poly:
     """{A, B} = omega(X_A, X_B), read from the two raw Hamiltonian fields."""
     if A.chart is not B.chart:
@@ -908,26 +839,6 @@ def exterior_d(phi: Union[Poly, OneForm]) -> Union[OneForm, TwoForm]:
     raise TypeError("exterior_d expects a Poly or a OneForm")
 
 
-def contract(theta: OneForm, X: VectorField) -> Poly:
-    """Pointwise pairing theta(X)."""
-    if theta.chart is not X.chart:
-        raise ChartError("chart mismatch in contraction")
-    return _sum_products(theta.chart, [(1, a, b) for a, b in zip(theta.comps, X.comps)])
-
-
-def wedge(a: OneForm, b: OneForm) -> TwoForm:
-    if a.chart is not b.chart:
-        raise ChartError("chart mismatch in wedge")
-    chart = a.chart
-    comps: dict[tuple[int, int], Poly] = {}
-    for i in range(2 * chart.n):
-        for j in range(i + 1, 2 * chart.n):
-            comps[(i, j)] = _sum_products(
-                chart, ((1, a.comps[i], b.comps[j]), (-1, a.comps[j], b.comps[i]))
-            )
-    return TwoForm(chart, comps)
-
-
 @cache
 def standard_symplectic(chart: ChartSpec) -> TwoForm:
     """omega = sum_i dalpha_i ^ dbeta_i, the one statement of omega; built once per chart."""
@@ -945,29 +856,21 @@ def standard_potential(chart: ChartSpec) -> OneForm:
     return OneForm(chart, comps)
 
 
-def pullback_form(m: SmoothMap, phi: Union[Poly, OneForm, TwoForm]):
-    """Pullback of a function, one-form or two-form along a polynomial map."""
+def pullback_form(m: SmoothMap, phi: Union[Poly, OneForm]) -> Union[Poly, OneForm]:
+    """Pullback of a function or one-form along a polynomial map."""
     src, tgt = m.source, m.target
     mapping = m.mapping()
-    if not isinstance(phi, (Poly, OneForm, TwoForm)):
-        raise TypeError("pullback_form expects a Poly, OneForm or TwoForm")
+    if not isinstance(phi, (Poly, OneForm)):
+        raise TypeError("pullback_form expects a Poly or a OneForm")
     if phi.chart is not tgt:
         raise ChartError("pullback argument must live on the target chart")
     if isinstance(phi, Poly):
         return phi.substitute(src, mapping)
-    if isinstance(phi, OneForm):
-        pulled = [
-            (coeff.substitute(src, mapping), exterior_d(comp).comps)
-            for comp, coeff in zip(m.comps, phi.comps)
-            if coeff.nums
-        ]
-        return OneForm(
-            src, [_sum_products(src, [(1, p, d[j]) for p, d in pulled]) for j in range(2 * src.n)]
-        )
-    out = TwoForm.zero(src)  # phi is a TwoForm
-    for (i, j), coeff in phi.comps.items():
-        pulled = coeff.substitute(src, mapping)
-        dxi = exterior_d(m.comps[i])
-        dxj = exterior_d(m.comps[j])
-        out = out + wedge(dxi, dxj).scale(pulled)
-    return out
+    pulled = [
+        (coeff.substitute(src, mapping), exterior_d(comp).comps)
+        for comp, coeff in zip(m.comps, phi.comps)
+        if coeff.nums
+    ]
+    return OneForm(
+        src, [_sum_products(src, [(1, p, d[j]) for p, d in pulled]) for j in range(2 * src.n)]
+    )

@@ -511,6 +511,13 @@ class TestBks:
                      "--lam expects a rational such as 1 or 1/2", id="lam-malformed"),
         pytest.param(["classify", "--n", "1", "--lam", "1/0"],
                      "--lam expects a rational such as 1 or 1/2", id="lam-zero-denominator"),
+        # float(lam) overflows; a tiny lam overflows |a|^(-s/k) in the mu moment instead
+        pytest.param(["classify", "--n", "1", "--lam", "1e400"],
+                     "--lam 1e400: lam/(2*hbar) or a mu moment overflows a float at hbar = 1",
+                     id="lam-overflow"),
+        pytest.param(["classify", "--n", "1", "--lam", "1e-300"],
+                     "--lam 1e-300: lam/(2*hbar) or a mu moment overflows a float at hbar = 1",
+                     id="lam-tiny-moment-overflow"),
         pytest.param(["pair", "--n", "2", "--beta", "0:x:1"],
                      "--beta expects a finite number or 'start:stop:step' with step > 0",
                      id="beta-malformed"),
@@ -623,6 +630,21 @@ class TestEvolve:
         assert arr.shape[0] == 3  # initial + steps 10 and 20
         psi0 = arr[0, 0::2] + 1j * arr[0, 1::2]
         assert np.sum(np.abs(psi0) ** 2) * (30 / 255) == pytest.approx(1.0, abs=1e-6)
+
+    def test_snapshot_rows_are_the_propagated_states_bitwise(self, capsys, tmp_path):
+        """--steps 7 --snap-every 3 keeps the states at steps 0, 3 and 6, bit for bit."""
+        from pseudoquant import dynamics
+
+        snap = tmp_path / "s.bin"
+        argv = ["evolve", "--n", "2", "--steps", "7", "--snap-every", "3", "--snapshots", str(snap)]
+        assert run(argv) == EXIT_OK
+        grid = dynamics.Grid1D(-10.0, 10.0, 2048)  # the defaults of --grid, --init and --dt
+        prop = dynamics.Propagator(grid, dynamics.EvolutionConfig(2, 1.0, 1e-3, steps=7))
+        states = [dynamics.gaussian_state(grid, 0.0, 2.0, 0.5, 1.0)]
+        for _ in range(6):
+            states.append(prop.step(states[-1]))
+        want = np.asarray([s.psi for s in states[::3]], dtype="<c16")  # 3 rows of 2048 nodes
+        assert want.shape == (3, 2048) and snap.read_bytes() == want.tobytes()
 
     def test_bad_grid(self, capsys):
         assert run(["evolve", "--n", "0", "--grid", "1:2"]) == EXIT_INPUT
@@ -780,6 +802,9 @@ class TestBsCount:
              "--points gives more than 10000000 points; use a smaller range"),
             (["--E", "1..311", "--points", "{pts}"],
              "--points gives more than 10000000 points; use a smaller range"),
+            # more levels than sys.maxsize: a range that long has no len()
+            (["--E", "1..99999999999999999999"],
+             "--E gives more than 1000000 levels; use a smaller range"),
         ],
     )
     def test_sizes_are_bounded_before_enumerating(self, capsys, tmp_path, argv, message):

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from pseudoquant.exprparse import ExprSyntaxError, _Parser, parse_poly
-from pseudoquant.polarisation import preserves
+from pseudoquant.polarisation import preserves, residual_operator, scaled_connection
 from pseudoquant.prequant import (
     FormalOperator,
     _quantised,
@@ -27,22 +27,23 @@ from pseudoquant.prequant import (
 from pseudoquant.symcore import (
     EXP_LIMIT,
     ChartError,
+    ChartSpec,
     Poly,
     Scalar,
     TwoForm,
-    VectorField,
     _hamiltonian_raw,
+    _normal,
     _sum_derivations,
     _sum_products,
     _sum_raw_products,
-    contract,
-    hamiltonian_vf,
     poisson,
     standard_chart,
     standard_potential,
     standard_symplectic,
 )
 from pseudoquant.verify import cylinder_setup, example_connections
+
+import oracles
 
 CHART = standard_chart(2)
 NV = len(CHART.variables)
@@ -275,9 +276,8 @@ def test_sum_derivations_is_the_sum_of_products_of_partials(quads, q, r, i, d):
 @given(polys_on_every_chart())
 @example(Poly(CHART, {(0, 2, 0, 1, 0): Fraction(1, 2)}))  # d/dp1 of p1^2*q1/2 has denominator 1
 def test_hamiltonian_field_is_the_signed_partial_derivatives(a):
-    n = a.chart.n
-    want = [-a._partial(1 + n + i) for i in range(n)] + [a._partial(1 + i) for i in range(n)]
-    for got, w in zip(hamiltonian_vf(a).comps, want, strict=True):
+    for (m, d), w in zip(_hamiltonian_raw(a), oracles.hamiltonian(a), strict=True):
+        got = _normal(a.chart, m, d)
         assert_normal_form(got)
         assert_same_representation(got, w)
 
@@ -323,7 +323,7 @@ def test_leibniz_rule(p, q, name):
 @PROPS
 @given(operators, operators, polys())
 def test_compose_is_application_in_sequence(op1, op2, f):
-    assert op1.compose(op2).apply(f) == op1.apply(op2.apply(f))
+    assert oracles.apply(op1.compose(op2), f) == oracles.apply(op1, oracles.apply(op2, f))
 
 
 @PROPS
@@ -358,15 +358,20 @@ def test_times_minus_i_hbar_is_the_product(p):
     # (-i*hbar)**2 = -hbar**2, as the first-order kernel applies it to each component of X_p
     squared = _quantised(p, standard_potential(CHART), 2, []).terms
     units = [tuple(int(i == j) for i in range(2 * CHART.n)) for j in range(2 * CHART.n)]
-    for idx, x in zip(units, hamiltonian_vf(p).comps, strict=True):
+    for idx, x in zip(units, oracles.hamiltonian(p), strict=True):
         s = squared.get(idx, Poly.zero(CHART))
         assert_normal_form(s)
         assert_same_representation(s, x.times_minus_i_hbar().times_minus_i_hbar())
         assert_same_representation(s, fraction_sum_products([(-1, x, Poly.hbar(CHART) ** 2)]))
 
 
-# the example connections, plus one induced by a pullback: Theta = (3/2) * l * dphi_l
-CONNECTIONS = example_connections() | {"cylinder-induced": cylinder_setup(Fraction(2, 3)).induced}
+# the example connections (beta-scaled: Theta = (1 + b1^2) * theta), one induced by a pullback,
+# Theta = (3/2) * l * dphi_l, and a scaled connection whose deformation depends on alpha
+AB2 = ChartSpec((("a1", "b1"), ("a2", "b2")))
+CONNECTIONS = example_connections() | {
+    "cylinder-induced": cylinder_setup(Fraction(2, 3)).induced,
+    "general-scaled": scaled_connection(AB2, parse_poly("a1*b2 - 3/2*b1^2 + a2", AB2)),
+}
 
 
 @st.composite
@@ -397,29 +402,47 @@ def test_quantise_is_linear(inputs):
     assert quantise(a + k * b, conn) == quantise(a, conn) + quantise(b, conn).scale(k)
 
 
-def vector_field_route(a, b, conn):
-    """op(A) and the closed form of [op(A), op(B)], through ``VectorField``s.
+def quantise_route(a, conn):
+    """op(A) = -i*hbar*X_A + A - Theta(X_A), through the list fields of ``oracles``."""
+    X = oracles.hamiltonian(a)
+    vec = [x.times_minus_i_hbar() for x in X]
+    return first_order(conn.chart, vec, a - oracles.contract(conn.theta.comps, X))
 
-    op(A) = -i*hbar*X_A + A - Theta(X_A), and [op(A), op(B)] =
-    -i*hbar * (-i*hbar*X_P - Theta(X_P) - Omega(X_A, X_B) + 2P) with P = {A, B}.
+
+def vector_field_route(a, b, conn):
+    """op(A) and the closed form of [op(A), op(B)], through ``oracles``.
+
+    [op(A), op(B)] = -i*hbar * (-i*hbar*X_P - Theta(X_P) - Omega(X_A, X_B) + 2P) with P = {A, B}.
     """
-    chart, theta, minus_i_hbar = conn.chart, conn.theta, Poly.minus_i_hbar(conn.chart)
-    X = hamiltonian_vf(a)
-    op_a = first_order(chart, [x.times_minus_i_hbar() for x in X.comps], a - contract(theta, X))
-    P, XP = poisson(a, b), hamiltonian_vf(poisson(a, b))
-    rest = P.scale(2) - conn.omega_curv.pair(X, hamiltonian_vf(b)) - contract(theta, XP)
-    vec = [x * minus_i_hbar * minus_i_hbar for x in XP.comps]
-    return op_a, first_order(chart, vec, rest * minus_i_hbar)
+    chart, minus_i_hbar = conn.chart, Poly.minus_i_hbar(conn.chart)
+    P = poisson(a, b)
+    XP, curvature = oracles.hamiltonian(P), oracles.matrix(conn.omega_curv)
+    rest = P.scale(2) - oracles.pair(curvature, oracles.hamiltonian(a), oracles.hamiltonian(b))
+    rest = rest - oracles.contract(conn.theta.comps, XP)
+    vec = [x * minus_i_hbar * minus_i_hbar for x in XP]
+    return quantise_route(a, conn), first_order(chart, vec, rest * minus_i_hbar)
+
+
+def residual_route(a, conn, i):
+    """L_i = op(g) - Omega(X_A, X_{beta_i}) with g = {A, beta_i}, through ``oracles``."""
+    chart = conn.chart
+    X, Xb = oracles.hamiltonian(a), oracles.hamiltonian(Poly.var(chart, chart.pairs[i][1]))
+    g = oracles.pair(oracles.matrix(standard_symplectic(chart)), X, Xb)
+    curvature = oracles.pair(oracles.matrix(conn.omega_curv), X, Xb)
+    return quantise_route(g, conn) - FormalOperator.from_poly(curvature)
 
 
 @PROPS
 @given(oracle_inputs())
 def test_raw_field_route_is_the_vector_field_route(inputs):
-    """quantise and commutator_rhs read Hamiltonian fields as raw maps; here through VectorField."""
+    """quantise, commutator_rhs and residual_operator read Hamiltonian fields as raw maps and
+    pair them with ``TwoForm._pair_raw``; here as list fields, paired coefficient by coefficient."""
     conn, a, b, _, _ = inputs
     op_a, rhs = vector_field_route(a, b, conn)
     assert quantise(a, conn) == op_a
     assert commutator_rhs(a, b, conn) == rhs
+    for i in range(conn.chart.n):
+        assert residual_operator(a, conn, i) == residual_route(a, conn, i)
 
 
 @PROPS
@@ -428,7 +451,7 @@ def test_sparse_observables_agree_with_both_oracles(inputs):
     """Constants, pure-beta and one-pair observables leave most operator slots empty.
 
     quantise, commutator and commutator_rhs build only the nonzero slots; each
-    still equals the ``compose`` difference and the ``hamiltonian_vf`` route.
+    still equals the ``compose`` difference and the list-field route.
     """
     conn, a, b, _, _ = inputs
     op_a, rhs = vector_field_route(a, b, conn)
@@ -457,7 +480,7 @@ def test_no_kernel_writes_into_an_input(inputs):
     for result in (
         a + b, a - b, b - a, a * b, a * k, -a, a.substitute(chart, identity),
         _sum_products(chart, [(1, a, b), (-2, c, a)]), _sum_derivations(chart, [(1, a, 1, b)]),
-        poisson(a, b), hamiltonian_vf(a), quantise(a, conn), commutator(qa, qb),
+        poisson(a, b), _hamiltonian_raw(a), quantise(a, conn), commutator(qa, qb),
         commutator(qa, FormalOperator(chart)), commutator_rhs(a, b, conn), phase_conjugate(qa, b),
         preserves(a, conn),
     ):
@@ -479,9 +502,7 @@ def test_built_operators_hold_no_zero_poly_and_own_their_terms(inputs):
     assert len({id(op.terms) for op in results}) == len(results)
 
 
-vector_fields = st.lists(polys(2), min_size=2 * CHART.n, max_size=2 * CHART.n).map(
-    lambda comps: VectorField(CHART, comps)
-)
+vector_fields = st.lists(polys(2), min_size=2 * CHART.n, max_size=2 * CHART.n)
 
 
 @PROPS
@@ -489,40 +510,14 @@ vector_fields = st.lists(polys(2), min_size=2 * CHART.n, max_size=2 * CHART.n).m
 def test_omega_is_the_standard_symplectic_pairing(x, y):
     n, want = CHART.n, Poly.zero(CHART)
     for i in range(n):  # omega(X, Y) = sum_i X[alpha_i] Y[beta_i] - X[beta_i] Y[alpha_i]
-        want = want + x.comps[i] * y.comps[n + i] - x.comps[n + i] * y.comps[i]
-    assert standard_symplectic(CHART).pair(x, y) == want
-
-
-two_form_coefficients = st.one_of(
-    fractions.map(lambda c: Poly.const(CHART, c)),  # real constants: folded into the multiplier
-    scalars.map(lambda c: Poly.const(CHART, c)),
-    polys(2),
-)
-two_forms = st.dictionaries(
-    st.sampled_from([(i, j) for j in range(2 * CHART.n) for i in range(j)]),
-    two_form_coefficients,
-    max_size=4,
-).map(lambda comps: TwoForm(CHART, comps))
-
-
-@PROPS
-@given(two_forms, vector_fields, vector_fields)
-@example(
-    TwoForm(CHART, {(0, 2): Poly.const(CHART, Fraction(-1, 2))}),
-    VectorField(CHART, [Poly.const(CHART, 1)] + [Poly.zero(CHART)] * 3),
-    VectorField(CHART, [Poly.zero(CHART)] * 2 + [Poly.var(CHART, "q1"), Poly.zero(CHART)]),
-)
-def test_pairing_is_the_antisymmetrised_coefficient_sum(form, x, y):
-    want = Poly.zero(CHART)
-    for (i, j), c in form.comps.items():  # sum_{i<j} c_ij (X_i Y_j - X_j Y_i)
-        want = want + c * (x.comps[i] * y.comps[j] - x.comps[j] * y.comps[i])
-    assert form.pair(x, y) == want
+        want = want + x[i] * y[n + i] - x[n + i] * y[i]
+    assert standard_symplectic(CHART)._pair_raw(oracles.raw(x), oracles.raw(y)) == want
 
 
 def two_forms_on(chart):
     """Two-forms on ``chart`` with real-constant, complex-constant and polynomial coefficients."""
     coefficients = st.one_of(
-        fractions.map(lambda c: Poly.const(chart, c)),
+        fractions.map(lambda c: Poly.const(chart, c)),  # real constants: folded into the multiplier
         scalars.map(lambda c: Poly.const(chart, c)),
         polys(2, chart=chart),
     )
@@ -530,6 +525,23 @@ def two_forms_on(chart):
     return st.dictionaries(st.sampled_from(slots), coefficients, max_size=2 * chart.n).map(
         lambda comps: TwoForm(chart, comps)
     )
+
+
+two_forms = two_forms_on(CHART)
+
+
+@PROPS
+@given(two_forms, vector_fields, vector_fields)
+@example(
+    TwoForm(CHART, {(0, 2): Poly.const(CHART, Fraction(-1, 2))}),
+    [Poly.const(CHART, 1)] + [Poly.zero(CHART)] * 3,
+    [Poly.zero(CHART)] * 2 + [Poly.var(CHART, "q1"), Poly.zero(CHART)],
+)
+def test_pairing_is_the_antisymmetrised_coefficient_sum(form, x, y):
+    want = Poly.zero(CHART)
+    for (i, j), c in form.comps.items():  # sum_{i<j} c_ij (X_i Y_j - X_j Y_i)
+        want = want + c * (x[i] * y[j] - x[j] * y[i])
+    assert form._pair_raw(oracles.raw(x), oracles.raw(y)) == want
 
 
 def outcome(f, *args):
@@ -559,7 +571,7 @@ def test_beta_column_read_is_the_pairing_with_x_beta(inputs):
 @given(polys(), polys())
 def test_poisson_bracket_is_the_hamiltonian_derivative(a, b):
     # {A, B} = X_A(B): the sign convention, stated without omega
-    assert poisson(a, b) == hamiltonian_vf(a).apply(b)
+    assert poisson(a, b) == oracles.act(oracles.hamiltonian(a), b)
 
 
 @PROPS
