@@ -17,8 +17,11 @@ extrapolated to vanishing regulator.
 from __future__ import annotations
 
 import cmath
+import importlib.machinery
+import importlib.util
 import math
-import warnings
+import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -213,10 +216,51 @@ def _full_line(half: complex, k: int, a: float) -> complex:
     return full.conjugate() if a < 0 else full
 
 
-def _regulated_half_line(j: int, k: int, a: float, eps: float) -> complex:
-    """(1/k) * integral_0^inf u^(c-1) e^(-eps*u^(2/k)) e^(i*a*u) du, c = (2j+1)/k."""
-    from scipy import integrate  # only the quadrature oracle needs scipy
+def _scipy_extension(name: str):
+    """The compiled module ``scipy.<name>``, loaded without running scipy's package ``__init__``s.
 
+    A module already in ``sys.modules`` is returned as it is, so a caller that imported it
+    through scipy's packages first shares its objects.  Raises ImportError if the file is missing.
+    """
+    full = "scipy." + name
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec("scipy")
+    package, _, _ = name.rpartition(".")
+    directory = os.path.join(os.path.dirname(spec.origin), *package.split("."))
+    finder = importlib.machinery.FileFinder(
+        directory, (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    )
+    spec = finder.find_spec(full)
+    if spec is None:
+        raise ImportError(f"no compiled module {full} in {directory}", name=full)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return sys.modules.setdefault(full, module)
+
+
+def _quadpack_value(result: tuple[float, float, int]) -> float:
+    """The integral of a QUADPACK (value, error, ier) triple.
+
+    ier 1-5 and 7 mark a value short of the requested accuracy; it is kept, since the
+    callers cross-check it against the closed form.  Any other nonzero ier (6: invalid
+    input) raises ValueError.
+    """
+    value, _, ier = result
+    if ier not in (0, 1, 2, 3, 4, 5, 7):
+        raise ValueError(f"QUADPACK rejected the integral (ier={ier})")
+    return value
+
+
+def _regulated_half_line(j: int, k: int, a: float, eps: float) -> complex:
+    """(1/k) * integral_0^inf u^(c-1) e^(-eps*u^(2/k)) e^(i*a*u) du, c = (2j+1)/k.
+
+    QUADPACK (Piessens et al., 1983) integrates [0, 1] with QAWS, against the algebraic
+    endpoint weight u^(c-1), and [1, inf) with QAWF, against the Fourier weights cos(a*u)
+    and sin(a*u).  The compiled routines get the arguments ``scipy.integrate.quad`` gives
+    them for these weights, with its default of 50 Chebyshev moments.
+    """
+    quadpack = _scipy_extension("integrate._quadpack")  # only the quadrature oracle needs it
     c = (2 * j + 1) / k
     p = 2.0 / k
 
@@ -224,34 +268,12 @@ def _regulated_half_line(j: int, k: int, a: float, eps: float) -> complex:
         return math.exp(-eps * u**p)
 
     out = []
-    with warnings.catch_warnings():
-        # The oscillatory tail extrapolation is noisy but its accuracy is
-        # cross-validated against the closed form by the callers.
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for trig, weight in ((math.cos, "cos"), (math.sin, "sin")):
-            # [0, 1]: algebraic endpoint weight u^(c-1) handled by QAWS.
-            near, _ = integrate.quad(
-                lambda u: trig(a * u) * damp(u),
-                0.0,
-                1.0,
-                weight="alg",
-                wvar=(c - 1.0, 0.0),
-                epsabs=1e-12,
-                epsrel=1e-12,
-                limit=400,
-            )
-            # [1, inf): Fourier weight with decaying amplitude handled by QAWF.
-            far, _ = integrate.quad(
-                lambda u: u ** (c - 1.0) * damp(u),
-                1.0,
-                math.inf,
-                weight=weight,
-                wvar=a,
-                epsabs=1e-12,
-                limlst=400,
-                limit=400,
-            )
-            out.append(near + far)
+    for trig, integr in ((math.cos, 1), (math.sin, 2)):
+        near = quadpack._qawse(lambda u: trig(a * u) * damp(u), 0.0, 1.0, (c - 1.0, 0.0),
+                               1, (), 0, 1e-12, 1e-12, 400)
+        far = quadpack._qawfe(lambda u: u ** (c - 1.0) * damp(u), 1.0, a, integr,
+                              (), 0, 1e-12, 400, 400, 50)
+        out.append(_quadpack_value(near) + _quadpack_value(far))
     return (out[0] + 1j * out[1]) / k
 
 

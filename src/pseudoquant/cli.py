@@ -218,10 +218,15 @@ def cmd_bks_classify(args) -> int:
         lam = Fraction(args.lam)
     except (ValueError, ZeroDivisionError):
         raise CliError("--lam expects a rational such as 1 or 1/2") from None
+    if lam == 0:
+        raise CliError("--lam must be nonzero")
     d = bks.DeformationSpec(args.n, lam, args.hbar)
     if bks.classify_rows(args.n, args.m_max) > CLASSIFY_ROWS_MAX:  # m_max < 0: raised below
         raise CliError(f"--m-max gives more than {CLASSIFY_ROWS_MAX} rows; use a smaller bound")
     try:
+        if float(lam) / (2.0 * args.hbar) == 0.0:  # the phase parameter of every mu moment
+            raise CliError(f"--lam {args.lam}: lam/(2*hbar) underflows to 0 at "
+                           f"hbar = {_fmt(args.hbar)}")
         reports, converges = bks.classify_pairing(d, args.m_max)
     except OverflowError:
         raise CliError(f"--lam {args.lam}: lam/(2*hbar) or a mu moment overflows a float at "

@@ -29,9 +29,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
 
-from .bks import PositionDeformation
+from .bks import PositionDeformation, _scipy_extension
+
+_flapack = _scipy_extension("linalg._flapack")  # the module scipy.linalg.lapack re-exports
+zgttrf, zgttrs = _flapack.zgttrf, _flapack.zgttrs
 
 
 class BoundaryLeakWarning(UserWarning):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from pseudoquant.bks import (
     schrodinger_prefactor,
     surviving_position_terms,
 )
+from pseudoquant.bks import _quadpack_value, _regulated_half_line
 
 
 class TestExponents:
@@ -115,6 +117,55 @@ class TestOscillatoryMoment:
         s = 2 * j + 1
         scale = 2.0 * (1.0 / k) * math.gamma(s / k) * abs(a) ** (-s / k)
         assert abs(got - want) / scale < 1e-8
+
+    @staticmethod
+    def _quad_half_line(j, k, a, eps):
+        """``_regulated_half_line`` through ``scipy.integrate.quad``, the public route to the
+        same QUADPACK routines, its accuracy warnings ignored."""
+        from scipy import integrate
+
+        c = (2 * j + 1) / k
+        p = 2.0 / k
+
+        def damp(u):
+            return math.exp(-eps * u**p)
+
+        out = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            for trig, weight in ((math.cos, "cos"), (math.sin, "sin")):
+                near, _ = integrate.quad(lambda u: trig(a * u) * damp(u), 0.0, 1.0,
+                                         weight="alg", wvar=(c - 1.0, 0.0), epsabs=1e-12,
+                                         epsrel=1e-12, limit=400)
+                far, _ = integrate.quad(lambda u: u ** (c - 1.0) * damp(u), 1.0, math.inf,
+                                        weight=weight, wvar=a, epsabs=1e-12, limlst=400,
+                                        limit=400)
+                out.append(near + far)
+        return (out[0] + 1j * out[1]) / k
+
+    # verify-paper's five oscillatory-oracle cases, then j = 3, k = 2 and j = 0, k = 6
+    @pytest.mark.parametrize("j,k,a", [
+        (0, 2, 1.0), (1, 2, 1.0), (0, 4, 1.0), (2, 3, 0.5), (1, 5, 2.0),
+        (3, 2, 0.5), (3, 2, 2.0), (0, 6, 0.5), (0, 6, 2.0),
+    ])
+    def test_regulated_half_line_matches_quad_bitwise(self, j, k, a):
+        """Every rung of the oracle's regulator ladder equals the ``quad`` route bit for bit.
+
+        A scipy release that changes the private QUADPACK signatures fails here.
+        """
+        for eps in (0.3 / 3.0**i for i in range(8)):
+            got = _regulated_half_line(j, k, a, eps)
+            want = self._quad_half_line(j, k, a, eps)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), eps
+
+    @pytest.mark.parametrize("ier", [0, 1, 2, 3, 4, 5, 7])
+    def test_quadpack_value_keeps_an_inaccurate_estimate(self, ier):
+        assert _quadpack_value((0.25, 1e-3, ier)) == 0.25
+
+    @pytest.mark.parametrize("ier", [6, 80])
+    def test_quadpack_value_rejects_invalid_input(self, ier):
+        with pytest.raises(ValueError, match=f"ier={ier}"):
+            _quadpack_value((0.25, 0.0, ier))
 
     def test_validation(self):
         with pytest.raises(ValueError):

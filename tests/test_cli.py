@@ -518,6 +518,11 @@ class TestBks:
         pytest.param(["classify", "--n", "1", "--lam", "1e-300"],
                      "--lam 1e-300: lam/(2*hbar) or a mu moment overflows a float at hbar = 1",
                      id="lam-tiny-moment-overflow"),
+        pytest.param(["classify", "--n", "1", "--lam", "1e-320", "--hbar", "1e10"],
+                     "--lam 1e-320: lam/(2*hbar) underflows to 0 at hbar = 10000000000",
+                     id="lam-phase-underflow"),
+        pytest.param(["classify", "--n", "1", "--lam", "-0"], "--lam must be nonzero",
+                     id="lam-negative-zero"),
         pytest.param(["pair", "--n", "2", "--beta", "0:x:1"],
                      "--beta expects a finite number or 'start:stop:step' with step > 0",
                      id="beta-malformed"),
@@ -841,10 +846,19 @@ class TestImports:
     # dataclasses imports inspect, which imports ast, dis and tokenize
     INTROSPECTION = ("dataclasses", "inspect")
 
+    # the packages whose __init__s the numeric subcommands skip
+    SCIPY_PACKAGES = ("scipy.linalg", "scipy.integrate", "scipy.special", "scipy.optimize",
+                      "scipy.sparse")
+
     def _loaded(self, code, listed=None):
         """The numpy/scipy modules, or the ``listed`` ones, that ``code`` loads when run fresh."""
         loaded = self.HEAVY if listed is None else f"[m for m in {listed!r} if m in sys.modules]"
-        proc = run_fresh(["-c", f"import sys\n{code}\nprint({loaded})"], check=True)
+        return self._printed(code, loaded)
+
+    @staticmethod
+    def _printed(code, expr):
+        """The value of ``expr`` after ``code`` has run in a fresh interpreter."""
+        proc = run_fresh(["-c", f"import sys\n{code}\nprint({expr})"], check=True)
         return proc.stdout.strip().splitlines()[-1]
 
     def test_import_loads_no_numpy_or_scipy(self):
@@ -862,6 +876,26 @@ class TestImports:
     def test_exact_subcommand_loads_no_numpy_or_scipy(self, argv):
         code = f"from pseudoquant import cli\ncli.run({argv!r})"
         assert self._loaded(code) == "[]"
+
+    @pytest.mark.parametrize("argv, compiled", [
+        pytest.param(["evolve", "--n", "2", "--steps", "3", "--grid=-5:5:64"],
+                     ["scipy.linalg._flapack"], id="evolve"),
+        pytest.param(["verify-paper"], ["scipy.linalg._flapack", "scipy.integrate._quadpack"],
+                     id="verify-paper"),
+    ])
+    def test_numeric_subcommand_loads_the_compiled_scipy_modules_not_their_packages(
+            self, argv, compiled):
+        code = f"from pseudoquant import cli\ncli.run({argv!r})"
+        assert self._loaded(code, self.SCIPY_PACKAGES + tuple(compiled)) == repr(compiled)
+
+    @pytest.mark.parametrize("first", ["scipy.linalg.lapack", "pseudoquant.dynamics"])
+    def test_lapack_routines_are_scipys_in_either_import_order(self, first):
+        """``dynamics`` binds the very objects ``scipy.linalg.lapack`` exports, whichever
+        module is imported first, and scipy's packages still import after ``dynamics``."""
+        code = (f"import {first}\nimport pseudoquant.dynamics as dynamics\n"
+                "import scipy.linalg, scipy.linalg.lapack as lapack, scipy.integrate")
+        expr = "[dynamics.zgttrf is lapack.zgttrf, dynamics.zgttrs is lapack.zgttrs]"
+        assert self._printed(code, expr) == "[True, True]"
 
     def test_verify_import_loads_no_dataclasses_or_numeric_modules(self):
         listed = self.INTROSPECTION + ("pseudoquant.bks", "pseudoquant.bohrsommerfeld")
