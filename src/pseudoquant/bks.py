@@ -225,9 +225,10 @@ def _scipy_extension(name: str):
     full = "scipy." + name
     if full in sys.modules:
         return sys.modules[full]
-    spec = importlib.util.find_spec("scipy")
-    package, _, _ = name.rpartition(".")
-    directory = os.path.join(os.path.dirname(spec.origin), *package.split("."))
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError(f"{full} needs scipy, which is not installed", name=full)
+    directory = os.path.join(os.path.dirname(scipy.origin), *name.split(".")[:-1])
     finder = importlib.machinery.FileFinder(
         directory, (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
     )

@@ -5,7 +5,9 @@ The Hamiltonian is H = -(hbar^2/2) * c(q) * d^2/dq^2, stated once in
 n = 0) and the conserved weight 1/c(q) come from ``bks.PositionDeformation``,
 the owner the pairing reads too.  Time stepping is the implicit trapezoidal
 (Crank-Nicolson) rule: its tridiagonal matrix is factorised once with LAPACK
-``zgttrf`` and each step back-solves with ``zgttrs``.
+``zgttrf`` and each step back-solves with ``zgttrs``.  Both come from scipy's
+compiled ``scipy.linalg._flapack``, loaded without importing ``scipy.linalg``;
+they are the objects ``scipy.linalg.lapack`` exports.
 
 A grid's spacing ``Grid1D.dq``, its coordinates ``Grid1D.q`` and the conserved
 weight ``weighted_norm`` reads are computed once per grid (and order n); the
@@ -32,7 +34,7 @@ import numpy as np
 
 from .bks import PositionDeformation, _scipy_extension
 
-_flapack = _scipy_extension("linalg._flapack")  # the module scipy.linalg.lapack re-exports
+_flapack = _scipy_extension("linalg._flapack")
 zgttrf, zgttrs = _flapack.zgttrf, _flapack.zgttrs
 
 

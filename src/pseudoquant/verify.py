@@ -368,7 +368,7 @@ def check_prefactor():
 
 @_check("deformed-evolution", "free regression and weighted-norm conservation of the deformed flow")
 def check_dynamics():
-    import numpy as np  # numpy and scipy load only for this check
+    import numpy as np  # numpy and scipy's compiled LAPACK load only for this check
 
     from . import dynamics
 

@@ -25,7 +25,7 @@ from pseudoquant.bks import (
     schrodinger_prefactor,
     surviving_position_terms,
 )
-from pseudoquant.bks import _quadpack_value, _regulated_half_line
+from pseudoquant.bks import _quadpack_value, _regulated_half_line, _scipy_extension
 
 
 class TestExponents:
@@ -166,6 +166,11 @@ class TestOscillatoryMoment:
     def test_quadpack_value_rejects_invalid_input(self, ier):
         with pytest.raises(ValueError, match=f"ier={ier}"):
             _quadpack_value((0.25, 0.0, ier))
+
+    def test_missing_compiled_module_is_named(self):
+        with pytest.raises(ImportError, match=r"no compiled module scipy\.linalg\._nosuch") as err:
+            _scipy_extension("linalg._nosuch")
+        assert err.value.name == "scipy.linalg._nosuch"
 
     def test_validation(self):
         with pytest.raises(ValueError):
