@@ -221,6 +221,8 @@ def _scipy_extension(name: str):
 
     A module already in ``sys.modules`` is returned as it is, so a caller that imported it
     through scipy's packages first shares its objects.  Raises ImportError if the file is missing.
+    A module loaded here is not bound as an attribute of its scipy package, so import it by its
+    full name (``from scipy.linalg import _flapack``); the attribute may be missing.
     """
     full = "scipy." + name
     if full in sys.modules:

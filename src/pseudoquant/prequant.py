@@ -42,6 +42,7 @@ from .symcore import (
     OneForm,
     Poly,
     SmoothMap,
+    _ONE,
     _Record,
     _hamiltonian_raw,
     _join_terms,
@@ -238,9 +239,6 @@ def _add_leibniz(left: FormalOperator, right: FormalOperator) -> dict:
 
 
 # -- quantisation ------------------------------------------------------------
-
-
-_ONE = {0: (1, 0)}  # the numerator map of the constant 1
 
 
 def _quantised(P: Poly, theta: OneForm, k: int, pieces: list[tuple[int, Poly]]) -> FormalOperator:

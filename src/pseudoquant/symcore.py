@@ -11,13 +11,15 @@ Coefficient representation (as in FLINT's ``fmpq_poly``): a Poly stores
 Gaussian-integer numerators ``(re, im)`` over one positive denominator
 shared by all its terms, normalised so that the gcd of every numerator part
 and the denominator is 1.  ``Poly`` does all exact arithmetic, on plain ints.
-Every plain sum (``+``, ``-``, the constructor and ``substitute``) goes
-through ``_sum``, every sum of products through ``_sum_products``, and every
-sum of k * p * dq/dx_i through ``_sum_derivations``, which derives inside the
-kernel (``exterior_d`` and ``FormalOperator.compose`` use ``Poly._partial``).
-All three accumulate on one common denominator and end in ``_normal``, the
-one place where the gcd is divided out; one ``(k, n1, n2, d)`` term of
-``_sum_raw_products`` is its own: ``d`` is the denominator, ``k`` the factor.
+One kernel, ``_sum_raw_products``, accumulates every exact sum of
+``k * n1 * n2 / d`` over ``(k, n1, n2, d)`` on one common denominator (one
+term is its own: ``d`` the denominator, ``k`` the factor), deletes what
+cancels, tests every key against ``chart.top`` and ends in ``_normal``, the
+one gcd pass.  ``_sum`` gives it each plain piece (``+``, ``-``, the
+constructor, ``substitute``) times ``_ONE``, the constant 1; ``_sum_products``
+gives Polys; ``_sum_derivations`` derives each q first (``exterior_d`` and
+``FormalOperator.compose`` use ``Poly._partial``).  ``substitute`` and
+``TwoForm._pair_raw`` take each product on the way as a one-term sum.
 A Hamiltonian field has one representation, raw numerator maps:
 ``_hamiltonian_raw`` gives X_A's 2n maps over ``A.den``, and every reader
 (the pairings and ``prequant._quantised``) takes them as they are.
@@ -77,7 +79,7 @@ from functools import cache, cached_property
 from itertools import repeat
 from math import gcd, lcm
 from operator import lshift as _lshift
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -85,6 +87,7 @@ FIELD_BITS = 16  # width of each variable's field in a packed exponent key
 EXP_LIMIT = 1 << (FIELD_BITS - 1)  # every coordinate exponent stays below this
 _FIELD_MASK = (1 << FIELD_BITS) - 1
 _OVERFLOW = f"every coordinate exponent must stay below {EXP_LIMIT}"
+_ONE = {0: (1, 0)}  # the numerator map of the constant 1; shared, so never written into
 
 
 class ChartError(ValueError):
@@ -443,8 +446,8 @@ class Poly(_Record):
         """Substitute every chart coordinate by a Poly over ``new_chart``.
 
         ``hbar`` maps to the new chart's hbar automatically.  Each term's
-        image is accumulated as integer numerators over its own denominator;
-        the sum is brought to one denominator and normalised once.
+        image is a chain of one-term ``_sum_raw_products`` over its own
+        denominator; the images are summed by ``_sum`` and normalised once.
         """
         images = [Poly.hbar(new_chart)]
         for name in self.chart.coords:
@@ -455,20 +458,16 @@ class Poly(_Record):
                 raise ChartError("substitution image lives on the wrong chart")
             images.append(img)
         powers = [[img] for img in images]  # powers[i][k - 1] == images[i] ** k
-        top = new_chart.top
         pieces = []
         for c, exp in zip(self.nums.values(), _unpack(self.chart, self.nums)):
-            nums, den = {0: c}, 1
+            nums, den = {0: c}, self.den
             for pw, k in zip(powers, exp):
                 if k:
                     while len(pw) < k:
                         pw.append(pw[-1] * pw[0])
-                    nums = _add_product({}, nums, pw[k - 1].nums, 1)
-                    if any(map(top.__and__, nums)):  # before the next product can carry
-                        raise ChartError(_OVERFLOW)
+                    nums = _sum_raw_products(new_chart, [(1, nums, pw[k - 1].nums, 1)]).nums
                     den *= pw[k - 1].den
-            nonzero = {x: v for x, v in nums.items() if v[0] or v[1]}  # products may cancel
-            pieces.append((1, nonzero, den * self.den))
+            pieces.append((1, nums, den))
         return _sum(new_chart, pieces)
 
     def evaluate(self, values: Mapping[str, complex], hbar: complex = 1.0) -> complex:
@@ -551,34 +550,9 @@ def _normal(chart: ChartSpec, nums: dict, den: int) -> Poly:
     return _make(chart, nums, den)
 
 
-def _sum(chart: ChartSpec, pieces: Sequence[tuple[int, dict, int]]) -> Poly:
-    """The sum of ``k * nums / den`` over ``(k, nums, den)``, on one denominator, normalised once.
-
-    Every ``nums`` holds nonzero numerators only; entries that cancel are deleted.
-    """
-    den = 1
-    for _, _, d in pieces:
-        den = lcm(den, d)
-    acc: dict[int, tuple[int, int]] = {}
-    for k, nums, d in pieces:
-        m = k * (den // d)
-        if not acc:
-            acc = dict(nums) if m == 1 else {e: (re * m, im * m) for e, (re, im) in nums.items()}
-            continue
-        for e, (re, im) in nums.items():
-            if m != 1:
-                re, im = re * m, im * m
-            old = acc.get(e)
-            if old is None:
-                acc[e] = (re, im)
-            else:
-                re += old[0]
-                im += old[1]
-                if re or im:
-                    acc[e] = (re, im)
-                else:
-                    del acc[e]
-    return _normal(chart, acc, den)
+def _sum(chart: ChartSpec, pieces: Iterable[tuple[int, dict, int]]) -> Poly:
+    """The sum of ``k * nums / den`` over ``(k, nums, den)``: each piece times the constant 1."""
+    return _sum_raw_products(chart, [(k, nums, _ONE, d) for k, nums, d in pieces if nums])
 
 
 def _add_product(acc: dict, n1: dict, n2: dict, f: int) -> dict:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from pseudoquant import symcore
 from pseudoquant.exprparse import ExprSyntaxError, _Parser, parse_poly
 from pseudoquant.polarisation import preserves, residual_operator, scaled_connection
 from pseudoquant.prequant import (
@@ -466,9 +467,10 @@ def test_sparse_observables_agree_with_both_oracles(inputs):
 def test_no_kernel_writes_into_an_input(inputs):
     """Every exact kernel leaves its inputs' ``nums`` maps as it found them.
 
-    Each chart's zero Poly is shared, and operators share their coefficient
-    Polys, so a kernel that wrote into a map it did not create would change
-    other values.
+    Each chart's zero Poly is shared, operators share their coefficient
+    Polys, and every plain sum reads the one constant-1 map ``symcore._ONE``,
+    so a kernel that wrote into a map it did not create would change other
+    values.
     """
     conn, a, b, c, k = inputs
     chart = conn.chart
@@ -479,6 +481,7 @@ def test_no_kernel_writes_into_an_input(inputs):
     identity = {name: Poly.var(chart, name) for name in chart.coords}
     for result in (
         a + b, a - b, b - a, a * b, a * k, -a, a.substitute(chart, identity),
+        Poly(chart, a.terms),
         _sum_products(chart, [(1, a, b), (-2, c, a)]), _sum_derivations(chart, [(1, a, 1, b)]),
         poisson(a, b), _hamiltonian_raw(a), quantise(a, conn), commutator(qa, qb),
         commutator(qa, FormalOperator(chart)), commutator_rhs(a, b, conn), phase_conjugate(qa, b),
@@ -487,6 +490,7 @@ def test_no_kernel_writes_into_an_input(inputs):
         assert result is not None
     assert [(p.nums, p.den) for p in shared] == before
     assert not Poly.zero(chart).nums
+    assert symcore._ONE == {0: (1, 0)}  # every plain sum reads this one map
 
 
 @PROPS
@@ -683,3 +687,32 @@ def test_substitution_whose_terms_cancel_is_the_zero_poly(q, d):
     result = (Poly.var(CHART, "p1") - Poly.var(CHART, "q1")).substitute(CHART, mapping)
     assert_same_representation(result, Poly.zero(CHART))
     assert result.den == 1
+
+
+TARGET = standard_chart(1)
+
+
+@PROPS
+@given(polys(), polys(), polys(3, chart=TARGET), polys(3, chart=TARGET), polys(2, chart=TARGET),
+       polys(2, chart=TARGET), scalars)
+def test_substitute_is_a_ring_homomorphism(p, q, s, t, u, v, c):
+    """Sums, products, coordinates, hbar and constants map to their images.
+
+    p1 -> s + t and q1 -> s - t, so every p1*q1 factor product of a term is
+    s^2 - t^2, and its two cross products cancel inside that one term.
+    """
+    mapping = {"p1": s + t, "q1": s - t, "p2": u, "q2": v}
+
+    def image(f):
+        return f.substitute(TARGET, mapping)
+
+    for f in (p, q, p + q, p * q):
+        assert_normal_form(image(f))
+    assert_same_representation(image(p + q), image(p) + image(q))
+    assert_same_representation(image(p * q), image(p) * image(q))
+    for name, img in mapping.items():
+        assert_same_representation(image(Poly.var(CHART, name)), img)
+    assert_same_representation(image(Poly.hbar(CHART)), Poly.hbar(TARGET))
+    assert_same_representation(image(Poly.const(CHART, c)), Poly.const(TARGET, c))
+    p1q1 = Poly.var(CHART, "p1") * Poly.var(CHART, "q1")
+    assert_same_representation(image(p1q1), s * s - t * t)
