@@ -19,14 +19,15 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
 from fractions import Fraction
 from typing import Iterable
 
-from .exprparse import ExprSyntaxError, ProblemFile, load_problem, parse_poly
+from .exprparse import ProblemFile, load_problem, parse_poly
 from .polarisation import CASE_TAGS, _grid_connection, _monomial_cells, preserves
 from .prequant import FormalOperator, commutator, pullback_quantise, quantise
-from .symcore import EXP_LIMIT, ChartError, ChartSpec
+from .symcore import EXP_LIMIT, ChartSpec
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -74,21 +75,26 @@ def _emit(lines: Iterable[str], path: str | None):
             fh.write(line + "\n")
 
 
-def _check_writable(*paths: str | None) -> None:
-    """Raise OSError unless every given path opens for writing; leave every file as it was.
+def _check_writable(**paths: str | None) -> None:
+    """Raise unless each ``option=path`` opens for writing, to a file of its own; change no file.
 
     Each path opens without truncation and closes again, and a file the check created is
-    removed, so outputs open (and truncate) only once all of them can.
+    removed, so outputs open (and truncate) only once all of them can.  Two options that
+    open one regular file (one device and inode) are a CliError naming both.
     """
-    created = []
+    created, owners = [], {}
     try:
-        for path in filter(None, paths):
+        for option, path in [(option, path) for option, path in paths.items() if path]:
             try:
                 fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
                 created.append(path)
             except FileExistsError:
                 fd = os.open(path, os.O_WRONLY)
+            st = os.fstat(fd)
             os.close(fd)
+            file = (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else option
+            if owners.setdefault(file, option) != option:
+                raise CliError(f"--{owners[file]} and --{option} name the same file {path}")
     finally:
         for path in created:
             os.remove(path)
@@ -343,7 +349,7 @@ def cmd_evolve(args) -> int:
         record(state)
         if args.snapshots and k % args.snap_every == 0:
             snapshots[k // args.snap_every] = state.psi
-    _check_writable(args.snapshots, args.csv)
+    _check_writable(snapshots=args.snapshots, csv=args.csv)
     with open(args.snapshots, "wb") if args.snapshots else contextlib.nullcontext() as snap:
         report = watch.report()
         if report:
@@ -374,7 +380,7 @@ def cmd_bs_count(args) -> int:
     lines = [f"# E={spec}", "E,standard_dim,folded_dim"]
     for E in levels:
         lines.append(f"{E},{bohrsommerfeld.standard_dim(E)},{bohrsommerfeld.folded_count(E)}")
-    _check_writable(args.points, args.csv)
+    _check_writable(points=args.points, csv=args.csv)
     with open(args.points, "w") if args.points else contextlib.nullcontext() as points:
         _emit(lines, args.csv)
         if points:
@@ -507,7 +513,7 @@ def run(argv=None) -> int:
             parser.print_help()
             return EXIT_INPUT
         return args.func(args)
-    except (CliError, ExprSyntaxError, ChartError, ValueError, OSError, MemoryError) as exc:
+    except (CliError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

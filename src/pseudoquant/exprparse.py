@@ -371,8 +371,7 @@ class ProblemFile(_Record):
         self, chart: ChartSpec, connection: ConnectionData, observables: dict[str, Poly],
         pullback: PullbackSetup | None = None,
     ):
-        for name, value in zip(self.__slots__, (chart, connection, observables, pullback)):
-            object.__setattr__(self, name, value)
+        _Record.__init__(self, chart, connection, observables, pullback)
 
 
 def _object(value, key: str) -> dict:

@@ -61,7 +61,7 @@ class Polarisation(_Record):
                 "connection is not adapted: the potential must have no "
                 "d(alpha) components so that flat sections are F(beta)"
             )
-        object.__setattr__(self, "chart", chart)
+        _Record.__init__(self, chart)
 
 
 class FlatSectionAction(_Record):
@@ -82,8 +82,7 @@ class FlatSectionAction(_Record):
                 raise ChartError("flat multi-index must range over the beta coordinates")
             if not p.is_zero():
                 clean[k] = p
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "coeffs", clean)
+        _Record.__init__(self, chart, clean)
 
     def __eq__(self, other):
         return (
@@ -117,10 +116,6 @@ class PreservationReport(_Record):
     """
 
     __slots__ = ("observable", "preserves", "residuals")
-
-    def __init__(self, observable: Poly, preserves: bool, residuals: tuple):
-        for name, value in zip(self.__slots__, (observable, preserves, residuals)):
-            object.__setattr__(self, name, value)
 
 
 def residual_operator(A: Poly, c: ConnectionData, i: int) -> FormalOperator:

@@ -68,9 +68,7 @@ class ConnectionData(_Record):
     __slots__ = ("chart", "theta", "omega_curv")
 
     def __init__(self, theta: OneForm):
-        object.__setattr__(self, "chart", theta.chart)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "omega_curv", exterior_d(theta))
+        _Record.__init__(self, theta.chart, theta, exterior_d(theta))
 
     @staticmethod
     def standard(chart: ChartSpec) -> "ConnectionData":
@@ -98,8 +96,7 @@ class FormalOperator(_Record):
                 raise ChartError("operator coefficient on the wrong chart")
             if not coeff.is_zero():
                 clean[idx] = coeff
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "terms", clean)
+        _Record.__init__(self, chart, clean)
 
     # -- constructors ------------------------------------------------------
 
@@ -351,10 +348,8 @@ class PullbackSetup(_Record):
     def __init__(self, m: SmoothMap, target_connection: ConnectionData):
         if target_connection.chart is not m.target:
             raise ChartError("target connection must live on the map's target chart")
-        object.__setattr__(self, "map", m)
-        object.__setattr__(self, "target_connection", target_connection)
         induced = ConnectionData(pullback_form(m, target_connection.theta))
-        object.__setattr__(self, "induced", induced)
+        _Record.__init__(self, m, target_connection, induced)
 
 
 def pullback_quantise(A: Poly, s: PullbackSetup) -> FormalOperator:

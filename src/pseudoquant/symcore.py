@@ -67,7 +67,10 @@ Sign conventions, fixed once for the whole package:
 
 so that {alpha_i, beta_i} = +1.
 
-All values are immutable after construction and all operations are pure;
+Every record (``_Record``) is built once through ``_Record.__init__``, after
+its constructor validates, and is never set and never deleted; only the
+trusted builders ``_make`` and ``prequant._make_op``, and the interning
+``ChartSpec.__new__``, write slots directly.  All operations are pure;
 floats appear only through the explicit ``evaluate`` shadow.
 """
 
@@ -95,12 +98,25 @@ class ChartError(ValueError):
 
 
 class _Record:
-    """Base of the immutable records; constructors set slots via ``object.__setattr__``."""
+    """Base of the exact records: built once through ``__init__``, never set, never deleted.
+
+    ``__init__(*values)`` writes each slot once, in ``__slots__`` order.  The trusted builders
+    ``_make`` and ``prequant._make_op``, and ``ChartSpec.__new__``, write slots directly.
+    """
 
     __slots__ = ()
 
-    def __setattr__(self, name, value):
+    def __init__(self, *values):
+        slots = self.__slots__
+        if len(values) != len(slots):
+            raise TypeError(f"{type(self).__name__} takes {len(slots)} values, not {len(values)}")
+        for name, value in zip(slots, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
 
 class Scalar(_Record):
@@ -113,8 +129,8 @@ class Scalar(_Record):
     __slots__ = ("re", "im")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        _Record.__init__(self, re if type(re) is Fraction else Fraction(re),
+                         im if type(im) is Fraction else Fraction(im))
 
     def __repr__(self):
         return f"Scalar({self.re!r}, {self.im!r})"
@@ -174,6 +190,7 @@ class ChartSpec(_Record):
 
     __slots__ = ("pairs", "__dict__")  # __dict__ holds the cached names and key layout
     _charts: dict = {}  # pairs -> the one chart with them; only valid layouts are stored
+    __init__ = object.__init__  # not _Record's: __new__ did the work, and pairs= may be a keyword
 
     def __new__(cls, pairs: tuple[tuple[str, str], ...]):
         chart = cls._charts.get(pairs)
@@ -273,9 +290,7 @@ class Poly(_Record):
                 raise ChartError(f"exponent tuple {exp}: {_OVERFLOW}")
             pieces.append((1, {sum(map(_lshift, exp, chart.shifts)): (re, im)}, d))
         p = _sum(chart, pieces)
-        _set_chart(self, chart)
-        _set_nums(self, p.nums)
-        _set_den(self, p.den)
+        _Record.__init__(self, chart, p.nums, p.den)
 
     # -- constructors ------------------------------------------------------
 
@@ -376,8 +391,7 @@ class Poly(_Record):
         return _sum(self.chart, ((1, self.nums, self.den), (-1, other.nums, other.den)))
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        return _sum(self.chart, ((1, other.nums, other.den), (-1, self.nums, self.den)))
+        return self._coerce(other) - self
 
     def __mul__(self, other):
         if type(other) is not Poly or other.chart is not self.chart:
@@ -629,8 +643,7 @@ class OneForm(_Record):
         for c in comps:
             if c.chart is not chart:
                 raise ChartError("one-form coefficient on the wrong chart")
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "comps", comps)
+        _Record.__init__(self, chart, comps)
 
     def __eq__(self, other):
         return type(other) is OneForm and self.chart is other.chart and self.comps == other.comps
@@ -667,8 +680,7 @@ class TwoForm(_Record):
                 raise ChartError("two-form coefficient on the wrong chart")
             if not p.is_zero():
                 clean[(i, j)] = p
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "comps", clean)
+        _Record.__init__(self, chart, clean)
 
     def component(self, i: int, j: int) -> Poly:
         """Coefficient of dx_i ^ dx_j for any index order (antisymmetry built in)."""
@@ -679,9 +691,7 @@ class TwoForm(_Record):
         return -self.comps.get((j, i), Poly.zero(self.chart))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TwoForm) and self.chart is other.chart and self.comps == other.comps
-        )
+        return type(other) is TwoForm and self.chart is other.chart and self.comps == other.comps
 
     def __hash__(self):
         return hash((self.chart, frozenset(self.comps.items())))
@@ -753,9 +763,7 @@ class SmoothMap(_Record):
         for c in comps:
             if c.chart is not source:
                 raise ChartError("map components must live on the source chart")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "comps", comps)
+        _Record.__init__(self, source, target, comps)
 
     def mapping(self) -> dict[str, Poly]:
         return dict(zip(self.target.coords, self.comps))

@@ -69,10 +69,6 @@ class CheckResult(_Record):
 
     __slots__ = ("check_id", "anchor", "status", "details")
 
-    def __init__(self, check_id: str, anchor: str, status: str, details: str):
-        for name, value in zip(self.__slots__, (check_id, anchor, status, details)):
-            object.__setattr__(self, name, value)
-
     def line(self) -> str:
         return f"[{self.status:>20}] {self.check_id}: {self.anchor} -- {self.details}"
 

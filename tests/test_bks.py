@@ -42,7 +42,7 @@ class TestExponents:
             assert len(set(vals)) == len(vals)
 
     def test_routes_agree_only_at_n2(self):
-        for n in range(1, 21):
+        for n in range(1, 51):
             for m in range(6):
                 for j in range(4):
                     agree = exponent(n, m, j) == alt_exponent(n, m, j)

@@ -158,6 +158,10 @@ class TestErrors:
         ["bs-count", "--E", "1..3", "--csv", "{missing}/c", "--points", "{out}"],
         ["evolve", "--n", "0", "--steps", "3", "--grid=-5:5:64", "--csv", "{missing}/c",
          "--snapshots", "{out}"],
+        # two outputs named to one file: refused, not written one over the other
+        ["bs-count", "--E", "1..3", "--csv", "{out}", "--points", "{out}"],
+        ["evolve", "--n", "0", "--steps", "3", "--grid=-5:5:64", "--csv", "{out}",
+         "--snapshots", "{out}"],
     ])
     def test_unopenable_output_writes_nothing(self, capsys, tmp_path, argv):
         # every output path is checked before any opens, so a bad path creates no
@@ -175,6 +179,22 @@ class TestErrors:
             assert line.startswith("error: ")
             for path in (csv, out):
                 assert path.read_text() == "kept\n" if existing else not path.exists()
+
+    @pytest.mark.parametrize("argv, first, second", [
+        (["bs-count", "--E", "1..3"], "--points", "--csv"),
+        (["evolve", "--n", "0", "--steps", "2", "--grid=-5:5:16"], "--snapshots", "--csv"),
+    ], ids=["bs-count", "evolve"])
+    def test_two_outputs_to_one_file_name_both_options(self, capsys, tmp_path, argv, first,
+                                                       second):
+        out = tmp_path / "out"
+        assert run([*argv, second, str(out), first, f"{tmp_path}/./out"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {first} and {second} name the same file {out}\n"
+        assert not out.exists()
+        # a device such as /dev/null is not a regular file: both outputs may go there
+        assert run([*argv, first, os.devnull, second, os.devnull]) == EXIT_OK
+        assert capsys.readouterr().out == ""
 
     def test_no_subcommand_prints_help(self, capsys):
         assert run([]) == EXIT_INPUT

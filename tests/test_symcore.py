@@ -343,6 +343,8 @@ class TestChartValidation:
             pq1.pairs = (("a1", "b1"),)
         with pytest.raises(AttributeError):
             pq1.label = "x"
+        with pytest.raises(AttributeError, match="^ChartSpec is immutable$"):
+            del pq1.pairs
         assert pq1.pairs == (("p1", "q1"),)
 
     def test_chart_mismatch(self, pq1, ab1):
@@ -372,6 +374,9 @@ class TestFormAndFieldRecords:
             rec.comps = ()
         with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
             rec.label = "x"
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            del rec.comps
+        assert rec.comps[0] == Poly.var(pq1, "p1")
 
     def test_sum_and_chart_mismatch(self, cls, noun, pq1, ab1):
         p, q = Poly.var(pq1, "p1"), Poly.var(pq1, "q1")
@@ -387,7 +392,7 @@ def test_one_form_scale_by_constant_is_componentwise_poly_scale(pq1, c):
 
 
 def test_records_share_one_immutability_rule():
-    """Every exact-layer record takes ``__setattr__`` from one base and names itself."""
+    """Every exact-layer record takes ``__setattr__`` and ``__delattr__`` from one base."""
     import pseudoquant.exprparse
     import pseudoquant.verify  # noqa: F401  (defines CheckResult)
 
@@ -402,7 +407,28 @@ def test_records_share_one_immutability_rule():
         "FlatSectionAction", "PreservationReport", "ProblemFile", "CheckResult",
     }
     assert all("__setattr__" not in vars(cls) for cls in records)
-    for record in (Scalar(1), Poly.zero(standard_chart(1)),
+    assert all("__delattr__" not in vars(cls) for cls in records)
+    for record in (Scalar(1), Poly.zero(standard_chart(1)), standard_chart(1),
                    pseudoquant.exprparse.load_problem({})):
-        with pytest.raises(AttributeError, match=f"^{type(record).__name__} is immutable$"):
-            record.chart = None
+        for name in ("chart", *type(record).__slots__):
+            with pytest.raises(AttributeError, match=f"^{type(record).__name__} is immutable$"):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError, match=f"^{type(record).__name__} is immutable$"):
+                delattr(record, name)
+
+
+def test_records_are_built_through_the_base_constructor():
+    """``_Record.__init__`` writes one value per slot, in ``__slots__`` order, or names the record."""
+    from pseudoquant.polarisation import PreservationReport
+    from pseudoquant.verify import CheckResult
+
+    assert "__init__" not in vars(CheckResult) and "__init__" not in vars(PreservationReport)
+    result = CheckResult("id", "anchor", "pass", "details")
+    assert [getattr(result, name) for name in CheckResult.__slots__] == [
+        "id", "anchor", "pass", "details"
+    ]
+    with pytest.raises(TypeError, match="^CheckResult takes 4 values, not 3$"):
+        CheckResult("id", "anchor", "pass")
+    with pytest.raises(TypeError, match="^PreservationReport takes 3 values, not 4$"):
+        PreservationReport(None, True, (), None)
+    assert ChartSpec(pairs=(("p1", "q1"),)) is standard_chart(1)

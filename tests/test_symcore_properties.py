@@ -18,6 +18,7 @@ from pseudoquant import symcore
 from pseudoquant.exprparse import ExprSyntaxError, _Parser, parse_poly
 from pseudoquant.polarisation import preserves, residual_operator, scaled_connection
 from pseudoquant.prequant import (
+    ConnectionData,
     FormalOperator,
     _quantised,
     commutator,
@@ -29,6 +30,7 @@ from pseudoquant.symcore import (
     EXP_LIMIT,
     ChartError,
     ChartSpec,
+    OneForm,
     Poly,
     Scalar,
     TwoForm,
@@ -716,3 +718,61 @@ def test_substitute_is_a_ring_homomorphism(p, q, s, t, u, v, c):
     assert_same_representation(image(Poly.const(CHART, c)), Poly.const(TARGET, c))
     p1q1 = Poly.var(CHART, "p1") * Poly.var(CHART, "q1")
     assert_same_representation(image(p1q1), s * s - t * t)
+
+
+# -- the flagged findings hold over families, not one witness ----------------------
+
+ONE_DOF = standard_chart(1)
+phase_polys = st.dictionaries(
+    st.tuples(st.just(0), st.integers(0, 3), st.integers(0, 3)), scalars, max_size=4
+).map(lambda terms: Poly(ONE_DOF, terms))
+
+
+@PROPS
+@given(phase_polys, phase_polys)
+def test_paired_shift_laws_hold_for_every_f_and_g(f, g):
+    """Under theta = (p/2 - f) dq - (q/2 - g) dp, with div = df/dp + dg/dq, the
+    dp^dq curvature coefficient is 1 - div and [Q(p), Q(q)] / (-i*hbar) is 1 + div.
+
+    The paper states {f, g} and 2 - {f, g} (``verify.flag_paired_shift_example``).
+    """
+    p, q = Poly.var(ONE_DOF, "p1"), Poly.var(ONE_DOF, "q1")
+    half = Fraction(1, 2)
+    theta = OneForm.from_dict(ONE_DOF, {"dq1": p.scale(half) - f, "dp1": g - q.scale(half)})
+    conn = ConnectionData(theta)
+    div = f.partial("p1") + g.partial("q1")
+    assert conn.omega_curv.component(0, 1) == 1 - div
+    expected = FormalOperator.from_poly((1 + div).times_minus_i_hbar())
+    assert commutator(quantise(p, conn), quantise(q, conn)) == expected
+
+
+one_variable_coeffs = st.lists(scalars, max_size=4)
+
+
+def one_variable(coeffs, x: str) -> Poly:
+    """h(x) = sum_k coeffs[k] * x^k."""
+    var = Poly.var(CHART, x)
+    return sum(((var**k).scale(c) for k, c in enumerate(coeffs)), Poly.zero(CHART))
+
+
+def positions_commutator(coupling: dict[str, Poly]) -> FormalOperator:
+    """[Q(q1), Q(q2)] under theta_std plus the coupling one-form."""
+    conn = ConnectionData(standard_potential(CHART) + OneForm.from_dict(CHART, coupling))
+    q1, q2 = Poly.var(CHART, "q1"), Poly.var(CHART, "q2")
+    return commutator(quantise(q1, conn), quantise(q2, conn))
+
+
+@PROPS
+@given(one_variable_coeffs)
+def test_position_coupling_leaves_the_positions_commuting(coeffs):
+    """[Q(q1), Q(q2)] = 0 under theta_std + h(q1) dq2; the paper states i*hbar."""
+    assert positions_commutator({"dq2": one_variable(coeffs, "q1")}).is_zero()
+
+
+@PROPS
+@given(one_variable_coeffs)
+def test_momentum_coupling_gives_the_derivative_of_the_coupling(coeffs):
+    """[Q(q1), Q(q2)] = i*hbar * h'(p1) under theta_std + h(p1) dp2."""
+    h = one_variable(coeffs, "p1")
+    expected = FormalOperator.from_poly(-h.partial("p1").times_minus_i_hbar())
+    assert positions_commutator({"dp2": h}) == expected
