@@ -4,6 +4,11 @@ Subcommands: commutator, quantise, preserve, bks (classify | pair), evolve,
 bs-count, verify-paper.  Exit codes: 0 success, 1 input error,
 2 verification failure, 3 flagged discrepancies under --strict.
 
+``build_parser()`` is the one statement of every subcommand's options.
+Option names match in full only, and a token that starts with a single '-'
+(the help flag '-h' aside) is the value of the option just before it, so
+'--grid -10:10:2048' and '--csv -out.csv' parse as written.
+
 All numeric parameters are echoed into CSV headers (comment lines starting
 with '#') so outputs are reproducible byte for byte.
 
@@ -24,7 +29,7 @@ import sys
 from fractions import Fraction
 from typing import Iterable
 
-from .exprparse import ProblemFile, load_problem, parse_poly
+from .exprparse import load_problem, parse_poly
 from .polarisation import CASE_TAGS, _grid_connection, _monomial_cells, preserves
 from .prequant import FormalOperator, commutator, pullback_quantise, quantise
 from .symcore import EXP_LIMIT, ChartSpec
@@ -48,6 +53,9 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise CliError(message)
 
@@ -61,11 +69,6 @@ def _operator_json(op: FormalOperator) -> dict:
     for idx, coeff in sorted(op.terms.items()):
         terms[",".join(map(str, idx))] = str(coeff)
     return {"text": str(op), "order": op.order(), "terms": terms}
-
-
-def _formal_divide(op: FormalOperator) -> FormalOperator:
-    """Divide every coefficient by -i*hbar (requires explicit hbar factors)."""
-    return FormalOperator(op.chart, {idx: c.div_minus_i_hbar() for idx, c in op.terms.items()})
 
 
 def _emit(lines: Iterable[str], path: str | None):
@@ -100,10 +103,6 @@ def _check_writable(**paths: str | None) -> None:
             os.remove(path)
 
 
-def _load(args) -> ProblemFile:
-    return load_problem(args.problem or {})
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -113,7 +112,7 @@ def _quantise_all(args, *exprs: str) -> list[FormalOperator]:
     With a ``pullback`` block the observables live on its target chart and are
     quantised through the pulled-back connection.
     """
-    problem = _load(args)
+    problem = load_problem(args.problem or {})
     setup = problem.pullback
     chart = problem.chart if setup is None else setup.map.target
     polys = [parse_poly(e, chart) for e in exprs]
@@ -124,8 +123,8 @@ def _quantise_all(args, *exprs: str) -> list[FormalOperator]:
 
 def cmd_commutator(args) -> int:
     op = commutator(*_quantise_all(args, args.a, args.b))
-    if args.formal:
-        op = _formal_divide(op)
+    if args.formal:  # divide every coefficient by -i*hbar
+        op = FormalOperator(op.chart, {idx: c.div_minus_i_hbar() for idx, c in op.terms.items()})
     return _print_operator(op, args.json)
 
 
@@ -177,7 +176,7 @@ def cmd_preserve(args) -> int:
     for flag in ("csv", "case", "deformation"):
         if getattr(args, flag) is not None:
             raise CliError(f"--{flag} applies only to --grid")
-    problem = _load(args)
+    problem = load_problem(args.problem or {})
     A = parse_poly(args.observable, problem.chart)
     rep = preserves(A, problem.connection)
     payload = {
@@ -324,6 +323,11 @@ def cmd_evolve(args) -> int:
     init = _parse_init(args.init)
     prop = dynamics.Propagator(grid, cfg)
     state = dynamics.gaussian_state(grid, init["q0"], init["p0"], init["sigma"], args.hbar)
+    with np.errstate(all="ignore"):  # an overflowing weight is refused, not warned about
+        if not math.isfinite(dynamics.weighted_norm(state, args.n)):
+            raise CliError(f"the weight (1 + 2*q^n)^(3/2) of weighted_norm overflows a float "
+                           f"on the grid [{_fmt(q_min)}, {_fmt(q_max)}] at n = {args.n}; "
+                           "shrink the domain")
     lines = [
         f"# n={args.n} hbar={_fmt(args.hbar)} dt={_fmt(args.dt)} steps={args.steps} "
         f"grid={_fmt(q_min)}:{_fmt(q_max)}:{nodes} init={args.init}",
@@ -413,23 +417,28 @@ def cmd_verify_paper(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="pseudoquant", description=__doc__)
     sub = parser.add_subparsers(dest="command")
+    # each option that several subcommands take is declared once, in a parent parser
+    problem = _Parser(add_help=False)
+    problem.add_argument("--problem", help="JSON problem file")
+    operator = _Parser(add_help=False, parents=[problem])
+    operator.add_argument("--json", action="store_true", help="JSON output")
+    numeric = _Parser(add_help=False)
+    numeric.add_argument("--n", type=int, required=True)
+    numeric.add_argument("--hbar", type=float, default=1.0)
+    numeric.add_argument("--csv", help="write CSV output to this path")
 
-    p = sub.add_parser("commutator", help="commutator of two quantised observables")
-    p.add_argument("--problem", help="JSON problem file")
-    p.add_argument("--json", action="store_true", help="JSON output")
+    p = sub.add_parser("commutator", parents=[operator],
+                       help="commutator of two quantised observables")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--formal", action="store_true", help="divide out the -i*hbar factor")
     p.set_defaults(func=cmd_commutator)
 
-    p = sub.add_parser("quantise", help="quantise one observable")
-    p.add_argument("--problem", help="JSON problem file")
-    p.add_argument("--json", action="store_true", help="JSON output")
+    p = sub.add_parser("quantise", parents=[operator], help="quantise one observable")
     p.add_argument("--observable", required=True)
     p.set_defaults(func=cmd_quantise)
 
-    p = sub.add_parser("preserve", help="flat-section preservation verdicts")
-    p.add_argument("--problem", help="JSON problem file (--observable only)")
+    p = sub.add_parser("preserve", parents=[problem], help="flat-section preservation verdicts")
     p.add_argument("--observable", help="one observable: JSON verdict and residuals")
     p.add_argument("--grid", help="'m,n' monomial grid bounds: CSV table")
     p.add_argument("--case", choices=CASE_TAGS, help="connection case (--grid only; default standard)")
@@ -437,28 +446,21 @@ def build_parser() -> _Parser:
     p.add_argument("--csv", help="write the grid CSV to this path (--grid only)")
     p.set_defaults(func=cmd_preserve)
 
-    bks_options = argparse.ArgumentParser(add_help=False)
-    bks_options.add_argument("--n", type=int, required=True)
-    bks_options.add_argument("--hbar", type=float, default=1.0)
-    bks_options.add_argument("--csv", help="write CSV output to this path")
     p = sub.add_parser("bks", help="pairing classification and evaluation")
     modes = p.add_subparsers(dest="mode", required=True)
-    p = modes.add_parser("classify", parents=[bks_options], help="momentum term table")
+    p = modes.add_parser("classify", parents=[numeric], help="momentum term table")
     p.add_argument("--m-max", type=int, default=2)
     p.add_argument("--lam", default="1", help="rational deformation magnitude")
     p.set_defaults(func=cmd_bks_classify)
-    p = modes.add_parser("pair", parents=[bks_options], help="position coefficient profile")
+    p = modes.add_parser("pair", parents=[numeric], help="position coefficient profile")
     p.add_argument("--beta", default="0:2:0.1", help="'start:stop:step' sample range")
     p.set_defaults(func=cmd_bks_pair)
 
-    p = sub.add_parser("evolve", help="deformed Schroedinger evolution")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--hbar", type=float, default=1.0)
+    p = sub.add_parser("evolve", parents=[numeric], help="deformed Schroedinger evolution")
     p.add_argument("--grid", default="-10:10:2048", help="'qmin:qmax:nodes'")
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--init", default="gaussian:q0=0,p0=2,sigma=0.5")
-    p.add_argument("--csv", help="write the time series to this path")
     p.add_argument("--snapshots", help="write binary state snapshots to this path")
     p.add_argument("--snap-every", type=int, default=100)
     p.set_defaults(func=cmd_evolve)
@@ -477,27 +479,19 @@ def build_parser() -> _Parser:
     return parser
 
 
-_DASH_VALUE_FLAGS = {
-    "--grid", "--beta", "--E", "--a", "--b", "--observable", "--deformation", "--lam", "--hbar",
-    "--dt",
-}
-
-
 def _fold_dash_values(argv: list[str]) -> list[str]:
-    """Join '--grid -10:10:2048' into '--grid=-10:10:2048' so argparse accepts it.
+    """Join '--grid -10:10:2048' into '--grid=-10:10:2048' so argparse takes it as the value.
 
-    A next token that starts with '--' is an option, not a value, and stays apart.
+    Any token that starts with a single '-' but '-h' joins the '--option' just before it,
+    whatever the option: argparse then refuses a value joined to a flag.  A token that
+    starts with '--' is an option and stays apart.
     """
     out = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        nxt = argv[i + 1] if i + 1 < len(argv) else ""
-        if tok in _DASH_VALUE_FLAGS and nxt.startswith("-") and not nxt.startswith("--"):
-            out.append(f"{tok}={nxt}")
-            skip = True
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if (tok.startswith("-") and not tok.startswith("--") and tok != "-h"
+                and prev.startswith("--") and len(prev) > 2 and "=" not in prev):
+            out[-1] = f"{prev}={tok}"
         else:
             out.append(tok)
     return out

@@ -16,8 +16,9 @@ polynomial.  The whole expression is estimated before it is evaluated: each
 operation carries an upper estimate (``_Node``) of its terms, coefficient
 bits and work in term products up the parse tree, and one whose estimate
 passes ``TERMS_MAX`` terms or ``BITS_MAX`` bits, or whose expression passes
-``WORK_MAX`` term products, is refused at its operator's column.  Syntax
-errors carry the 1-based source column.
+``WORK_MAX`` term products, is refused at its operator's column, and so is
+a '(', unary sign or '^' exponent that opens a level of nesting past
+``DEPTH_MAX``.  Syntax errors carry the 1-based source column.
 
 Problem files are JSON objects::
 
@@ -29,7 +30,8 @@ Problem files are JSON objects::
                    "theta": ..., "map": {"<target coord>": "<expr>", ...}}
     }
 
-Every key is optional; any other key is a ChartError naming it.
+Every key is optional; any other key is a ChartError naming it, and so is
+JSON nested past the depth Python's parser can follow.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .symcore import ChartError, ChartSpec, OneForm, Poly, Scalar, SmoothMap, _R
 TERMS_MAX = 10**5  # every operation: at most this many terms, estimated before evaluating
 BITS_MAX = 2**11  # every operation: coefficient parts of at most this many bits, estimated
 WORK_MAX = 2 * 10**6  # a whole expression: at most this many small term products, estimated
+DEPTH_MAX = 100  # nesting: at most this many open '(', unary signs and '^' exponents at once
 
 
 class ExprSyntaxError(ValueError):
@@ -231,6 +234,16 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.chart = chart
         self.k = 0
+        self.depth = 0
+
+    def nested(self, parse, col: int) -> _Node:
+        """``parse()`` one level deeper; a level past ``DEPTH_MAX`` is refused at ``col``."""
+        if self.depth == DEPTH_MAX:
+            raise ExprSyntaxError(f"expression nests more than {DEPTH_MAX} levels", col)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def peek(self):
         return self.tokens[self.k]
@@ -285,10 +298,10 @@ class _Parser:
             rest.append(("*", rhs))
 
     def unary(self) -> _Node:
-        kind, val, _ = self.peek()
+        kind, val, col = self.peek()
         if kind == "op" and val in "+-":
             self.advance()
-            node = self.unary()
+            node = self.nested(self.unary, col)
             if val == "+":
                 return node
             neg = _Node(node.terms, node.degree, node.names, node.norm, node.den, node.work)
@@ -301,7 +314,7 @@ class _Parser:
         kind, val, col = self.peek()
         if kind == "op" and val == "^":
             self.advance()
-            expo = self.unary()
+            expo = self.nested(self.unary, col)
             e = expo.build()
             if not e.is_constant():
                 raise ExprSyntaxError("exponent must be a constant", col)
@@ -329,7 +342,7 @@ class _Parser:
             except ChartError:
                 raise ExprSyntaxError(f"unknown symbol {val!r}", col) from None
         if kind == "op" and val == "(":
-            node = self.expr()
+            node = self.nested(self.expr, col)
             self.expect_op(")")
             return node
         raise ExprSyntaxError(f"unexpected {val!r}" if val else "unexpected end of input", col)
@@ -414,7 +427,10 @@ def load_problem(source) -> ProblemFile:
             text = source
         else:
             raise FileNotFoundError(f"no such file: {source}")
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ChartError("the problem file nests too deeply") from None
     if not isinstance(data, dict):
         raise ChartError("a problem file must hold a JSON object")
     _known_keys(data, ("chart", "theta", "observables", "pullback"), "")

@@ -1,3 +1,4 @@
+import argparse
 import random
 
 import pytest
@@ -36,3 +37,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def subcommands(parser, words=()):
+    """(words, parser) for each leaf subcommand under ``parser``, such as (("bks", "pair"), p)."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from subcommands(sub, (*words, name))
+            return
+    yield words, parser
+
+
+def declared_options(parser) -> list[argparse.Action]:
+    """The option actions ``parser`` declares, its help flag aside."""
+    return [a for a in parser._actions if a.option_strings and a.dest != "help"]

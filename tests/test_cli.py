@@ -6,6 +6,7 @@ import math
 import os
 import pkgutil
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,8 @@ import pytest
 import pseudoquant
 from pseudoquant import bks, bohrsommerfeld
 from pseudoquant.bohrsommerfeld import folded_points
-from pseudoquant.cli import EXIT_INPUT, EXIT_OK, run
+from conftest import declared_options, subcommands
+from pseudoquant.cli import EXIT_INPUT, EXIT_OK, _fold_dash_values, build_parser, run
 from pseudoquant.exprparse import load_problem, parse_poly
 from pseudoquant.prequant import theorem_commutator
 from pseudoquant.symcore import Poly
@@ -214,6 +216,10 @@ class TestErrors:
         ('{"observables": {"H": "(q1+1)^3000"}}', "more than 2048 bits"),
         ('{"pullback": {"target": {"pairs": [["z", "phi_z"]]}, "thetaa": [["2*z", "dphi_z"]],'
          ' "map": {"z": "p1", "phi_z": "q1"}}}', "unknown problem-file key 'pullback.thetaa'"),
+        # nesting: JSON past the parser's recursion limit, an expression past its nesting bound
+        ("[" * 5000 + "]" * 5000, "the problem file nests too deeply"),
+        (json.dumps({"theta": [["(" * 300 + "p1" + ")" * 300, "dq1"]]}),
+         "column 101: expression nests more than 100 levels"),
     ])
     def test_malformed_problem_file(self, capsys, tmp_path, text, key):
         path = tmp_path / "bad.json"
@@ -286,6 +292,22 @@ class TestQuantiseAndPreserve:
         pytest.param(["commutator", "--a", "p1", "--b", "q1", "--csv", "out.csv"],
                      "unrecognized arguments: --csv", id="commutator-csv"),
         pytest.param(["preserve"], "preserve needs --observable or --grid", id="preserve-neither"),
+        # option names match in full only: a prefix of one is an unknown option
+        pytest.param(["quantise", "--obs", "p1"],
+                     "the following arguments are required: --observable", id="quantise-prefix"),
+        pytest.param(["commutator", "--a", "p1", "--b", "q1", "--form"],
+                     "unrecognized arguments: --form", id="commutator-prefix"),
+        pytest.param(["bs-count", "--E", "1..2", "--cs", "out.csv"],
+                     "unrecognized arguments: --cs out.csv", id="bs-count-prefix"),
+        pytest.param(["verify-paper", "--str"], "unrecognized arguments: --str",
+                     id="verify-paper-prefix"),
+        # a dash-leading token is the value of the option before it, even of a flag
+        pytest.param(["commutator", "--a", "p1", "--b", "q1", "--json", "-x"],
+                     "argument --json: ignored explicit argument '-x'", id="flag-dash-value"),
+        pytest.param(["commutator", "--a", "-h", "--b", "q1"],
+                     "argument --a: expected one argument", id="value-then-help-flag"),
+        pytest.param(["commutator", "--a", "(" * 1000 + "p1" + ")" * 1000, "--b", "q1"],
+                     "column 101: expression nests more than 100 levels", id="a-nested-1000"),
     ])
     def test_rejects_options(self, capsys, cylinder, argv, message):
         assert run([a.format(cylinder=cylinder) for a in argv]) == EXIT_INPUT
@@ -430,6 +452,59 @@ class TestExactOutputPins:
         assert hashlib.sha256("".join(out).encode()).hexdigest() == (
             "345f76c57d8edd1a1499c6b3e354c38314b917398b64b34d3deaa66f55582a0e"
         )
+
+
+class TestOptions:
+    """build_parser() is the one statement of the options: the fold rule and README read it."""
+
+    def test_every_value_option_takes_a_dash_leading_value(self):
+        names = set()
+        for words, parser in subcommands(build_parser()):
+            for action in declared_options(parser):
+                if action.nargs != 0:
+                    name = action.option_strings[0]
+                    folded = _fold_dash_values([*words, name, "-x", "--json", "-y"])
+                    assert folded == [*words, f"{name}=-x", "--json=-y"]
+                    names.add(name)
+        assert {"--csv", "--problem", "--points", "--snapshots", "--seed"} <= names
+
+    @pytest.mark.parametrize("argv", [
+        ["--a", "-h"],  # the help flag stays the help flag
+        ["--a", "--b"],  # a token that starts with '--' is an option
+        ["--a=p1", "-x"],  # the option already has its value
+        ["--", "-x"],
+        ["bks", "-x"],
+    ])
+    def test_other_tokens_stay_apart(self, argv):
+        assert _fold_dash_values(argv) == argv
+
+    def test_dash_leading_output_path(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["bs-count", "--E", "1..2"]) == EXIT_OK
+        want = capsys.readouterr().out
+        assert run(["bs-count", "--E", "1..2", "--csv", "-out.csv"]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "-out.csv").read_text() == want
+
+    def test_readme_table_lists_each_subcommands_options(self):
+        """README's "Options each subcommand accepts" rows name exactly the parser's options.
+
+        The two ``preserve`` rows are read together, each with its mode flag.
+        """
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("Options each subcommand accepts", 1)[1].split("\n\n", 2)[1]
+        documented = {}
+        for row in table.splitlines()[2:]:
+            command, listed = row.split("|")[1:3]
+            words = re.search(r"`([^`]*)`", command).group(1).split()
+            flags = [w for w in words if w.startswith("--")]
+            key = tuple(w for w in words if w not in flags)
+            documented.setdefault(key, set()).update(flags, re.findall(r"`(--[\w-]+)`", listed))
+        declared = {
+            words: {n for a in declared_options(parser) for n in a.option_strings}
+            for words, parser in subcommands(build_parser())
+        }
+        assert documented == declared
 
 
 class TestReadmeProblemFile:
@@ -599,6 +674,8 @@ class TestBks:
         pytest.param(["pair", "--n", "2", "--beta", "1e150"],
                      "1 + 2*beta^n or its 3/2 power overflows a float at beta = 1e+150, n = 2",
                      id="pair-conserved-weight-overflow"),
+        pytest.param(["classify", "--n", "1", "--m", "0"], "unrecognized arguments: --m 0",
+                     id="classify-prefix"),
     ])
     def test_rejects_input(self, capsys, argv, message):
         assert run(["bks", *argv]) == EXIT_INPUT
@@ -712,6 +789,14 @@ class TestEvolve:
         pytest.param(["--steps", "3051", "--snapshots", "out.bin", "--snap-every", "1"],
                      "--snapshots gives more than 100000000 bytes; use a larger --snap-every",
                      id="snapshot-bytes-bound"),
+        pytest.param(["--gr", "-5:5:64"], "unrecognized arguments: --gr=-5:5:64", id="grid-prefix"),
+        pytest.param(["--n", "2000"], "the weight (1 + 2*q^n)^(3/2) of weighted_norm overflows a "
+                     "float on the grid [-10, 10] at n = 2000; shrink the domain",
+                     id="weight-overflow"),
+        pytest.param(["--n", "99999999999999999999", "--grid=-5:5:64"],
+                     "the weight (1 + 2*q^n)^(3/2) of weighted_norm overflows a float on the "
+                     "grid [-5, 5] at n = 99999999999999999999; shrink the domain",
+                     id="weight-overflow-huge-n"),
     ])
     def test_rejects_input(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)

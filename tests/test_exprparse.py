@@ -6,6 +6,7 @@ import pytest
 
 from pseudoquant.exprparse import (
     BITS_MAX,
+    DEPTH_MAX,
     TERMS_MAX,
     ExprSyntaxError,
     ProblemFile,
@@ -140,6 +141,31 @@ class TestParsePoly:
         assert parse_poly("(1+1+1)^1292", chart) == Poly.const(chart, 3**1292)
         a1 = Poly.var(chart, "a1")
         assert parse_poly("(a1+2*a1+3*a1+4*a1)^100", chart) == (a1 * 10) ** 100
+
+    # each shape at depth d, and the column of the token that opens its d-th level
+    NESTINGS = {
+        "parentheses": (lambda d: "(" * d + "a1" + ")" * d, lambda d: d),
+        "exponents": (lambda d: "a1" + "^1" * d, lambda d: 2 * d + 1),
+        "signs": (lambda d: "-" * d + "a1", lambda d: d),
+        "signed-parentheses": (lambda d: "-(" * (d // 2) + "-" * (d % 2) + "a1" + ")" * (d // 2),
+                               lambda d: d),
+    }
+
+    @pytest.mark.parametrize("shape", list(NESTINGS))
+    def test_nesting_is_bounded(self, chart, shape):
+        text, column = self.NESTINGS[shape]
+        assert parse_poly(text(DEPTH_MAX), chart) == Poly.var(chart, "a1")  # an even bound
+        for depth in (DEPTH_MAX + 1, 1000):
+            with pytest.raises(ExprSyntaxError) as err:
+                parse_poly(text(depth), chart)
+            col = column(DEPTH_MAX + 1)
+            assert str(err.value) == f"column {col}: expression nests more than {DEPTH_MAX} levels"
+            assert err.value.column == col
+
+    def test_nesting_counts_open_levels_only(self, chart):
+        a1 = Poly.var(chart, "a1")
+        assert parse_poly("+".join(["(a1)"] * 1000), chart) == a1 * 1000
+        assert parse_poly("*".join(["-a1^1"] * 300), chart) == a1**300
 
 
 class TestOneForm:
